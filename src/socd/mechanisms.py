@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .model import (
     ActivePeriod,
@@ -38,9 +38,8 @@ from .model import (
     SwitchKind,
     Time,
     eas_segments,
-    ex_ante_share,
-    ex_post_share,
     stream_segments,
+    stream_shares,
     validate_stream,
 )
 
@@ -167,18 +166,17 @@ def _share_reports(
     params: GameParams,
     assigned: Mapping[AgentId, Fraction],
 ) -> tuple[ShareReport, ...]:
-    reports = []
-    for a in stream:
-        present = [q for q in stream if q.available_at(a.t_arrive)]
-        reports.append(
-            ShareReport(
-                agent=a.id,
-                assigned=Fraction(assigned.get(a.id, 0)),
-                ex_ante=ex_ante_share(a, present, params),
-                ex_post=ex_post_share(a, stream, params),
-            )
+    shares = stream_shares(stream)
+    allowance = params.c / params.u
+    return tuple(
+        ShareReport(
+            agent=a.id,
+            assigned=Fraction(assigned.get(a.id, 0)),
+            ex_ante=shares.ex_ante[a.id] + allowance,
+            ex_post=shares.ex_post[a.id] + allowance,
         )
-    return tuple(reports)
+        for a in stream
+    )
 
 
 def pt_run(agents: Iterable[AgentSpec], params: GameParams = GameParams()) -> MechanismOutcome:
@@ -342,7 +340,6 @@ def sg_run(
     params: GameParams = GameParams(),
     dynamic_adjust: bool = False,
     include_switch_allowance: bool = False,
-    observer: Callable[[Time, ConvoyState], None] | None = None,
 ) -> MechanismOutcome:
     """Single-game load balancing, optionally with dynamic adjustment.
 
@@ -360,10 +357,10 @@ def sg_run(
     any rotation, so leaving agents never pay and an arrival in front of an
     exhausted leader pre-empts its rotation.  If every member has finished
     but the convoy is not empty, the front finished agent leads on; the
-    overshoot is visible in its report.  `observer`, when given, is called
-    with (time, state) after every processed event.
+    overshoot is visible in its report.
     """
-    stream = validate_stream(agents)
+    shares = stream_shares(agents)
+    stream = shares.stream
     n = len(stream)
 
     state = ConvoyState(
@@ -402,7 +399,10 @@ def sg_run(
             led[cur.id] += delta
             if unfinished and unfinished[0] is cur:
                 remaining[cur.id] -= delta
-                assert remaining[cur.id] >= 0
+                if remaining[cur.id] < 0:
+                    raise RuntimeError(
+                        f"leader {cur.id!r} led past its remaining share"
+                    )
 
         pre = state.leader
         pre_departed = False
@@ -415,21 +415,25 @@ def sg_run(
         elif action == ARRIVE:
             a = stream[i]
             i += 1
-            present = unfinished + finished + [a]
-            eas = eas_segments(a, present)
-            share = sum((seg.length / len(seg.members) for seg in eas), Fraction(0))
+            # the agents present now are exactly those available at the
+            # arrival, so the claim is the sweep's ex-ante segment sum
+            share = shares.ex_ante[a.id]
             if include_switch_allowance:
                 share += params.c / params.u
             remaining[a.id] = share
             bisect.insort(unfinished, a, key=lambda m: (m.t_leave, m.t_arrive))
             if dynamic_adjust:
+                eas = eas_segments(a, unfinished + finished)
                 updated = sg_adjust_shares(a, state, eas)
                 remaining.clear()
                 remaining.update(updated)
             joined = a
         else:  # ROTATE: the front agent has exhausted its share
             rotator = unfinished.pop(0)
-            assert remaining[rotator.id] == 0
+            if remaining[rotator.id] != 0:
+                raise RuntimeError(
+                    f"{rotator.id!r} rotated with {remaining[rotator.id]} still to lead"
+                )
             finished.append(rotator)
             # Alone in the convoy there is nothing to rotate behind: the agent
             # simply continues leading (overshoot), with no maneuver to pay for.
@@ -470,8 +474,6 @@ def sg_run(
             cur_start = t_next if post is not None else None
 
         t = t_next
-        if observer is not None:
-            observer(t, state)
 
     kind = (
         MechanismKind.SINGLE_GAME_DYNAMIC if dynamic_adjust else MechanismKind.SINGLE_GAME

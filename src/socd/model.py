@@ -3,9 +3,9 @@
 A game is an online stream of agents, each available over one time window,
 with exactly one available agent performing a shared chore at any instant.
 This module holds the value types (agents, parameters, segments, schedules),
-the segment decompositions behind ex-ante and ex-post proportional shares,
-and the schedule validity and efficiency accounting shared by every
-mechanism.
+the segment decompositions behind ex-ante and ex-post proportional shares
+(all of them read off one event sweep per stream, `stream_shares`), and the
+schedule validity and efficiency accounting shared by every mechanism.
 
 Times and shares are exact `fractions.Fraction` values throughout; floats
 belong to the metrics and reporting layers.  All intervals are half-open
@@ -16,11 +16,12 @@ processed first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import bisect
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import pairwise
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "AgentId",
@@ -34,6 +35,7 @@ __all__ = [
     "SwitchEvent",
     "Schedule",
     "ShareReport",
+    "StreamShares",
     "Violation",
     "EmptyStream",
     "EmptyWindow",
@@ -43,6 +45,7 @@ __all__ = [
     "validate_stream",
     "availability_union",
     "game_duration",
+    "stream_shares",
     "stream_segments",
     "eas_segments",
     "eps_segments",
@@ -253,6 +256,22 @@ class ShareReport:
 
 
 @dataclass(frozen=True)
+class StreamShares:
+    """Everything one event sweep reads off a stream (see `stream_shares`).
+
+    `stream` is the validated stream in arrival order and `segments` its
+    realized segmentation.  `ex_ante` and `ex_post` map every agent to its
+    proportional segment sum, the sum of |seg|/n_seg over its ex-ante or
+    ex-post segments, without the c/u allowance.
+    """
+
+    stream: tuple[AgentSpec, ...]
+    segments: tuple[Segment, ...]
+    ex_ante: Mapping[AgentId, Fraction]
+    ex_post: Mapping[AgentId, Fraction]
+
+
+@dataclass(frozen=True)
 class Violation:
     """One defect found by validate_schedule."""
 
@@ -274,17 +293,25 @@ SWITCH_MISMATCH = "switch_mismatch"
 def validate_stream(agents: Iterable[AgentSpec]) -> list[AgentSpec]:
     """Check a stream and return it sorted by arrival time.
 
-    Rejects empty streams, empty windows, duplicate ids and duplicate
-    arrival instants (the model assumes agents arrive one at a time).
+    Rejects empty streams, empty windows, duplicate arrival instants (the
+    model assumes agents arrive one at a time) and ids that are not a str or
+    an int or that print alike (1 and "1"), since reports and artifacts
+    name agents by their printed id.
     """
     stream = list(agents)
     if not stream:
         raise EmptyStream("agent stream is empty")
-    seen_ids: set[AgentId] = set()
+    seen_ids: dict[str, AgentId] = {}
     for a in stream:
-        if a.id in seen_ids:
-            raise ValueError(f"duplicate agent id {a.id!r}")
-        seen_ids.add(a.id)
+        if isinstance(a.id, bool) or not isinstance(a.id, (str, int)):
+            raise ValueError(f"agent id {a.id!r} must be a str or an int")
+        key = str(a.id)
+        if key in seen_ids:
+            first = seen_ids[key]
+            if first == a.id:
+                raise ValueError(f"duplicate agent id {a.id!r}")
+            raise ValueError(f"agent ids {first!r} and {a.id!r} print alike")
+        seen_ids[key] = a.id
         if a.t_leave <= a.t_arrive:  # defensive; AgentSpec already rejects this
             raise EmptyWindow(a.id)
     stream.sort(key=lambda a: a.t_arrive)
@@ -311,14 +338,73 @@ def game_duration(agents: Iterable[AgentSpec]) -> Fraction:
     return sum((end - start for start, end in availability_union(agents)), Fraction(0))
 
 
-def _cut_segments(
-    start: Time,
-    end: Time,
-    cuts: Iterable[Time],
-    members_at: Callable[[Time, Time], frozenset[AgentId]],
-) -> list[Segment]:
-    bounds = [start, *sorted({t for t in cuts if start < t < end}), end]
-    return [Segment(s, e, members_at(s, e)) for s, e in pairwise(bounds)]
+def _ante_cut(
+    start: Time, end: Time, leaves: Sequence[Time]
+) -> Iterator[tuple[Time, Time, int]]:
+    """Walk the ex-ante cut of the window [start, end).
+
+    `leaves` holds the departures of the agents present at `start`, in
+    ascending order; all lie after `start` and one of them is `end`.  Each
+    known departure inside the window cuts, so this yields (s, e, i) per
+    segment, whose members are the present agents at positions i: of
+    `leaves` (those leaving at e or later).
+    """
+    i = 0
+    while leaves[i] < end:
+        cut = leaves[i]
+        yield start, cut, i
+        start = cut
+        while leaves[i] == cut:
+            i += 1
+    yield start, end, i
+
+
+def stream_shares(agents: Iterable[AgentSpec]) -> StreamShares:
+    """One event sweep: realized segments, ex-ante and ex-post segment sums.
+
+    Validates the stream once and walks its arrival and departure instants
+    in time order, departures first at equal instants.  A running prefix
+    cum(t) of |seg|/n_seg gives each ex-post sum as
+    cum(t_leave) - cum(t_arrive).  The departures of the present agents are
+    kept sorted, so each ex-ante sum is one walk over them at the arrival.
+    """
+    stream = validate_stream(agents)
+    by_leave = sorted(stream, key=lambda a: a.t_leave)
+    times = sorted({t for a in stream for t in (a.t_arrive, a.t_leave)})
+
+    present: set[AgentId] = set()
+    leaves: list[Time] = []  # departures of the present agents, ascending
+    segments: list[Segment] = []
+    ex_ante: dict[AgentId, Fraction] = {}
+    ex_post: dict[AgentId, Fraction] = {}
+    cum = Fraction(0)  # sum of |seg|/n_seg over the segments ended so far
+    cum_at_arrival: dict[AgentId, Fraction] = {}
+    arriving = departing = 0  # next indices into stream and by_leave
+    prev: Time | None = None
+    for t in times:
+        if present:
+            segments.append(Segment(prev, t, frozenset(present)))
+            cum += (t - prev) / len(present)
+        gone = departing
+        while departing < len(by_leave) and by_leave[departing].t_leave == t:
+            a = by_leave[departing]
+            present.remove(a.id)
+            ex_post[a.id] = cum - cum_at_arrival[a.id]
+            departing += 1
+        del leaves[: departing - gone]  # they are the earliest departures
+        if arriving < len(stream) and stream[arriving].t_arrive == t:
+            a = stream[arriving]
+            present.add(a.id)
+            cum_at_arrival[a.id] = cum
+            bisect.insort(leaves, a.t_leave)
+            n = len(leaves)
+            ex_ante[a.id] = sum(
+                ((e - s) / (n - i) for s, e, i in _ante_cut(t, a.t_leave, leaves)),
+                Fraction(0),
+            )
+            arriving += 1
+        prev = t
+    return StreamShares(tuple(stream), tuple(segments), ex_ante, ex_post)
 
 
 def stream_segments(agents: Sequence[AgentSpec]) -> list[Segment]:
@@ -327,14 +413,7 @@ def stream_segments(agents: Sequence[AgentSpec]) -> list[Segment]:
     Stretches with no available agent are skipped, so consecutive segments
     may be non-adjacent when availability has a hole.
     """
-    stream = validate_stream(agents)
-    times = sorted({t for a in stream for t in (a.t_arrive, a.t_leave)})
-    out: list[Segment] = []
-    for s, e in pairwise(times):
-        members = frozenset(a.id for a in stream if a.covers(s, e))
-        if members:
-            out.append(Segment(s, e, members))
-    return out
+    return list(stream_shares(agents).segments)
 
 
 def eas_segments(agent: AgentSpec, present: Iterable[AgentSpec]) -> list[Segment]:
@@ -345,7 +424,7 @@ def eas_segments(agent: AgentSpec, present: Iterable[AgentSpec]) -> list[Segment
     agents are known in advance, so those are the only cut points; the
     member count is non-increasing across the returned segments.
     """
-    members = list(present)
+    members = sorted(present, key=lambda p: p.t_leave)
     if not any(p.id == agent.id for p in members):
         raise InvalidPresentSet(f"present set must include agent {agent.id!r}")
     for p in members:
@@ -353,13 +432,11 @@ def eas_segments(agent: AgentSpec, present: Iterable[AgentSpec]) -> list[Segment
             raise InvalidPresentSet(
                 f"agent {p.id!r} is not available at t={agent.t_arrive}"
             )
-
-    def members_at(s: Time, e: Time) -> frozenset[AgentId]:
-        return frozenset(p.id for p in members if p.t_leave >= e)
-
-    return _cut_segments(
-        agent.t_arrive, agent.t_leave, (p.t_leave for p in members), members_at
-    )
+    leaves = [p.t_leave for p in members]
+    return [
+        Segment(s, e, frozenset(p.id for p in members[i:]))
+        for s, e, i in _ante_cut(agent.t_arrive, agent.t_leave, leaves)
+    ]
 
 
 def eps_segments(agent: AgentSpec, all_agents: Iterable[AgentSpec]) -> list[Segment]:
@@ -368,20 +445,13 @@ def eps_segments(agent: AgentSpec, all_agents: Iterable[AgentSpec]) -> list[Segm
     Every arrival or departure that falls strictly inside the window starts
     a new segment, so unlike the ex-ante view the member count can grow.
     """
-    stream = validate_stream(all_agents)
-    if not any(a.id == agent.id for a in stream):
+    shares = stream_shares(all_agents)
+    if agent.id not in shares.ex_post:
         raise UnknownAgent(agent.id)
-
-    def members_at(s: Time, e: Time) -> frozenset[AgentId]:
-        return frozenset(a.id for a in stream if a.covers(s, e))
-
-    cuts = (t for a in stream for t in (a.t_arrive, a.t_leave))
-    return _cut_segments(agent.t_arrive, agent.t_leave, cuts, members_at)
-
-
-def _share_from_segments(segments: Iterable[Segment], params: GameParams) -> Fraction:
-    total = sum((seg.length / len(seg.members) for seg in segments), Fraction(0))
-    return total + params.c / params.u
+    return [
+        seg for seg in shares.segments
+        if agent.t_arrive <= seg.start and seg.end <= agent.t_leave
+    ]
 
 
 def ex_ante_share(
@@ -390,7 +460,11 @@ def ex_ante_share(
     params: GameParams = GameParams(),
 ) -> Fraction:
     """Proportional share promised at arrival: sum of |seg|/n_seg plus c/u."""
-    return _share_from_segments(eas_segments(agent, present), params)
+    total = sum(
+        (seg.length / len(seg.members) for seg in eas_segments(agent, present)),
+        Fraction(0),
+    )
+    return total + params.c / params.u
 
 
 def ex_post_share(
@@ -399,7 +473,10 @@ def ex_post_share(
     params: GameParams = GameParams(),
 ) -> Fraction:
     """Proportional share judged on the realized stream: |seg|/n_seg plus c/u."""
-    return _share_from_segments(eps_segments(agent, all_agents), params)
+    ex_post = stream_shares(all_agents).ex_post
+    if agent.id not in ex_post:
+        raise UnknownAgent(agent.id)
+    return ex_post[agent.id] + params.c / params.u
 
 
 def assigned_share(

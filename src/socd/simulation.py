@@ -31,7 +31,7 @@ from .metrics import (
     ParticipationRecord,
     gini,
 )
-from .model import AgentSpec, GameParams, ex_post_share, validate_stream
+from .model import AgentSpec, GameParams, stream_shares
 
 __all__ = [
     "RingRoadParams",
@@ -192,18 +192,17 @@ def highway_experiment(
     """
     kinds = [MechanismKind(m) for m in mechanisms]
     game_params = GameParams(u=Fraction(1), c=Fraction(params.switch_cost))
-    share_params = GameParams(u=Fraction(1), c=Fraction(0))
     children = np.random.SeedSequence(params.seed).spawn(params.n_convoys)
 
     records: list[ParticipationRecord] = []
     for ci, child in enumerate(children):
         rng = np.random.default_rng(child)
-        stream = validate_stream(
+        shares = stream_shares(
             sample_stream(
                 params.configuration, rng, params.agents_per_convoy, params.n_stations
             )
         )
-        epps = {a.id: ex_post_share(a, stream, share_params) for a in stream}
+        stream, epps = shares.stream, shares.ex_post
         for kind in kinds:
             outcome = run_mechanism(kind, stream, game_params)
             nets = net_utilities(outcome, stream, game_params)

@@ -117,6 +117,27 @@ def test_malformed_game_scenarios_exit_1(tmp_path, capsys, mutate, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize(
+    "first_id, second_id, fragment",
+    [
+        ([1], "a2", "agent id [1] must be a str or an int"),
+        ({"x": 1}, "a2", "agent id {'x': 1} must be a str or an int"),
+        (True, "a2", "agent id True must be a str or an int"),
+        (1, "1", "agent ids 1 and '1' print alike"),
+    ],
+)
+def test_bad_agent_ids_exit_1(tmp_path, capsys, first_id, second_id, fragment):
+    doc = json.loads(json.dumps(S1_SCENARIO))
+    doc["agents"][0]["id"] = first_id
+    doc["agents"][1]["id"] = second_id
+    scenario = write_scenario(tmp_path, doc)
+    code = main(["--scenario", scenario])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == f"error: {fragment}\n"
+    assert out == ""
+
+
 def test_missing_scenario_file_exits_2(tmp_path, capsys):
     code = main(["--scenario", str(tmp_path / "absent.json")])
     _, err = capsys.readouterr()

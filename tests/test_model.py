@@ -136,6 +136,19 @@ def test_validate_stream_rejects_empty_and_duplicate_ids():
         validate_stream([AgentSpec("a", 0, 10), AgentSpec("a", 1, 5)])
 
 
+@pytest.mark.parametrize("bad", [[1], {"x": 1}, (1, 2), True, 1.0, None])
+def test_validate_stream_rejects_ids_that_are_not_str_or_int(bad):
+    with pytest.raises(ValueError, match="must be a str or an int"):
+        validate_stream([AgentSpec("a", 0, 10), AgentSpec(bad, 1, 5)])
+
+
+def test_validate_stream_rejects_ids_that_print_alike():
+    with pytest.raises(ValueError, match="agent ids 1 and '1' print alike"):
+        validate_stream([AgentSpec(1, 0, 10), AgentSpec("1", 1, 5)])
+    mixed = [AgentSpec(1, 0, 10), AgentSpec("a", 1, 5), AgentSpec(2, 2, 6)]
+    assert validate_stream(mixed) == mixed
+
+
 def test_availability_union_and_duration():
     assert availability_union(S1) == [(F(0), F(20))]
     assert game_duration(S1) == F(20)

@@ -1,0 +1,127 @@
+"""The one-sweep shares against the per-agent rescan oracle, exactly."""
+
+from __future__ import annotations
+
+from fractions import Fraction as F
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+import share_oracle as oracle
+from socd import (
+    AgentSpec,
+    GameParams,
+    eas_segments,
+    eps_segments,
+    ex_ante_share,
+    ex_post_share,
+    stream_segments,
+    stream_shares,
+)
+
+# Small grids make coinciding instants likely; the large primes give shares
+# with denominators far beyond machine integers.
+DENOMINATORS = (1, 2, 3, 12, 10**9 + 7, 2**61 - 1)
+
+
+@st.composite
+def streams(draw, min_agents: int = 1, max_agents: int = 24) -> list[AgentSpec]:
+    """Random streams with holes in availability and departures that land on
+    another agent's arrival."""
+    n = draw(st.integers(min_agents, max_agents))
+    arrivals: list[F] = []
+    while len(arrivals) < n:
+        d = draw(st.sampled_from(DENOMINATORS))
+        t = F(draw(st.integers(0, 40 * d)), d)
+        if t not in arrivals:
+            arrivals.append(t)
+    agents = []
+    for k, arrive in enumerate(arrivals):
+        later = sorted(t for t in arrivals if t > arrive)
+        if later and draw(st.booleans()):
+            leave = draw(st.sampled_from(later))
+        else:
+            d = draw(st.sampled_from(DENOMINATORS))
+            leave = arrive + F(draw(st.integers(1, 10 * d)), d)
+        agents.append(AgentSpec(f"v{k}", arrive, leave))
+    return agents
+
+
+def assert_sweep_matches_oracle(stream: list[AgentSpec]) -> None:
+    shares = stream_shares(stream)
+    assert list(shares.segments) == oracle.stream_segments(stream)
+    assert shares.stream == tuple(sorted(stream, key=lambda a: a.t_arrive))
+    assert set(shares.ex_ante) == set(shares.ex_post) == {a.id for a in stream}
+    for a in stream:
+        present = oracle.present_at_arrival(a, stream)
+        assert shares.ex_ante[a.id] == oracle.segment_sum(
+            oracle.eas_segments(a, present)
+        )
+        assert shares.ex_post[a.id] == oracle.segment_sum(
+            oracle.eps_segments(a, stream)
+        )
+
+
+HOLE = [AgentSpec("a", 0, 4), AgentSpec("b", 6, 9), AgentSpec("c", 7, 12)]
+HANDOVER = [AgentSpec("a", 0, 5), AgentSpec("b", 2, 7), AgentSpec("c", 5, 9)]
+SINGLE = [AgentSpec("a", F(1, 3), F(22, 7))]
+BIG = 2**61 - 1
+LARGE_DENOMINATORS = [
+    AgentSpec("a", F(1, BIG), F(5, 3)),
+    AgentSpec("b", F(2, 10**9 + 7), F(BIG - 2, BIG)),
+    AgentSpec("c", F(1, 2), F(10**18 + 1, 10**17)),
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(streams())
+@example(HOLE)
+@example(HANDOVER)
+@example(SINGLE)
+@example(LARGE_DENOMINATORS)
+def test_sweep_matches_per_agent_rescans(stream):
+    assert_sweep_matches_oracle(stream)
+
+
+@settings(
+    max_examples=3,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[
+        HealthCheck.too_slow,
+        HealthCheck.large_base_example,
+        HealthCheck.data_too_large,
+    ],
+)
+@given(streams(min_agents=150, max_agents=200))
+def test_sweep_matches_per_agent_rescans_at_large_n(stream):
+    assert_sweep_matches_oracle(stream)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(streams(), st.integers(0, 3))
+@example(HOLE, 1)
+@example(HANDOVER, 2)
+def test_public_readers_match_per_agent_rescans(stream, c):
+    params = GameParams(c=c)
+    assert stream_segments(stream) == oracle.stream_segments(stream)
+    for a in stream:
+        present = oracle.present_at_arrival(a, stream)
+        eas = oracle.eas_segments(a, present)
+        eps = oracle.eps_segments(a, stream)
+        assert eas_segments(a, present) == eas
+        assert eps_segments(a, stream) == eps
+        assert ex_ante_share(a, present, params) == oracle.segment_sum(eas) + c
+        assert ex_post_share(a, stream, params) == oracle.segment_sum(eps) + c
+
+
+def test_fixed_examples_cover_the_adversarial_cases():
+    """The named examples really are the cases they are named after."""
+    assert stream_shares(HOLE).segments[0].end < stream_shares(HOLE).segments[1].start
+    assert any(a.t_leave == b.t_arrive for a in HANDOVER for b in HANDOVER)
+    assert len(SINGLE) == 1
+    assert stream_shares(SINGLE).ex_post == {"a": F(22, 7) - F(1, 3)}
+    assert max(
+        v.denominator for v in stream_shares(LARGE_DENOMINATORS).ex_post.values()
+    ) > 2**64
