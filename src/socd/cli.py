@@ -16,7 +16,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .mechanisms import MechanismKind, net_utilities, run_mechanism
 from .metrics import ParticipationRecord, gini
@@ -52,8 +52,23 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+# `_fmt` for the exact types most cells have, without its isinstance chain;
+# other types and subclasses (bool, MechanismKind, numpy scalars) still go
+# through `_fmt`, so every cell keeps its string.
+_CELL_FORMATS: dict[type, Callable[[Any], str]] = {
+    float: float.__repr__,
+    int: int.__repr__,
+    str: str.__str__,
+    Fraction: Fraction.__str__,
+}
+
+
+def _cell(value: Any) -> str:
+    return _CELL_FORMATS.get(type(value), _fmt)(value)
+
+
 def _csv(rows: Iterable[Sequence[Any]]) -> str:
-    return "".join(",".join(_fmt(cell) for cell in row) + "\n" for row in rows)
+    return "".join(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
 def _jsonable(value: Any) -> Any:

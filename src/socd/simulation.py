@@ -11,13 +11,15 @@ Two setups:
   per-agent lead ratios and compares mechanisms by the Gini coefficient of
   those ratios, under a uniform or a commuter-hub (bimodal) entry pattern.
 
-Sampling uses one spawned child generator per convoy, so results are
-reproducible from the experiment seed and insensitive to which mechanisms
-are evaluated.
+Both are reproducible from the experiment seed.  The highway spawns one
+child generator per convoy, so its results are also insensitive to which
+mechanisms are evaluated; the ring road draws from one generator seeded
+with the experiment seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -76,6 +78,9 @@ class RingRoadParams:
             raise ValueError("n_stations and n_vehicles must be positive")
         if not 0.0 <= self.join_probability <= 1.0:
             raise ValueError("join_probability must lie in [0, 1]")
+        for name in ("road_length", "target_mean_participations", "curve_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.road_length <= 0 or self.curve_step <= 0:
             raise ValueError("road_length and curve_step must be positive")
         if self.target_mean_participations <= 0:
@@ -247,11 +252,25 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
     section of actual lead.  The convergence curve samples, at every
     `curve_step` of mean participations, the fraction of vehicles whose
     cumulative lead exceeds their cumulative share by more than 10%.
+
+    The loop is event-driven.  A joiner is filed in the exit bucket of its
+    destination station, so a visit finds its exits without scanning the
+    convoy, and the stack is rebuilt only at a visit where someone exits.
+    The front vehicle is credited its run of led sections, and 1/n is
+    recomputed, only when the convoy changes (a join or an exit).  The
+    running share sum still gains 1/n once per section, in section order:
+    the shares are float differences of that sum, so adding in bulk would
+    round differently.  Random draws come in the same order as a plain
+    per-section loop makes them (one double per parked candidate, then a
+    permutation of several same-visit joiners, then one trip length per
+    joiner), so a seed gives the same records and curve.
     """
     rng = np.random.default_rng(params.seed)
     n_stations, n_vehicles = params.n_stations, params.n_vehicles
     p = params.join_probability
-    section_length = params.road_length / n_stations
+    road_length = params.road_length
+    section_length = road_length / n_stations
+    rg = MechanismKind.REPEATED_GAME.value
 
     records: list[ParticipationRecord] = []
     points: list[tuple[float, float]] = []
@@ -260,87 +279,106 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
         parked: list[list[int]] = [[] for _ in range(n_stations)]
         for vid, st in enumerate(rng.integers(0, n_stations, size=n_vehicles)):
             parked[int(st)].append(vid)
+        # exits[s]: the riders leaving at station s, in join (= stack) order
+        exits: list[list[int]] = [[] for _ in range(n_stations)]
 
         stack: list[int] = []  # stack[-1] is the front of the convoy
-        dest: dict[int, int] = {}
-        join_cum: dict[int, float] = {}
-        join_section: dict[int, int] = {}
-        led_count: dict[int, int] = {}
-
+        dest = [0] * n_vehicles
+        join_cum = [0.0] * n_vehicles
+        join_section = [0] * n_vehicles
+        led_count = [0] * n_vehicles
+        lead_start = 0  # section from which stack[-1] has led uncredited
+        # 1/len(stack); 0.0 while the convoy is empty, where adding it to
+        # cum_inv leaves the sum unchanged
+        inv = 0.0
         cum_inv = 0.0  # running sum of 1/n over sections with a non-empty convoy
-        section = 0
-        cum_actual = np.zeros(n_vehicles)
-        cum_epps = np.zeros(n_vehicles)
-        participated = np.zeros(n_vehicles, dtype=bool)
+        cum_actual = [0.0] * n_vehicles
+        cum_epps = [0.0] * n_vehicles
+        participated = [False] * n_vehicles
 
         total_records = 0
         target_records = params.target_mean_participations * n_vehicles
         next_checkpoint = params.curve_step
+        random, uniform = rng.random, rng.uniform
 
-        station = 0
+        lap = 0  # section number of the current lap's visit to station 0
         while total_records < target_records:
-            candidates = parked[station]
-            parked[station] = []
-
-            # exits first: a vehicle never rejoins on the visit it parks
-            exited: list[int] = []
-            if stack:
-                exited = [vid for vid in stack if dest[vid] == station]
-                if exited:
-                    stack = [vid for vid in stack if dest[vid] != station]
-                for vid in exited:
-                    actual = float(led_count.pop(vid))
-                    epps = cum_inv - join_cum.pop(vid)
-                    aboard = section - join_section.pop(vid)
-                    del dest[vid]
-                    records.append(
-                        ParticipationRecord(
-                            agent=vid,
-                            convoy=total_records,
-                            actual_lead=actual,
-                            epps=epps,
-                            mechanism=MechanismKind.REPEATED_GAME.value,
-                            rotations=0,
-                            net_utility=float(aboard) - actual,
+            for station in range(n_stations):
+                # exits first: a vehicle never rejoins on the visit it parks
+                out = exits[station]
+                if out:
+                    exits[station] = []
+                    section = lap + station
+                    led_count[stack[-1]] += section - lead_start
+                    lead_start = section
+                    for vid in out:
+                        actual = float(led_count[vid])
+                        epps = cum_inv - join_cum[vid]
+                        aboard = section - join_section[vid]
+                        records.append(
+                            ParticipationRecord(
+                                agent=vid,
+                                convoy=total_records,
+                                actual_lead=actual,
+                                epps=epps,
+                                mechanism=rg,
+                                rotations=0,
+                                net_utility=float(aboard) - actual,
+                            )
                         )
-                    )
-                    cum_actual[vid] += actual
-                    cum_epps[vid] += epps
-                    participated[vid] = True
-                    total_records += 1
-                while (
-                    next_checkpoint <= params.target_mean_participations
-                    and total_records / n_vehicles >= next_checkpoint
-                ):
-                    ratios = cum_actual[participated] / cum_epps[participated]
-                    frac = float(np.mean(ratios > UNSATISFIED_THRESHOLD))
-                    points.append((next_checkpoint, frac))
-                    next_checkpoint += params.curve_step
+                        cum_actual[vid] += actual
+                        cum_epps[vid] += epps
+                        participated[vid] = True
+                        total_records += 1
+                    stack = [vid for vid in stack if dest[vid] != station]
+                    inv = 1.0 / len(stack) if stack else 0.0
+                    while (
+                        next_checkpoint <= params.target_mean_participations
+                        and total_records / n_vehicles >= next_checkpoint
+                    ):
+                        mask = np.array(participated)
+                        ratios = np.array(cum_actual)[mask] / np.array(cum_epps)[mask]
+                        frac = float(np.mean(ratios > UNSATISFIED_THRESHOLD))
+                        points.append((next_checkpoint, frac))
+                        next_checkpoint += params.curve_step
+                    if total_records >= target_records:
+                        break
 
-            # join draws from the vehicles parked before this visit
-            stayed = candidates
-            if candidates:
-                draws = rng.random(len(candidates))
-                joiners = [v for v, d in zip(candidates, draws) if d < p]
-                stayed = [v for v, d in zip(candidates, draws) if d >= p]
-                if len(joiners) > 1:
-                    order = rng.permutation(len(joiners))
-                    joiners = [joiners[k] for k in order]
-                for vid in joiners:
-                    trip = rng.uniform(0.0, params.road_length)
-                    sections = int(trip // section_length) + 1
-                    dest[vid] = (station + sections) % n_stations
-                    stack.append(vid)
-                    join_cum[vid] = cum_inv
-                    join_section[vid] = section
-                    led_count[vid] = 0
-            parked[station] = stayed + exited
+                # join draws from the vehicles parked before this visit
+                candidates = parked[station]
+                joiners: list[int] = []
+                for vid in candidates:
+                    if random() < p:
+                        joiners.append(vid)
+                if joiners:
+                    # before the appends below: an empty `out` is still this
+                    # station's bucket, which a full-lap trip joins
+                    parked[station] = [
+                        vid for vid in candidates if vid not in joiners
+                    ] + out
+                    if len(joiners) > 1:
+                        order = rng.permutation(len(joiners))
+                        joiners = [joiners[k] for k in order]
+                    section = lap + station
+                    if stack:
+                        led_count[stack[-1]] += section - lead_start
+                    lead_start = section
+                    for vid in joiners:
+                        trip = uniform(0.0, road_length)
+                        sections = int(trip // section_length) + 1
+                        d = (station + sections) % n_stations
+                        dest[vid] = d
+                        exits[d].append(vid)
+                        stack.append(vid)
+                        join_cum[vid] = cum_inv
+                        join_section[vid] = section
+                        led_count[vid] = 0
+                    inv = 1.0 / len(stack)
+                elif out:
+                    parked[station] = candidates + out
 
-            if stack:
-                cum_inv += 1.0 / len(stack)
-                led_count[stack[-1]] += 1
-            section += 1
-            station = (station + 1) % n_stations
+                cum_inv += inv
+            lap += n_stations
 
     curve = ConvergenceCurve(
         points=tuple(points), band=tuple((y, y) for _, y in points)

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from socd.cli import main
+from socd import MechanismKind
+from socd.cli import _cell, _fmt, main
 
 S1_SCENARIO = {
     "agents": [
@@ -295,6 +299,26 @@ def test_ring_runs_under_rg_only(tmp_path, capsys):
     assert "ring road experiment runs under rg only" in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("road_length", math.inf),
+        ("target_mean_participations", math.inf),
+        ("target_mean_participations", math.nan),
+        ("curve_step", math.nan),
+    ],
+)
+def test_non_finite_ring_params_exit_1(tmp_path, capsys, key, value):
+    doc = json.loads(json.dumps(RING_SCENARIO))
+    doc["params"][key] = value  # written as JSON Infinity / NaN
+    scenario = write_scenario(tmp_path, doc)
+    code = main(["--scenario", scenario])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == f"error: params: {key} must be finite\n"
+    assert out == ""
+
+
 def test_unknown_experiment_name(tmp_path, capsys):
     scenario = write_scenario(tmp_path, {"experiment": "maze", "params": {}})
     code = main(["--scenario", scenario])
@@ -304,6 +328,26 @@ def test_unknown_experiment_name(tmp_path, capsys):
 
 
 # ------------------------------------------------------------- determinism
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        True,
+        False,
+        *MechanismKind,
+        Fraction(-7, 3),
+        -0.0,
+        1e-320,
+        float("inf"),
+        3**100,
+        "v7",
+        np.float64(0.1),
+    ],
+    ids=repr,
+)
+def test_cell_formatter_matches_fmt(value):
+    assert _cell(value) == _fmt(value)
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):

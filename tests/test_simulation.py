@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import ring_oracle
 
 from socd import (
     ConvergenceCurve,
@@ -33,6 +38,15 @@ def test_ring_params_validation():
         RingRoadParams(curve_step=0.0)
     with pytest.raises(ValueError):
         RingRoadParams(target_mean_participations=-1.0)
+
+
+@pytest.mark.parametrize(
+    "field", ["road_length", "target_mean_participations", "curve_step"]
+)
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_ring_params_must_be_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        RingRoadParams(**{field: value})
 
 
 def test_highway_params_validation():
@@ -187,6 +201,54 @@ def test_ring_road_accounting_invariants():
         assert rec.epps > 0
         assert rec.net_utility >= 0  # lead never exceeds sections aboard
     assert result.curve.band == tuple((y, y) for _, y in result.curve.points)
+
+
+# Small rings: with n stations one trip in n takes a full lap back to its
+# own station, and few stations with many vehicles make several joiners at
+# one visit common.
+RING_PARAMS = st.builds(
+    RingRoadParams,
+    n_stations=st.integers(1, 13),
+    road_length=st.sampled_from((0.001, 1.0, 7.5, 100.0)),
+    n_vehicles=st.integers(1, 40),
+    join_probability=st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0)),
+    target_mean_participations=st.sampled_from((0.5, 2.0, 6.0)),
+    curve_step=st.sampled_from((0.05, 0.25, 1.0, 3.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def exact(result):
+    """Records and curve with every float as its repr (so -0.0 != 0.0)."""
+
+    def cells(row):
+        return tuple(repr(v) if isinstance(v, float) else v for v in row)
+
+    return (
+        [cells(dataclasses.astuple(r)) for r in result.records],
+        [cells(pt) for pt in result.curve.points],
+        [cells(b) for b in result.curve.band],
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(RING_PARAMS)
+# one station: every trip is a full lap, leaving at the visit after joining
+@example(RingRoadParams(n_stations=1, road_length=1.0, n_vehicles=3,
+                        join_probability=0.5, target_mean_participations=6.0,
+                        curve_step=1.0))
+# everyone joins at once: same-visit joiners go through the permutation
+@example(RingRoadParams(n_stations=3, road_length=3.0, n_vehicles=40,
+                        join_probability=1.0, target_mean_participations=6.0,
+                        curve_step=0.05))
+# two vehicles leaving together cross four checkpoints in one batch
+@example(RingRoadParams(n_stations=2, road_length=2.0, n_vehicles=2,
+                        join_probability=1.0, target_mean_participations=6.0,
+                        curve_step=0.25, seed=3))
+def test_ring_road_matches_per_section_oracle(params):
+    assert exact(ring_road_experiment(params)) == exact(
+        ring_oracle.ring_road_experiment(params)
+    )
 
 
 # -------------------------------------------------------------- aggregation
