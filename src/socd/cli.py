@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .mechanisms import MechanismKind, net_utilities, run_mechanism
 from .metrics import ParticipationRecord, gini
-from .model import AgentSpec, GameParams, efficiency
+from .model import AgentSpec, GameParams, efficiency, stream_shares
 from .simulation import (
     HIGHWAY_MECHANISMS,
     ExperimentResult,
@@ -249,10 +249,11 @@ def _run_game(
     artifacts: dict[str, str] = {}
     doc: dict[str, Any] = {"scenario": "game", "params": _jsonable(params),
                            "mechanisms": {}}
+    sweep = stream_shares(agents)
     for kind in mechanisms:
-        outcome = run_mechanism(kind, agents, params)
-        nets = net_utilities(outcome, agents, params)
-        eff = efficiency(outcome.schedule, agents, params)
+        outcome = run_mechanism(kind, sweep, params)
+        nets = net_utilities(outcome, sweep, params)
+        eff = efficiency(outcome.schedule, sweep, params)
         shares = " ".join(f"{r.agent}={r.assigned}" for r in outcome.reports)
         lines.append(f"{kind.value}: shares {shares}; efficiency {eff}")
 
@@ -332,6 +333,8 @@ def _run_game(
                 ],
                 "efficiency": str(eff),
             }
+    # drop the sweep and the last outcome before the document is serialized
+    sweep = outcome = None
     if fmt == "json":
         artifacts["result.json"] = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     return lines, artifacts

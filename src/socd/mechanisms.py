@@ -11,8 +11,10 @@ Three ways to decide who performs the shared chore at each instant:
   dynamic re-adjustment of the unfinished members' shares as newcomers
   arrive.
 
-All mechanisms consume a validated agent stream, process events in time
-order (departures before arrivals at equal instants) and produce a
+All mechanisms take an agent stream or its `StreamShares` sweep: a stream
+is validated and swept once, a sweep is read as it is, and the outcome keeps
+the sweep for its share reports.  They process events in time order
+(departures before arrivals at equal instants) and produce a
 `MechanismOutcome` holding the schedule, per-agent share reports, any
 payment ledger and any rotation charges.  Arithmetic is exact throughout.
 """
@@ -34,13 +36,12 @@ from .model import (
     Schedule,
     Segment,
     ShareReport,
+    StreamShares,
     SwitchEvent,
     SwitchKind,
     Time,
     eas_segments,
-    stream_segments,
     stream_shares,
-    validate_stream,
 )
 
 __all__ = [
@@ -141,15 +142,16 @@ class MechanismOutcome:
     """What a mechanism produced: schedule, payments, rotation charges.
 
     `lead_shares` is the realized per-agent leading time; `reports` adds the
-    ex-ante/ex-post comparison and is computed on first access, since the
-    experiment pipelines only consume the raw shares.
+    ex-ante/ex-post comparison from the stream's sweep `shares` and is
+    computed on first access, since the experiment pipelines only consume
+    the raw shares.
     """
 
     kind: MechanismKind
     schedule: Schedule
     ledger: Ledger | None
     rotation_costs: Mapping[AgentId, Fraction]
-    stream: tuple[AgentSpec, ...]
+    shares: StreamShares
     params: GameParams
     lead_shares: Mapping[AgentId, Fraction]
 
@@ -158,28 +160,21 @@ class MechanismOutcome:
 
     @cached_property
     def reports(self) -> tuple[ShareReport, ...]:
-        return _share_reports(self.stream, self.params, self.lead_shares)
-
-
-def _share_reports(
-    stream: Sequence[AgentSpec],
-    params: GameParams,
-    assigned: Mapping[AgentId, Fraction],
-) -> tuple[ShareReport, ...]:
-    shares = stream_shares(stream)
-    allowance = params.c / params.u
-    return tuple(
-        ShareReport(
-            agent=a.id,
-            assigned=Fraction(assigned.get(a.id, 0)),
-            ex_ante=shares.ex_ante[a.id] + allowance,
-            ex_post=shares.ex_post[a.id] + allowance,
+        allowance = self.params.c / self.params.u
+        return tuple(
+            ShareReport(
+                agent=a.id,
+                assigned=Fraction(self.lead_shares.get(a.id, 0)),
+                ex_ante=self.shares.ex_ante[a.id] + allowance,
+                ex_post=self.shares.ex_post[a.id] + allowance,
+            )
+            for a in self.shares.stream
         )
-        for a in stream
-    )
 
 
-def pt_run(agents: Iterable[AgentSpec], params: GameParams = GameParams()) -> MechanismOutcome:
+def pt_run(
+    agents: Iterable[AgentSpec] | StreamShares, params: GameParams = GameParams()
+) -> MechanismOutcome:
     """Payment-transfer mechanism.
 
     The available agent with the earliest departure time leads (ties broken
@@ -188,9 +183,9 @@ def pt_run(agents: Iterable[AgentSpec], params: GameParams = GameParams()) -> Me
     sooner-departing agent arrives, so the schedule contains no rotations
     and switching is free.
     """
-    stream = validate_stream(agents)
+    shares = stream_shares(agents)
+    stream = shares.stream
     by_id = {a.id: a for a in stream}
-    segments = stream_segments(stream)
 
     periods: list[ActivePeriod] = []
     switches: list[SwitchEvent] = []
@@ -201,7 +196,7 @@ def pt_run(agents: Iterable[AgentSpec], params: GameParams = GameParams()) -> Me
     cur: AgentId | None = None
     cur_start: Time | None = None
     prev_end: Time | None = None
-    for seg in segments:
+    for seg in shares.segments:
         leader = min(
             seg.members, key=lambda i: (by_id[i].t_leave, by_id[i].t_arrive)
         )
@@ -246,13 +241,15 @@ def pt_run(agents: Iterable[AgentSpec], params: GameParams = GameParams()) -> Me
         schedule=Schedule(tuple(periods), tuple(switches)),
         ledger=Ledger(tuple(transfers), net),
         rotation_costs={},
-        stream=tuple(stream),
+        shares=shares,
         params=params,
         lead_shares=assigned,
     )
 
 
-def rg_run(agents: Iterable[AgentSpec], params: GameParams = GameParams()) -> MechanismOutcome:
+def rg_run(
+    agents: Iterable[AgentSpec] | StreamShares, params: GameParams = GameParams()
+) -> MechanismOutcome:
     """Repeated-game load balancing.
 
     Every arrival joins at the front of the convoy and leads immediately;
@@ -260,7 +257,8 @@ def rg_run(agents: Iterable[AgentSpec], params: GameParams = GameParams()) -> Me
     shares within one game are accepted and settle over repeated games, so
     no agent ever rotates and no payments change hands.
     """
-    stream = validate_stream(agents)
+    shares = stream_shares(agents)
+    stream = shares.stream
     times = sorted({t for a in stream for t in (a.t_arrive, a.t_leave)})
     arriving = {a.t_arrive: a for a in stream}
 
@@ -303,7 +301,7 @@ def rg_run(agents: Iterable[AgentSpec], params: GameParams = GameParams()) -> Me
         schedule=Schedule(tuple(periods), tuple(switches)),
         ledger=None,
         rotation_costs={},
-        stream=tuple(stream),
+        shares=shares,
         params=params,
         lead_shares=assigned,
     )
@@ -319,24 +317,31 @@ def sg_adjust_shares(
     members still available in that segment, and deducted from their
     remaining shares, clamped at zero.  Finished members and the newcomer
     itself are never adjusted.  Returns the updated remaining map.
+
+    Clamps compose (max(0, max(0, x - a) - b) = max(0, x - a - b) for
+    a, b >= 0), so each member is cut once by the sum of its pools' cuts.
+    `state.unfinished` is ordered by departure, so each segment's pool is a
+    suffix of it: the cut is added where that suffix starts and summed in
+    one walk, O(segments + pool) instead of O(segments * pool).
     """
-    updated = dict(state.remaining)
+    pool = [m for m in state.unfinished if m.id != new_agent.id]
+    leaves = [m.t_leave for m in pool]
+    steps = [Fraction(0)] * len(pool)  # cut that starts at each pool index
     for seg in eas:
-        share = seg.length / len(seg.members)
-        pool = [
-            m for m in state.unfinished
-            if m.id != new_agent.id and m.t_leave > seg.start
-        ]
-        if not pool:
-            continue
-        cut = share / len(pool)
-        for m in pool:
+        first = bisect.bisect_right(leaves, seg.start)  # leaves after seg.start
+        if first < len(pool):
+            steps[first] += seg.length / len(seg.members) / (len(pool) - first)
+    updated = dict(state.remaining)
+    cut = Fraction(0)
+    for m, step in zip(pool, steps):
+        cut += step
+        if cut:
             updated[m.id] = max(Fraction(0), updated[m.id] - cut)
     return updated
 
 
 def sg_run(
-    agents: Iterable[AgentSpec],
+    agents: Iterable[AgentSpec] | StreamShares,
     params: GameParams = GameParams(),
     dynamic_adjust: bool = False,
     include_switch_allowance: bool = False,
@@ -483,7 +488,7 @@ def sg_run(
         schedule=Schedule(tuple(periods), tuple(switches)),
         ledger=None,
         rotation_costs={k: v for k, v in rotation_costs.items() if v or rotations[k]},
-        stream=tuple(stream),
+        shares=shares,
         params=params,
         lead_shares=led,
     )
@@ -491,7 +496,7 @@ def sg_run(
 
 def run_mechanism(
     kind: MechanismKind | str,
-    agents: Iterable[AgentSpec],
+    agents: Iterable[AgentSpec] | StreamShares,
     params: GameParams = GameParams(),
     include_switch_allowance: bool = False,
 ) -> MechanismOutcome:
@@ -511,15 +516,14 @@ def run_mechanism(
 
 def net_utilities(
     outcome: MechanismOutcome,
-    agents: Iterable[AgentSpec],
+    agents: Iterable[AgentSpec] | StreamShares,
     params: GameParams,
 ) -> dict[AgentId, Fraction]:
     """Per-agent net utility: u per unit of availability not spent leading,
     plus net transfers received, minus rotation charges paid."""
-    stream = validate_stream(agents)
     assigned = outcome.assigned()
     net: dict[AgentId, Fraction] = {}
-    for a in stream:
+    for a in stream_shares(agents).stream:
         value = params.u * (a.window - assigned[a.id])
         if outcome.ledger is not None:
             value += outcome.ledger.net.get(a.id, Fraction(0))

@@ -359,7 +359,7 @@ def _ante_cut(
     yield start, end, i
 
 
-def stream_shares(agents: Iterable[AgentSpec]) -> StreamShares:
+def stream_shares(agents: Iterable[AgentSpec] | StreamShares) -> StreamShares:
     """One event sweep: realized segments, ex-ante and ex-post segment sums.
 
     Validates the stream once and walks its arrival and departure instants
@@ -367,7 +367,13 @@ def stream_shares(agents: Iterable[AgentSpec]) -> StreamShares:
     cum(t) of |seg|/n_seg gives each ex-post sum as
     cum(t_leave) - cum(t_arrive).  The departures of the present agents are
     kept sorted, so each ex-ante sum is one walk over them at the arrival.
+
+    A `StreamShares` is returned as it is, neither re-validated nor swept
+    again.  Every function that takes an agent stream resolves it through
+    here, so a caller that sweeps once can pass the sweep everywhere.
     """
+    if isinstance(agents, StreamShares):
+        return agents
     stream = validate_stream(agents)
     by_leave = sorted(stream, key=lambda a: a.t_leave)
     times = sorted({t for a in stream for t in (a.t_arrive, a.t_leave)})
@@ -497,19 +503,24 @@ def assigned_share(
 
 
 def efficiency(
-    schedule: Schedule, agents: Iterable[AgentSpec], params: GameParams
+    schedule: Schedule,
+    agents: Iterable[AgentSpec] | StreamShares,
+    params: GameParams,
 ) -> Fraction:
     """Social welfare of a schedule.
 
     Each agent earns u per unit of availability spent not leading, and the
     costed switches are subtracted.  Equals the segment-wise form
-    sum((n_seg - 1) * |seg| * u) minus total switch costs.
+    sum((n_seg - 1) * |seg| * u) minus total switch costs.  Active time is
+    summed per agent in one pass over the periods.
     """
-    stream = validate_stream(agents)
+    led: dict[AgentId, Fraction] = {}
+    for p in schedule.periods:
+        led[p.agent] = led.get(p.agent, Fraction(0)) + p.length
     gained = sum(
         (
-            params.u * (a.window - assigned_share(schedule, a.id))
-            for a in stream
+            params.u * (a.window - led.get(a.id, Fraction(0)))
+            for a in stream_shares(agents).stream
         ),
         Fraction(0),
     )

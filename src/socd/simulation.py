@@ -20,6 +20,7 @@ with the experiment seed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -53,6 +54,15 @@ HIGHWAY_MECHANISMS = (
 )
 
 
+def _require_ints(params: object, *names: str) -> None:
+    """Reject counts and seeds that are not integers (bools included), which
+    would otherwise fail later, as a TypeError, inside `range`."""
+    for name in names:
+        value = getattr(params, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 @dataclass(frozen=True)
 class RingRoadParams:
     """Circular-road rejoin experiment.
@@ -74,6 +84,7 @@ class RingRoadParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_ints(self, "n_stations", "n_vehicles", "seed")
         if self.n_stations < 1 or self.n_vehicles < 1:
             raise ValueError("n_stations and n_vehicles must be positive")
         if not 0.0 <= self.join_probability <= 1.0:
@@ -107,6 +118,7 @@ class HighwayParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_ints(self, "n_stations", "n_convoys", "agents_per_convoy", "seed")
         if self.configuration not in ("uniform", "bimodal"):
             raise ValueError("configuration must be 'uniform' or 'bimodal'")
         if self.n_stations < 2:
@@ -209,8 +221,8 @@ def highway_experiment(
         )
         stream, epps = shares.stream, shares.ex_post
         for kind in kinds:
-            outcome = run_mechanism(kind, stream, game_params)
-            nets = net_utilities(outcome, stream, game_params)
+            outcome = run_mechanism(kind, shares, game_params)
+            nets = net_utilities(outcome, shares, game_params)
             assigned = outcome.assigned()
             for a in stream:
                 records.append(

@@ -60,6 +60,29 @@ def test_highway_params_validation():
         HighwayParams(n_stations=5, agents_per_convoy=5)
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+@pytest.mark.parametrize(
+    "params, field",
+    [
+        (HighwayParams, "n_stations"),
+        (HighwayParams, "n_convoys"),
+        (HighwayParams, "agents_per_convoy"),
+        (HighwayParams, "seed"),
+        (RingRoadParams, "n_stations"),
+        (RingRoadParams, "n_vehicles"),
+        (RingRoadParams, "seed"),
+    ],
+)
+def test_params_counts_and_seeds_must_be_integers(params, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        params(**{field: value})
+
+
+def test_params_accept_numpy_integers():
+    assert HighwayParams(n_convoys=np.int64(3), seed=np.int64(7)).n_convoys == 3
+    assert RingRoadParams(n_vehicles=np.int32(4)).n_vehicles == 4
+
+
 # ------------------------------------------------------------------ sampling
 
 
