@@ -174,44 +174,44 @@ _HIGHWAY_KEYS = (
 )
 
 
-def _parse_experiment_params(
-    experiment: str, raw: Mapping[str, Any], config: str | None, seed: int
-) -> RingRoadParams | HighwayParams:
-    if experiment == "ring":
-        _expect_keys(raw, _RING_KEYS, "params")
-        kwargs: dict[str, Any] = {"seed": seed}
-        for key in ("n_stations", "n_vehicles"):
-            if key in raw:
-                kwargs[key] = _int(raw[key], f"params.{key}")
-        for key in (
-            "road_length",
-            "join_probability",
-            "target_mean_participations",
-            "curve_step",
-        ):
-            if key in raw:
-                kwargs[key] = _number(raw[key], f"params.{key}")
-        try:
-            return RingRoadParams(**kwargs)
-        except ValueError as exc:
-            raise CliError(f"params: {exc}") from None
-    if experiment == "highway":
-        _expect_keys(raw, _HIGHWAY_KEYS, "params")
-        kwargs = {"seed": seed}
-        for key in ("n_stations", "n_convoys", "agents_per_convoy"):
-            if key in raw:
-                kwargs[key] = _int(raw[key], f"params.{key}")
-        if "configuration" in raw:
-            kwargs["configuration"] = raw["configuration"]
-        if "switch_cost" in raw:
-            kwargs["switch_cost"] = _exact(raw["switch_cost"], "params.switch_cost")
-        if config is not None:
-            kwargs["configuration"] = config
-        try:
-            return HighwayParams(**kwargs)
-        except ValueError as exc:
-            raise CliError(f"params: {exc}") from None
-    raise CliError(f"unknown experiment {experiment!r}; use 'ring' or 'highway'")
+def _parse_ring_params(raw: Mapping[str, Any], seed: int) -> RingRoadParams:
+    _expect_keys(raw, _RING_KEYS, "params")
+    kwargs: dict[str, Any] = {"seed": seed}
+    for key in ("n_stations", "n_vehicles"):
+        if key in raw:
+            kwargs[key] = _int(raw[key], f"params.{key}")
+    for key in (
+        "road_length",
+        "join_probability",
+        "target_mean_participations",
+        "curve_step",
+    ):
+        if key in raw:
+            kwargs[key] = _number(raw[key], f"params.{key}")
+    try:
+        return RingRoadParams(**kwargs)
+    except ValueError as exc:
+        raise CliError(f"params: {exc}") from None
+
+
+def _parse_highway_params(
+    raw: Mapping[str, Any], config: str | None, seed: int
+) -> HighwayParams:
+    _expect_keys(raw, _HIGHWAY_KEYS, "params")
+    kwargs: dict[str, Any] = {"seed": seed}
+    for key in ("n_stations", "n_convoys", "agents_per_convoy"):
+        if key in raw:
+            kwargs[key] = _int(raw[key], f"params.{key}")
+    if "configuration" in raw:
+        kwargs["configuration"] = raw["configuration"]
+    if "switch_cost" in raw:
+        kwargs["switch_cost"] = _exact(raw["switch_cost"], "params.switch_cost")
+    if config is not None:
+        kwargs["configuration"] = config
+    try:
+        return HighwayParams(**kwargs)
+    except ValueError as exc:
+        raise CliError(f"params: {exc}") from None
 
 
 def _record_rows(records: Iterable[ParticipationRecord]) -> list[Sequence[Any]]:
@@ -575,13 +575,11 @@ def run(args: argparse.Namespace) -> tuple[list[str], dict[str, str]]:
         )
         if mechanisms != [MechanismKind.REPEATED_GAME]:
             raise CliError("the ring road experiment runs under rg only")
-        params = _parse_experiment_params("ring", raw_params, None, seed)
-        assert isinstance(params, RingRoadParams)
+        params = _parse_ring_params(raw_params, seed)
         return _run_ring(params, seeds, args.format)
     if experiment == "highway":
         mechanisms = _parse_mechanisms(args.mechanism, HIGHWAY_MECHANISMS)
-        params = _parse_experiment_params("highway", raw_params, args.config, seed)
-        assert isinstance(params, HighwayParams)
+        params = _parse_highway_params(raw_params, args.config, seed)
         return _run_highway(params, seeds, mechanisms, args.format)
     raise CliError(f"unknown experiment {experiment!r}; use 'ring' or 'highway'")
 

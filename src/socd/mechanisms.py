@@ -1,32 +1,29 @@
 """Allocation mechanisms for convoy-style chore division.
 
-Three ways to decide who performs the shared chore at each instant:
+Every mechanism is one convoy rule, run by one event loop (`_drive`):
+members queue and the front one performs the shared chore.  Only the queue
+order and the claim after which a member leaves the front differ:
 
-* payment transfer (`pt_run`): a fixed leader rule plus per-segment side
-  payments from followers, so nobody ever rotates;
-* repeated game (`rg_run`): the newest arrival always takes the front and
-  leads, which settles accounts across repeated encounters;
-* single game (`sg_run`): every arrival is allocated a leading share up
-  front and rotates to the back once it has led that long, optionally with
-  dynamic re-adjustment of the unfinished members' shares as newcomers
-  arrive.
+* payment transfer (`pt_run`): the first to depart leads and followers pay
+  it per segment, so nobody ever rotates;
+* repeated game (`rg_run`): the newest arrival takes the front and leads;
+* single game (`sg_run`): every arrival claims a leading share and rotates
+  to the back once it has led that long, optionally with the unfinished
+  members' claims cut as newcomers arrive.
 
-All mechanisms take an agent stream or its `StreamShares` sweep: a stream
-is validated and swept once, a sweep is read as it is, and the outcome keeps
-the sweep for its share reports.  They process events in time order
-(departures before arrivals at equal instants) and produce a
-`MechanismOutcome` holding the schedule, per-agent share reports, any
-payment ledger and any rotation charges.  Arithmetic is exact throughout.
+Mechanisms take an agent stream or its `StreamShares` sweep and produce a
+`MechanismOutcome`: schedule, share reports, any payment ledger and any
+rotation charges, all in exact arithmetic.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import (
     ActivePeriod,
@@ -40,7 +37,7 @@ from .model import (
     SwitchEvent,
     SwitchKind,
     Time,
-    eas_segments,
+    _ante_cut,
     stream_shares,
 )
 
@@ -108,11 +105,12 @@ class Ledger:
 
 @dataclass
 class ConvoyState:
-    """Live single-game convoy: unfinished members ride in front of finished ones.
+    """Live convoy: unfinished members ride in front of finished ones.
 
-    `unfinished` is ordered by (t_leave, t_arrive), first to depart at the
-    front; `finished` holds agents that already rotated, in rotation order.
-    `remaining` maps each member to the leading time it still owes.
+    `unfinished` is the queue in the mechanism's order, its front member
+    leading; `finished` holds agents that already rotated, in rotation
+    order.  `remaining` maps each member to the leading time it still owes
+    (single game only).
     """
 
     unfinished: list[AgentSpec] = field(default_factory=list)
@@ -172,6 +170,130 @@ class MechanismOutcome:
         )
 
 
+@dataclass(frozen=True)
+class _Policy:
+    """What sets one mechanism apart; `_drive` runs everything else.
+
+    Arrivals join the queue in front (`newest_first`) or in
+    (t_leave, t_arrive) order.  A member rotates behind the queue once it
+    has led its `claim`; with no claim nobody rotates.  `adjust` lets each
+    arrival cut the unfinished members' claims.  `merge_ties` makes the
+    departures and the arrival at one instant one step with one switch.
+    """
+
+    kind: MechanismKind
+    newest_first: bool = False
+    claim: Callable[[AgentSpec], Fraction] | None = None
+    adjust: bool = False
+    merge_ties: bool = False
+
+
+_DEPART, _ARRIVE, _ROTATE = range(3)  # priority at equal instants
+
+
+def _drive(
+    shares: StreamShares, params: GameParams, policy: _Policy
+) -> MechanismOutcome:
+    """Run the convoy over the stream's events; the outcome has no ledger.
+
+    At one instant the departures go first, then the arrival, then any due
+    rotation.  The queue's front member leads; once every member has
+    rotated, the first finished one leads on.  The next departure is a
+    pointer into the stream sorted by departure: an agent that has not
+    arrived yet is never next, because its arrival comes first.
+    """
+    stream = shares.stream
+    n = len(stream)
+    by_leave = sorted(stream, key=lambda a: a.t_leave)
+    state = ConvoyState()
+    queue, finished, remaining = state.unfinished, state.finished, state.remaining
+    leaves: list[Time] = []  # the members' departures, ascending; kept for `adjust`
+    periods: list[ActivePeriod] = []
+    switches: list[SwitchEvent] = []
+    i = j = 0  # next arrival in `stream`, next departure in `by_leave`
+    t = start = stream[0].t_arrive  # last event, start of the open period
+
+    while j < n:
+        t_next, action = by_leave[j].t_leave, _DEPART
+        if i < n and stream[i].t_arrive < t_next:
+            t_next, action = stream[i].t_arrive, _ARRIVE
+        if policy.claim and queue:
+            front = queue[0].id
+            if t + remaining[front] < t_next:
+                t_next, action = t + remaining[front], _ROTATE
+            remaining[front] -= t_next - t
+            if remaining[front] < 0:
+                raise RuntimeError(f"leader {front!r} led past its remaining share")
+
+        pre = state.leader
+        if action == _DEPART:
+            first = j
+            while j < n and by_leave[j].t_leave == t_next:
+                j += 1
+            gone = {a.id for a in by_leave[first:j]}
+            queue[:] = [m for m in queue if m.id not in gone]
+            finished[:] = [m for m in finished if m.id not in gone]
+            del leaves[: j - first]  # the earliest departures; a no-op unless `adjust`
+            # an emptied convoy re-forming at once is one handover either way
+            merge = policy.merge_ties or not len(state)
+            if merge and i < n and stream[i].t_arrive == t_next:
+                action = _ARRIVE
+        if action == _ARRIVE:
+            joined = stream[i]
+            i += 1
+            if policy.newest_first:
+                queue.insert(0, joined)
+            else:
+                bisect.insort(queue, joined, key=lambda m: (m.t_leave, m.t_arrive))
+            if policy.claim:
+                remaining[joined.id] = policy.claim(joined)
+            if policy.adjust:
+                bisect.insort(leaves, joined.t_leave)
+                cuts = _ante_cut(t_next, joined.t_leave, leaves)
+                _relieve(joined, state, [(s, e, len(leaves) - k) for s, e, k in cuts])
+        elif action == _ROTATE:
+            rotator = queue.pop(0)
+            if remaining[rotator.id] != 0:
+                raise RuntimeError(
+                    f"{rotator.id!r} rotated with {remaining[rotator.id]} still to lead"
+                )
+            finished.append(rotator)
+
+        post = state.leader
+        if post is not pre:
+            if pre is not None and t_next > start:
+                periods.append(ActivePeriod(pre.id, start, t_next))
+            if pre is not None and post is not None:
+                if pre.t_leave == t_next:
+                    kind = SwitchKind.LEADER_LEAVE
+                elif action == _ROTATE:
+                    kind = SwitchKind.ROTATION
+                elif post.t_arrive == t_next:
+                    kind = SwitchKind.FRONT_JOIN
+                else:
+                    raise RuntimeError("leader changed without a matching event")
+                n_r = len(state)
+                switches.append(
+                    SwitchEvent(t_next, pre.id, post.id, kind, n_r,
+                                convoy_switch_cost(kind, n_r, params))
+                )
+            start = t_next
+        t = t_next
+
+    led = {a.id: Fraction(0) for a in stream}
+    for p in periods:
+        led[p.agent] += p.length
+    charged: dict[AgentId, Fraction] = {}  # each rotator pays for its rotations
+    for ev in switches:
+        if ev.kind is SwitchKind.ROTATION:
+            charged[ev.outgoing] = charged.get(ev.outgoing, Fraction(0)) + ev.cost
+    rotation_costs = {a.id: charged[a.id] for a in stream if a.id in charged}
+    schedule = Schedule(tuple(periods), tuple(switches))
+    return MechanismOutcome(
+        policy.kind, schedule, None, rotation_costs, shares, params, led
+    )
+
+
 def pt_run(
     agents: Iterable[AgentSpec] | StreamShares, params: GameParams = GameParams()
 ) -> MechanismOutcome:
@@ -184,67 +306,23 @@ def pt_run(
     and switching is free.
     """
     shares = stream_shares(agents)
-    stream = shares.stream
-    by_id = {a.id: a for a in stream}
-
-    periods: list[ActivePeriod] = []
-    switches: list[SwitchEvent] = []
+    policy = _Policy(MechanismKind.PAYMENT_TRANSFER, merge_ties=True)
+    outcome = _drive(shares, params, policy)
+    by_id = {a.id: a for a in shares.stream}
     transfers: list[Transfer] = []
-    net = {a.id: Fraction(0) for a in stream}
-    assigned = {a.id: Fraction(0) for a in stream}
-
-    cur: AgentId | None = None
-    cur_start: Time | None = None
-    prev_end: Time | None = None
+    net = {a.id: Fraction(0) for a in shares.stream}
+    periods = iter(outcome.schedule.periods)
+    period = next(periods)
     for seg in shares.segments:
-        leader = min(
-            seg.members, key=lambda i: (by_id[i].t_leave, by_id[i].t_arrive)
-        )
+        while period.stop <= seg.start:  # the leader changes only at a segment start
+            period = next(periods)
+        leader = period.agent
         pay = pt_segment_payment(seg, params)
-        followers = sorted(
-            (i for i in seg.members if i != leader), key=lambda i: by_id[i].t_arrive
-        )
-        for fid in followers:
+        for fid in sorted(seg.members - {leader}, key=lambda i: by_id[i].t_arrive):
             transfers.append(Transfer(seg, fid, leader, pay))
             net[fid] -= pay
             net[leader] += pay
-
-        if cur is None:
-            cur, cur_start = leader, seg.start
-        elif seg.start > prev_end:
-            # hole in availability: close the period, restart without a switch
-            periods.append(ActivePeriod(cur, cur_start, prev_end))
-            cur, cur_start = leader, seg.start
-        elif leader != cur:
-            periods.append(ActivePeriod(cur, cur_start, seg.start))
-            if by_id[cur].t_leave == seg.start:
-                kind = SwitchKind.LEADER_LEAVE
-            elif by_id[leader].t_arrive == seg.start:
-                kind = SwitchKind.FRONT_JOIN
-            else:
-                raise RuntimeError("leader changed without an arrival or departure")
-            n_r = len(seg.members)
-            switches.append(
-                SwitchEvent(seg.start, cur, leader, kind, n_r,
-                            convoy_switch_cost(kind, n_r, params))
-            )
-            cur, cur_start = leader, seg.start
-        prev_end = seg.end
-    if cur is not None:
-        periods.append(ActivePeriod(cur, cur_start, prev_end))
-
-    for p in periods:
-        assigned[p.agent] += p.length
-
-    return MechanismOutcome(
-        kind=MechanismKind.PAYMENT_TRANSFER,
-        schedule=Schedule(tuple(periods), tuple(switches)),
-        ledger=Ledger(tuple(transfers), net),
-        rotation_costs={},
-        shares=shares,
-        params=params,
-        lead_shares=assigned,
-    )
+    return replace(outcome, ledger=Ledger(tuple(transfers), net))
 
 
 def rg_run(
@@ -257,54 +335,33 @@ def rg_run(
     shares within one game are accepted and settle over repeated games, so
     no agent ever rotates and no payments change hands.
     """
-    shares = stream_shares(agents)
-    stream = shares.stream
-    times = sorted({t for a in stream for t in (a.t_arrive, a.t_leave)})
-    arriving = {a.t_arrive: a for a in stream}
+    policy = _Policy(MechanismKind.REPEATED_GAME, newest_first=True, merge_ties=True)
+    return _drive(stream_shares(agents), params, policy)
 
-    stack: list[AgentSpec] = []  # stack[-1] is the front of the convoy
-    periods: list[ActivePeriod] = []
-    switches: list[SwitchEvent] = []
-    cur_start: Time | None = None
 
-    for t in times:
-        pre = stack[-1] if stack else None
-        leader_departed = pre is not None and pre.t_leave == t
-        if any(m.t_leave == t for m in stack):
-            stack = [m for m in stack if m.t_leave > t]
-        newcomer = arriving.get(t)
-        if newcomer is not None:
-            stack.append(newcomer)
-        post = stack[-1] if stack else None
-        if post is pre:
-            continue
-        if pre is not None:
-            periods.append(ActivePeriod(pre.id, cur_start, t))
-        if post is not None:
-            cur_start = t
-            if pre is not None:
-                kind = (
-                    SwitchKind.LEADER_LEAVE if leader_departed else SwitchKind.FRONT_JOIN
-                )
-                n_r = len(stack)
-                switches.append(
-                    SwitchEvent(t, pre.id, post.id, kind, n_r,
-                                convoy_switch_cost(kind, n_r, params))
-                )
+def _relieve(
+    newcomer: AgentSpec, state: ConvoyState, cuts: Sequence[tuple[Time, Time, int]]
+) -> None:
+    """Cut `state.remaining` in place by the newcomer's (start, end, n_seg) cuts.
 
-    assigned = {a.id: Fraction(0) for a in stream}
-    for p in periods:
-        assigned[p.agent] += p.length
-
-    return MechanismOutcome(
-        kind=MechanismKind.REPEATED_GAME,
-        schedule=Schedule(tuple(periods), tuple(switches)),
-        ledger=None,
-        rotation_costs={},
-        shares=shares,
-        params=params,
-        lead_shares=assigned,
-    )
+    Clamps compose (max(0, max(0, x - a) - b) = max(0, x - a - b) for
+    a, b >= 0), so each member is cut once by the sum of its pools' cuts.
+    `state.unfinished` is ordered by departure, so each segment's pool is a
+    suffix of it: the cut is added where that suffix starts and summed in
+    one walk, O(segments + pool) instead of O(segments * pool).
+    """
+    pool = [m for m in state.unfinished if m.id != newcomer.id]
+    leaves = [m.t_leave for m in pool]
+    steps = [Fraction(0)] * len(pool)  # cut that starts at each pool index
+    for start, end, n_seg in cuts:
+        first = bisect.bisect_right(leaves, start)  # leaves after `start`
+        if first < len(pool):
+            steps[first] += (end - start) / n_seg / (len(pool) - first)
+    cut = Fraction(0)
+    for m, step in zip(pool, steps):
+        cut += step
+        if cut:
+            state.remaining[m.id] = max(Fraction(0), state.remaining[m.id] - cut)
 
 
 def sg_adjust_shares(
@@ -316,28 +373,12 @@ def sg_adjust_shares(
     newcomer absorbs (|seg|/n_seg) is split evenly among the unfinished
     members still available in that segment, and deducted from their
     remaining shares, clamped at zero.  Finished members and the newcomer
-    itself are never adjusted.  Returns the updated remaining map.
-
-    Clamps compose (max(0, max(0, x - a) - b) = max(0, x - a - b) for
-    a, b >= 0), so each member is cut once by the sum of its pools' cuts.
-    `state.unfinished` is ordered by departure, so each segment's pool is a
-    suffix of it: the cut is added where that suffix starts and summed in
-    one walk, O(segments + pool) instead of O(segments * pool).
+    itself are never adjusted.  Returns the updated remaining map; `state`
+    is left alone.
     """
-    pool = [m for m in state.unfinished if m.id != new_agent.id]
-    leaves = [m.t_leave for m in pool]
-    steps = [Fraction(0)] * len(pool)  # cut that starts at each pool index
-    for seg in eas:
-        first = bisect.bisect_right(leaves, seg.start)  # leaves after seg.start
-        if first < len(pool):
-            steps[first] += seg.length / len(seg.members) / (len(pool) - first)
-    updated = dict(state.remaining)
-    cut = Fraction(0)
-    for m, step in zip(pool, steps):
-        cut += step
-        if cut:
-            updated[m.id] = max(Fraction(0), updated[m.id] - cut)
-    return updated
+    copy = ConvoyState(unfinished=state.unfinished, remaining=dict(state.remaining))
+    _relieve(new_agent, copy, [(seg.start, seg.end, len(seg.members)) for seg in eas])
+    return copy.remaining
 
 
 def sg_run(
@@ -355,143 +396,21 @@ def sg_run(
     until it departs, until a sooner-departing agent arrives in front of it,
     or until its remaining share reaches zero, at which point it rotates to
     the back and pays c * n_r.  With `dynamic_adjust`, every arrival also
-    reduces the unfinished members' remaining shares via
-    `sg_adjust_shares`.
-
-    At one instant, departures are processed first, then the arrival, then
-    any rotation, so leaving agents never pay and an arrival in front of an
-    exhausted leader pre-empts its rotation.  If every member has finished
-    but the convoy is not empty, the front finished agent leads on; the
-    overshoot is visible in its report.
+    reduces the unfinished members' remaining shares as `sg_adjust_shares`
+    does.  Departures, an arrival and a rotation at one instant are three
+    steps in that order, so leaving agents never pay and an arrival in front
+    of an exhausted leader pre-empts its rotation.
     """
     shares = stream_shares(agents)
-    stream = shares.stream
-    n = len(stream)
-
-    state = ConvoyState(
-        led={a.id: Fraction(0) for a in stream},
-        rotations={a.id: 0 for a in stream},
+    allowance = params.c / params.u if include_switch_allowance else Fraction(0)
+    # the agents present at an arrival are exactly those available then, so
+    # the claim is the sweep's ex-ante segment sum
+    policy = _Policy(
+        MechanismKind("sg-da" if dynamic_adjust else "sg"),
+        claim=lambda a: shares.ex_ante[a.id] + allowance,
+        adjust=dynamic_adjust,
     )
-    unfinished, finished = state.unfinished, state.finished
-    remaining, led, rotations = state.remaining, state.led, state.rotations
-    rotation_costs = {a.id: Fraction(0) for a in stream}
-
-    periods: list[ActivePeriod] = []
-    switches: list[SwitchEvent] = []
-
-    i = 0  # next arrival index
-    t: Time | None = None
-    cur: AgentSpec | None = None  # leader of the currently open period
-    cur_start: Time | None = None
-
-    DEPART, ARRIVE, ROTATE = 0, 1, 2  # priority at equal instants
-
-    while i < n or len(state):
-        if len(state):
-            t_next, action = min(m.t_leave for m in unfinished + finished), DEPART
-            if i < n and (stream[i].t_arrive, ARRIVE) < (t_next, action):
-                t_next, action = stream[i].t_arrive, ARRIVE
-            if unfinished:
-                t_rot = t + remaining[unfinished[0].id]
-                if (t_rot, ROTATE) < (t_next, action):
-                    t_next, action = t_rot, ROTATE
-        else:
-            t_next, action = stream[i].t_arrive, ARRIVE
-
-        # accrue the lead since the previous event
-        if cur is not None and t_next > t:
-            delta = t_next - t
-            led[cur.id] += delta
-            if unfinished and unfinished[0] is cur:
-                remaining[cur.id] -= delta
-                if remaining[cur.id] < 0:
-                    raise RuntimeError(
-                        f"leader {cur.id!r} led past its remaining share"
-                    )
-
-        pre = state.leader
-        pre_departed = False
-        joined: AgentSpec | None = None
-
-        if action == DEPART:
-            pre_departed = pre is not None and pre.t_leave == t_next
-            unfinished[:] = [m for m in unfinished if m.t_leave > t_next]
-            finished[:] = [m for m in finished if m.t_leave > t_next]
-        elif action == ARRIVE:
-            a = stream[i]
-            i += 1
-            # the agents present now are exactly those available at the
-            # arrival, so the claim is the sweep's ex-ante segment sum
-            share = shares.ex_ante[a.id]
-            if include_switch_allowance:
-                share += params.c / params.u
-            remaining[a.id] = share
-            bisect.insort(unfinished, a, key=lambda m: (m.t_leave, m.t_arrive))
-            if dynamic_adjust:
-                eas = eas_segments(a, unfinished + finished)
-                updated = sg_adjust_shares(a, state, eas)
-                remaining.clear()
-                remaining.update(updated)
-            joined = a
-        else:  # ROTATE: the front agent has exhausted its share
-            rotator = unfinished.pop(0)
-            if remaining[rotator.id] != 0:
-                raise RuntimeError(
-                    f"{rotator.id!r} rotated with {remaining[rotator.id]} still to lead"
-                )
-            finished.append(rotator)
-            # Alone in the convoy there is nothing to rotate behind: the agent
-            # simply continues leading (overshoot), with no maneuver to pay for.
-            if state.leader is not rotator:
-                rotations[rotator.id] += 1
-                rotation_costs[rotator.id] += convoy_switch_cost(
-                    SwitchKind.ROTATION, len(state), params
-                )
-
-        post = state.leader
-        if post is not pre:
-            if pre is not None and cur_start is not None and t_next > cur_start:
-                periods.append(ActivePeriod(pre.id, cur_start, t_next))
-            if post is not None and pre is not None:
-                if action == DEPART and pre_departed:
-                    kind = SwitchKind.LEADER_LEAVE
-                elif action == ARRIVE and joined is post:
-                    kind = SwitchKind.FRONT_JOIN
-                elif action == ROTATE:
-                    kind = SwitchKind.ROTATION
-                else:
-                    raise RuntimeError("leader changed without a matching event")
-                n_r = len(state)
-                switches.append(
-                    SwitchEvent(t_next, pre.id, post.id, kind, n_r,
-                                convoy_switch_cost(kind, n_r, params))
-                )
-            elif post is not None and periods and periods[-1].stop == t_next:
-                # the convoy emptied and re-formed at the same instant: the
-                # departing leader hands straight over to the newcomer
-                kind = SwitchKind.LEADER_LEAVE
-                n_r = len(state)
-                switches.append(
-                    SwitchEvent(t_next, periods[-1].agent, post.id, kind, n_r,
-                                convoy_switch_cost(kind, n_r, params))
-                )
-            cur = post
-            cur_start = t_next if post is not None else None
-
-        t = t_next
-
-    kind = (
-        MechanismKind.SINGLE_GAME_DYNAMIC if dynamic_adjust else MechanismKind.SINGLE_GAME
-    )
-    return MechanismOutcome(
-        kind=kind,
-        schedule=Schedule(tuple(periods), tuple(switches)),
-        ledger=None,
-        rotation_costs={k: v for k, v in rotation_costs.items() if v or rotations[k]},
-        shares=shares,
-        params=params,
-        lead_shares=led,
-    )
+    return _drive(shares, params, policy)
 
 
 def run_mechanism(

@@ -1,0 +1,376 @@
+"""The three mechanism loops the shared convoy event loop replaced, verbatim.
+
+`pt_run` walks the realized segments and picks each one's leader by a `min`
+over its members, `rg_run` walks every arrival and departure instant with a
+newest-first stack, and `sg_run` walks departure, arrival and rotation
+events, finding the next departure by a `min` over the convoy.  They are
+kept only as a test oracle for the one event loop in `socd.mechanisms`.
+"""
+
+from __future__ import annotations
+
+import bisect
+from fractions import Fraction
+from typing import Iterable
+
+from socd import (
+    ActivePeriod,
+    AgentSpec,
+    ConvoyState,
+    GameParams,
+    Ledger,
+    MechanismKind,
+    MechanismOutcome,
+    Schedule,
+    StreamShares,
+    SwitchEvent,
+    SwitchKind,
+    Transfer,
+    convoy_switch_cost,
+    eas_segments,
+    pt_segment_payment,
+    sg_adjust_shares,
+    stream_shares,
+)
+from socd.model import AgentId, Time
+
+
+def pt_run(
+    agents: Iterable[AgentSpec] | StreamShares, params: GameParams = GameParams()
+) -> MechanismOutcome:
+    """Payment-transfer mechanism.
+
+    The available agent with the earliest departure time leads (ties broken
+    by earlier arrival), and in every segment each follower pays the leader
+    |seg| * u / n_seg.  The leader only changes when it departs or when a
+    sooner-departing agent arrives, so the schedule contains no rotations
+    and switching is free.
+    """
+    shares = stream_shares(agents)
+    stream = shares.stream
+    by_id = {a.id: a for a in stream}
+
+    periods: list[ActivePeriod] = []
+    switches: list[SwitchEvent] = []
+    transfers: list[Transfer] = []
+    net = {a.id: Fraction(0) for a in stream}
+    assigned = {a.id: Fraction(0) for a in stream}
+
+    cur: AgentId | None = None
+    cur_start: Time | None = None
+    prev_end: Time | None = None
+    for seg in shares.segments:
+        leader = min(
+            seg.members, key=lambda i: (by_id[i].t_leave, by_id[i].t_arrive)
+        )
+        pay = pt_segment_payment(seg, params)
+        followers = sorted(
+            (i for i in seg.members if i != leader), key=lambda i: by_id[i].t_arrive
+        )
+        for fid in followers:
+            transfers.append(Transfer(seg, fid, leader, pay))
+            net[fid] -= pay
+            net[leader] += pay
+
+        if cur is None:
+            cur, cur_start = leader, seg.start
+        elif seg.start > prev_end:
+            # hole in availability: close the period, restart without a switch
+            periods.append(ActivePeriod(cur, cur_start, prev_end))
+            cur, cur_start = leader, seg.start
+        elif leader != cur:
+            periods.append(ActivePeriod(cur, cur_start, seg.start))
+            if by_id[cur].t_leave == seg.start:
+                kind = SwitchKind.LEADER_LEAVE
+            elif by_id[leader].t_arrive == seg.start:
+                kind = SwitchKind.FRONT_JOIN
+            else:
+                raise RuntimeError("leader changed without an arrival or departure")
+            n_r = len(seg.members)
+            switches.append(
+                SwitchEvent(seg.start, cur, leader, kind, n_r,
+                            convoy_switch_cost(kind, n_r, params))
+            )
+            cur, cur_start = leader, seg.start
+        prev_end = seg.end
+    if cur is not None:
+        periods.append(ActivePeriod(cur, cur_start, prev_end))
+
+    for p in periods:
+        assigned[p.agent] += p.length
+
+    return MechanismOutcome(
+        kind=MechanismKind.PAYMENT_TRANSFER,
+        schedule=Schedule(tuple(periods), tuple(switches)),
+        ledger=Ledger(tuple(transfers), net),
+        rotation_costs={},
+        shares=shares,
+        params=params,
+        lead_shares=assigned,
+    )
+
+
+def rg_run(
+    agents: Iterable[AgentSpec] | StreamShares, params: GameParams = GameParams()
+) -> MechanismOutcome:
+    """Repeated-game load balancing.
+
+    Every arrival joins at the front of the convoy and leads immediately;
+    when the leader departs, the previous front agent resumes.  Uneven
+    shares within one game are accepted and settle over repeated games, so
+    no agent ever rotates and no payments change hands.
+    """
+    shares = stream_shares(agents)
+    stream = shares.stream
+    times = sorted({t for a in stream for t in (a.t_arrive, a.t_leave)})
+    arriving = {a.t_arrive: a for a in stream}
+
+    stack: list[AgentSpec] = []  # stack[-1] is the front of the convoy
+    periods: list[ActivePeriod] = []
+    switches: list[SwitchEvent] = []
+    cur_start: Time | None = None
+
+    for t in times:
+        pre = stack[-1] if stack else None
+        leader_departed = pre is not None and pre.t_leave == t
+        if any(m.t_leave == t for m in stack):
+            stack = [m for m in stack if m.t_leave > t]
+        newcomer = arriving.get(t)
+        if newcomer is not None:
+            stack.append(newcomer)
+        post = stack[-1] if stack else None
+        if post is pre:
+            continue
+        if pre is not None:
+            periods.append(ActivePeriod(pre.id, cur_start, t))
+        if post is not None:
+            cur_start = t
+            if pre is not None:
+                kind = (
+                    SwitchKind.LEADER_LEAVE if leader_departed else SwitchKind.FRONT_JOIN
+                )
+                n_r = len(stack)
+                switches.append(
+                    SwitchEvent(t, pre.id, post.id, kind, n_r,
+                                convoy_switch_cost(kind, n_r, params))
+                )
+
+    assigned = {a.id: Fraction(0) for a in stream}
+    for p in periods:
+        assigned[p.agent] += p.length
+
+    return MechanismOutcome(
+        kind=MechanismKind.REPEATED_GAME,
+        schedule=Schedule(tuple(periods), tuple(switches)),
+        ledger=None,
+        rotation_costs={},
+        shares=shares,
+        params=params,
+        lead_shares=assigned,
+    )
+
+
+def sg_adjust_shares(
+    new_agent: AgentSpec, state: ConvoyState, eas: Sequence[Segment]
+) -> dict[AgentId, Fraction]:
+    """Dynamic adjustment: newcomers relieve the unfinished members.
+
+    For every segment of the newcomer's ex-ante decomposition, the share the
+    newcomer absorbs (|seg|/n_seg) is split evenly among the unfinished
+    members still available in that segment, and deducted from their
+    remaining shares, clamped at zero.  Finished members and the newcomer
+    itself are never adjusted.  Returns the updated remaining map.
+
+    Clamps compose (max(0, max(0, x - a) - b) = max(0, x - a - b) for
+    a, b >= 0), so each member is cut once by the sum of its pools' cuts.
+    `state.unfinished` is ordered by departure, so each segment's pool is a
+    suffix of it: the cut is added where that suffix starts and summed in
+    one walk, O(segments + pool) instead of O(segments * pool).
+    """
+    pool = [m for m in state.unfinished if m.id != new_agent.id]
+    leaves = [m.t_leave for m in pool]
+    steps = [Fraction(0)] * len(pool)  # cut that starts at each pool index
+    for seg in eas:
+        first = bisect.bisect_right(leaves, seg.start)  # leaves after seg.start
+        if first < len(pool):
+            steps[first] += seg.length / len(seg.members) / (len(pool) - first)
+    updated = dict(state.remaining)
+    cut = Fraction(0)
+    for m, step in zip(pool, steps):
+        cut += step
+        if cut:
+            updated[m.id] = max(Fraction(0), updated[m.id] - cut)
+    return updated
+
+
+def sg_run(
+    agents: Iterable[AgentSpec] | StreamShares,
+    params: GameParams = GameParams(),
+    dynamic_adjust: bool = False,
+    include_switch_allowance: bool = False,
+) -> MechanismOutcome:
+    """Single-game load balancing, optionally with dynamic adjustment.
+
+    Each arrival is allocated a remaining leading share equal to its
+    ex-ante proportional segment sum over the agents present (plus c/u when
+    `include_switch_allowance` is set).  Unfinished members ride in front of
+    finished ones, ordered by departure time, and the front agent leads
+    until it departs, until a sooner-departing agent arrives in front of it,
+    or until its remaining share reaches zero, at which point it rotates to
+    the back and pays c * n_r.  With `dynamic_adjust`, every arrival also
+    reduces the unfinished members' remaining shares via
+    `sg_adjust_shares`.
+
+    At one instant, departures are processed first, then the arrival, then
+    any rotation, so leaving agents never pay and an arrival in front of an
+    exhausted leader pre-empts its rotation.  If every member has finished
+    but the convoy is not empty, the front finished agent leads on; the
+    overshoot is visible in its report.
+    """
+    shares = stream_shares(agents)
+    stream = shares.stream
+    n = len(stream)
+
+    state = ConvoyState(
+        led={a.id: Fraction(0) for a in stream},
+        rotations={a.id: 0 for a in stream},
+    )
+    unfinished, finished = state.unfinished, state.finished
+    remaining, led, rotations = state.remaining, state.led, state.rotations
+    rotation_costs = {a.id: Fraction(0) for a in stream}
+
+    periods: list[ActivePeriod] = []
+    switches: list[SwitchEvent] = []
+
+    i = 0  # next arrival index
+    t: Time | None = None
+    cur: AgentSpec | None = None  # leader of the currently open period
+    cur_start: Time | None = None
+
+    DEPART, ARRIVE, ROTATE = 0, 1, 2  # priority at equal instants
+
+    while i < n or len(state):
+        if len(state):
+            t_next, action = min(m.t_leave for m in unfinished + finished), DEPART
+            if i < n and (stream[i].t_arrive, ARRIVE) < (t_next, action):
+                t_next, action = stream[i].t_arrive, ARRIVE
+            if unfinished:
+                t_rot = t + remaining[unfinished[0].id]
+                if (t_rot, ROTATE) < (t_next, action):
+                    t_next, action = t_rot, ROTATE
+        else:
+            t_next, action = stream[i].t_arrive, ARRIVE
+
+        # accrue the lead since the previous event
+        if cur is not None and t_next > t:
+            delta = t_next - t
+            led[cur.id] += delta
+            if unfinished and unfinished[0] is cur:
+                remaining[cur.id] -= delta
+                if remaining[cur.id] < 0:
+                    raise RuntimeError(
+                        f"leader {cur.id!r} led past its remaining share"
+                    )
+
+        pre = state.leader
+        pre_departed = False
+        joined: AgentSpec | None = None
+
+        if action == DEPART:
+            pre_departed = pre is not None and pre.t_leave == t_next
+            unfinished[:] = [m for m in unfinished if m.t_leave > t_next]
+            finished[:] = [m for m in finished if m.t_leave > t_next]
+        elif action == ARRIVE:
+            a = stream[i]
+            i += 1
+            # the agents present now are exactly those available at the
+            # arrival, so the claim is the sweep's ex-ante segment sum
+            share = shares.ex_ante[a.id]
+            if include_switch_allowance:
+                share += params.c / params.u
+            remaining[a.id] = share
+            bisect.insort(unfinished, a, key=lambda m: (m.t_leave, m.t_arrive))
+            if dynamic_adjust:
+                eas = eas_segments(a, unfinished + finished)
+                updated = sg_adjust_shares(a, state, eas)
+                remaining.clear()
+                remaining.update(updated)
+            joined = a
+        else:  # ROTATE: the front agent has exhausted its share
+            rotator = unfinished.pop(0)
+            if remaining[rotator.id] != 0:
+                raise RuntimeError(
+                    f"{rotator.id!r} rotated with {remaining[rotator.id]} still to lead"
+                )
+            finished.append(rotator)
+            # Alone in the convoy there is nothing to rotate behind: the agent
+            # simply continues leading (overshoot), with no maneuver to pay for.
+            if state.leader is not rotator:
+                rotations[rotator.id] += 1
+                rotation_costs[rotator.id] += convoy_switch_cost(
+                    SwitchKind.ROTATION, len(state), params
+                )
+
+        post = state.leader
+        if post is not pre:
+            if pre is not None and cur_start is not None and t_next > cur_start:
+                periods.append(ActivePeriod(pre.id, cur_start, t_next))
+            if post is not None and pre is not None:
+                if action == DEPART and pre_departed:
+                    kind = SwitchKind.LEADER_LEAVE
+                elif action == ARRIVE and joined is post:
+                    kind = SwitchKind.FRONT_JOIN
+                elif action == ROTATE:
+                    kind = SwitchKind.ROTATION
+                else:
+                    raise RuntimeError("leader changed without a matching event")
+                n_r = len(state)
+                switches.append(
+                    SwitchEvent(t_next, pre.id, post.id, kind, n_r,
+                                convoy_switch_cost(kind, n_r, params))
+                )
+            elif post is not None and periods and periods[-1].stop == t_next:
+                # the convoy emptied and re-formed at the same instant: the
+                # departing leader hands straight over to the newcomer
+                kind = SwitchKind.LEADER_LEAVE
+                n_r = len(state)
+                switches.append(
+                    SwitchEvent(t_next, periods[-1].agent, post.id, kind, n_r,
+                                convoy_switch_cost(kind, n_r, params))
+                )
+            cur = post
+            cur_start = t_next if post is not None else None
+
+        t = t_next
+
+    kind = (
+        MechanismKind.SINGLE_GAME_DYNAMIC if dynamic_adjust else MechanismKind.SINGLE_GAME
+    )
+    return MechanismOutcome(
+        kind=kind,
+        schedule=Schedule(tuple(periods), tuple(switches)),
+        ledger=None,
+        rotation_costs={k: v for k, v in rotation_costs.items() if v or rotations[k]},
+        shares=shares,
+        params=params,
+        lead_shares=led,
+    )
+
+
+def run_mechanism(
+    kind: MechanismKind | str,
+    agents: Iterable[AgentSpec] | StreamShares,
+    params: GameParams = GameParams(),
+    include_switch_allowance: bool = False,
+) -> MechanismOutcome:
+    kind = MechanismKind(kind)
+    if kind is MechanismKind.PAYMENT_TRANSFER:
+        return pt_run(agents, params)
+    if kind is MechanismKind.REPEATED_GAME:
+        return rg_run(agents, params)
+    return sg_run(
+        agents,
+        params,
+        dynamic_adjust=kind.dynamic_adjust,
+        include_switch_allowance=include_switch_allowance,
+    )
