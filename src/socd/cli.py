@@ -3,8 +3,14 @@
 Exit codes: 0 on success, 1 for validation problems (bad flags, malformed
 scenario files, impossible parameter combinations), 2 for I/O failures.
 The seed defaults to the SOCD_SEED environment variable, then to 0.
-All emitted files are deterministic for a given invocation: exact rationals
-are written as fraction strings, floats via repr, and JSON with sorted keys.
+
+Each artifact is one table, a header and rows of raw values, written as a
+CSV file by `_csv` or as a list of objects in `result.json` by `_json`.
+Both share one value rule (`_plain`): exact rationals become fraction
+strings and enums their value; CSV then writes floats and ints via repr and
+the rest via str.  JSON records also carry `mechanism`, and only CSV share
+reports carry `rotations`.  Output is deterministic; JSON has sorted keys.
+Experiment `params` are parsed by the fields of their dataclass.
 """
 
 from __future__ import annotations
@@ -14,16 +20,17 @@ import dataclasses
 import json
 import os
 import sys
+from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .mechanisms import MechanismKind, net_utilities, run_mechanism
-from .metrics import ParticipationRecord, gini
+from .metrics import ParticipationRecord
 from .model import AgentSpec, GameParams, efficiency, stream_shares
 from .simulation import (
     HIGHWAY_MECHANISMS,
-    ExperimentResult,
     HighwayParams,
     RingRoadParams,
     aggregate_curves,
@@ -41,20 +48,29 @@ class CliError(Exception):
     """A validation problem the user can fix; maps to exit code 1."""
 
 
-def _fmt(value: Any) -> str:
-    """Deterministic cell formatting: fractions exact, floats via repr."""
+# Exact types `_plain` passes through before its isinstance checks, which
+# are slow for Fraction and Enum (classes with a metaclass) on every cell.
+_AS_IS = frozenset({str, int, float, bool, type(None)})
+
+
+def _plain(value: Any) -> Any:
+    """The value rule both writers share: exact fractions as fraction
+    strings, enums by their value; anything else as it is."""
+    kind = type(value)
+    if kind is Fraction:
+        return str(value)
+    if kind in _AS_IS:
+        return value
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, MechanismKind):
+    if isinstance(value, Enum):
         return value.value
-    return str(value)
+    return value
 
 
-# `_fmt` for the exact types most cells have, without its isinstance chain;
-# other types and subclasses (bool, MechanismKind, numpy scalars) still go
-# through `_fmt`, so every cell keeps its string.
+# The exact types most cells have, formatted without `_plain`'s isinstance
+# chain; other types and subclasses (bool, enums, numpy scalars) take the
+# slow path below, so every cell keeps its string.
 _CELL_FORMATS: dict[type, Callable[[Any], str]] = {
     float: float.__repr__,
     int: int.__repr__,
@@ -64,18 +80,22 @@ _CELL_FORMATS: dict[type, Callable[[Any], str]] = {
 
 
 def _cell(value: Any) -> str:
-    return _CELL_FORMATS.get(type(value), _fmt)(value)
+    """One CSV cell: `_plain`, then `repr` for floats and ints, `str` else."""
+    fast = _CELL_FORMATS.get(type(value))
+    if fast is not None:
+        return fast(value)
+    value = _plain(value)
+    return repr(value) if isinstance(value, (float, int)) else str(value)
 
 
-def _csv(rows: Iterable[Sequence[Any]]) -> str:
-    return "".join(",".join(map(_cell, row)) + "\n" for row in rows)
+def _csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    return ",".join(header) + "\n" + "".join(
+        ",".join(map(_cell, row)) + "\n" for row in rows
+    )
 
 
 def _jsonable(value: Any) -> Any:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, MechanismKind):
-        return value.value
+    value = _plain(value)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             f.name: _jsonable(getattr(value, f.name))
@@ -86,6 +106,11 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value
+
+
+def _json(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> list[dict[str, Any]]:
+    """A table as a list of objects; a row longer than the header is cut."""
+    return [dict(zip(header, map(_plain, row))) for row in rows]
 
 
 def _expect_keys(obj: Mapping[str, Any], allowed: Iterable[str], where: str) -> None:
@@ -157,86 +182,51 @@ def _parse_game_scenario(doc: Mapping[str, Any]) -> tuple[list[AgentSpec], GameP
     return agents, params
 
 
-_RING_KEYS = (
-    "n_stations",
-    "road_length",
-    "n_vehicles",
-    "join_probability",
-    "target_mean_participations",
-    "curve_step",
-)
-_HIGHWAY_KEYS = (
-    "n_stations",
-    "n_convoys",
-    "agents_per_convoy",
-    "configuration",
-    "switch_cost",
-)
+# Converters by field annotation (a string under `from __future__ import
+# annotations`) for the experiment params dataclasses.
+_CONVERTERS: dict[str, Callable[[Any, str], Any]] = {
+    "int": _int,
+    "float": _number,
+    "int | Fraction": _exact,
+    "str": lambda value, where: value,
+}
 
 
-def _parse_ring_params(raw: Mapping[str, Any], seed: int) -> RingRoadParams:
-    _expect_keys(raw, _RING_KEYS, "params")
-    kwargs: dict[str, Any] = {"seed": seed}
-    for key in ("n_stations", "n_vehicles"):
-        if key in raw:
-            kwargs[key] = _int(raw[key], f"params.{key}")
-    for key in (
-        "road_length",
-        "join_probability",
-        "target_mean_participations",
-        "curve_step",
-    ):
-        if key in raw:
-            kwargs[key] = _number(raw[key], f"params.{key}")
-    try:
-        return RingRoadParams(**kwargs)
-    except ValueError as exc:
-        raise CliError(f"params: {exc}") from None
+def _parse_params(cls: type, raw: Mapping[str, Any], seed: int, **override: Any) -> Any:
+    """Build an experiment params dataclass from a scenario's `params`.
 
-
-def _parse_highway_params(
-    raw: Mapping[str, Any], config: str | None, seed: int
-) -> HighwayParams:
-    _expect_keys(raw, _HIGHWAY_KEYS, "params")
-    kwargs: dict[str, Any] = {"seed": seed}
-    for key in ("n_stations", "n_convoys", "agents_per_convoy"):
-        if key in raw:
-            kwargs[key] = _int(raw[key], f"params.{key}")
-    if "configuration" in raw:
-        kwargs["configuration"] = raw["configuration"]
-    if "switch_cost" in raw:
-        kwargs["switch_cost"] = _exact(raw["switch_cost"], "params.switch_cost")
-    if config is not None:
-        kwargs["configuration"] = config
-    try:
-        return HighwayParams(**kwargs)
-    except ValueError as exc:
-        raise CliError(f"params: {exc}") from None
-
-
-def _record_rows(records: Iterable[ParticipationRecord]) -> list[Sequence[Any]]:
-    header = ("convoy", "agent", "actual_lead", "epps", "ratio", "rotations",
-              "net_utility")
-    rows: list[Sequence[Any]] = [header]
-    for r in records:
-        rows.append(
-            (r.convoy, r.agent, r.actual_lead, r.epps, r.ratio, r.rotations,
-             r.net_utility)
-        )
-    return rows
-
-
-def _record_json(r: ParticipationRecord) -> dict[str, Any]:
-    return {
-        "convoy": r.convoy,
-        "agent": r.agent,
-        "actual_lead": r.actual_lead,
-        "epps": r.epps,
-        "ratio": r.ratio,
-        "rotations": r.rotations,
-        "net_utility": r.net_utility,
-        "mechanism": r.mechanism,
+    Every field but `seed` may be given; each is converted by its annotation,
+    in field order.  Overrides that are not None replace the parsed values.
+    """
+    fields = [f for f in dataclasses.fields(cls) if f.name != "seed"]
+    _expect_keys(raw, [f.name for f in fields], "params")
+    kwargs = {
+        f.name: _CONVERTERS[f.type](raw[f.name], f"params.{f.name}")
+        for f in fields
+        if f.name in raw
     }
+    kwargs.update((k, v) for k, v in override.items() if v is not None)
+    try:
+        return cls(**kwargs, seed=seed)
+    except ValueError as exc:
+        raise CliError(f"params: {exc}") from None
+
+
+_RECORD_COLUMNS = ("convoy", "agent", "actual_lead", "epps", "ratio", "rotations",
+                   "net_utility")
+
+
+def _attrs(header: Sequence[str], objs: Iterable[Any]) -> tuple[Sequence[str], Any]:
+    """A table whose columns are the attributes its header names."""
+    return header, map(attrgetter(*header), objs)
+
+
+def _records_csv(records: Iterable[ParticipationRecord]) -> str:
+    return _csv(*_attrs(_RECORD_COLUMNS, records))
+
+
+def _result_json(doc: Mapping[str, Any]) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _run_game(
@@ -257,86 +247,42 @@ def _run_game(
         shares = " ".join(f"{r.agent}={r.assigned}" for r in outcome.reports)
         lines.append(f"{kind.value}: shares {shares}; efficiency {eff}")
 
+        schedule, rotated = outcome.schedule, outcome.rotation_costs
+        tables = {
+            "schedule": _attrs(("agent", "start", "stop"), schedule.periods),
+            "switches": _attrs(("time", "outgoing", "incoming", "kind", "n_r", "cost"),
+                               schedule.switches),
+            "share_reports": (
+                ("agent", "assigned", "ex_ante", "ex_post", "net_utility", "rotations"),
+                ((r.agent, r.assigned, r.ex_ante, r.ex_post, nets[r.agent],
+                  int(r.agent in rotated)) for r in outcome.reports),
+            ),
+        }
+        if outcome.ledger is not None:
+            tables["ledger"] = (
+                ("segment_start", "segment_end", "payer", "payee", "amount"),
+                ((t.segment.start, t.segment.end, t.payer, t.payee, t.amount)
+                 for t in outcome.ledger.transfers),
+            )
         if fmt == "csv":
-            artifacts[f"schedule_{kind.value}.csv"] = _csv(
-                [("agent", "start", "stop")]
-                + [(p.agent, p.start, p.stop) for p in outcome.schedule.periods]
-            )
-            artifacts[f"switches_{kind.value}.csv"] = _csv(
-                [("time", "outgoing", "incoming", "kind", "n_r", "cost")]
-                + [
-                    (ev.time, ev.outgoing, ev.incoming, ev.kind.value, ev.n_r, ev.cost)
-                    for ev in outcome.schedule.switches
-                ]
-            )
-            artifacts[f"share_reports_{kind.value}.csv"] = _csv(
-                [("agent", "assigned", "ex_ante", "ex_post", "net_utility",
-                  "rotations")]
-                + [
-                    (
-                        r.agent,
-                        r.assigned,
-                        r.ex_ante,
-                        r.ex_post,
-                        nets[r.agent],
-                        1 if r.agent in outcome.rotation_costs else 0,
-                    )
-                    for r in outcome.reports
-                ]
-            )
-            if outcome.ledger is not None:
-                artifacts[f"ledger_{kind.value}.csv"] = _csv(
-                    [("segment_start", "segment_end", "payer", "payee", "amount")]
-                    + [
-                        (t.segment.start, t.segment.end, t.payer, t.payee, t.amount)
-                        for t in outcome.ledger.transfers
-                    ]
-                )
+            for name, table in tables.items():
+                artifacts[f"{name}_{kind.value}.csv"] = _csv(*table)
         else:
+            # JSON share reports have no "rotations" key although the CSV has
+            # that (last) column: adding it changes every games result.json,
+            # so it waits with the other byte-changing cleanups (ROADMAP
+            # item 2).  `_json` cuts each row to the shortened header.
+            header, rows = tables["share_reports"]
+            tables["share_reports"] = header[:-1], rows
             doc["mechanisms"][kind.value] = {
-                "schedule": [
-                    {"agent": p.agent, "start": str(p.start), "stop": str(p.stop)}
-                    for p in outcome.schedule.periods
-                ],
-                "switches": [
-                    {
-                        "time": str(ev.time),
-                        "outgoing": ev.outgoing,
-                        "incoming": ev.incoming,
-                        "kind": ev.kind.value,
-                        "n_r": ev.n_r,
-                        "cost": str(ev.cost),
-                    }
-                    for ev in outcome.schedule.switches
-                ],
-                "share_reports": [
-                    {
-                        "agent": r.agent,
-                        "assigned": str(r.assigned),
-                        "ex_ante": str(r.ex_ante),
-                        "ex_post": str(r.ex_post),
-                        "net_utility": str(nets[r.agent]),
-                    }
-                    for r in outcome.reports
-                ],
-                "ledger": None
-                if outcome.ledger is None
-                else [
-                    {
-                        "segment_start": str(t.segment.start),
-                        "segment_end": str(t.segment.end),
-                        "payer": t.payer,
-                        "payee": t.payee,
-                        "amount": str(t.amount),
-                    }
-                    for t in outcome.ledger.transfers
-                ],
+                "ledger": None,
+                **{name: _json(*table) for name, table in tables.items()},
                 "efficiency": str(eff),
             }
     # drop the sweep and the last outcome before the document is serialized
-    sweep = outcome = None
+    sweep = outcome = schedule = None
     if fmt == "json":
-        artifacts["result.json"] = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        artifacts["result.json"] = _result_json(doc)
     return lines, artifacts
 
 
@@ -346,66 +292,53 @@ def _run_highway(
     mechanisms: Sequence[MechanismKind],
     fmt: str,
 ) -> tuple[list[str], dict[str, str]]:
-    results: list[ExperimentResult] = []
-    for seed in seeds:
-        params = dataclasses.replace(params_base, seed=seed)
-        results.append(highway_experiment(params, mechanisms))
+    results = [highway_experiment(dataclasses.replace(params_base, seed=s), mechanisms)
+               for s in seeds]
 
     lines: list[str] = []
     artifacts: dict[str, str] = {}
     config = params_base.configuration
     means: dict[str, float] = {}
-    gini_rows: list[Sequence[Any]] = [("mechanism", "configuration", "seed", "gini")]
+    gini_rows: list[Sequence[Any]] = []
     for kind in mechanisms:
-        cells = [r.gini_cells[kind.value] for r in results if kind.value in r.gini_cells]
-        for res in results:
-            if kind.value in res.gini_cells:
-                gini_rows.append(
-                    (kind.value, config, res.seed, res.gini_cells[kind.value])
-                )
+        cells = [(r.seed, r.gini_cells[kind.value]) for r in results
+                 if kind.value in r.gini_cells]
+        gini_rows += [(kind.value, config, seed, g) for seed, g in cells]
         if cells:
-            means[kind.value] = sum(cells) / len(cells)
+            means[kind.value] = sum(g for _, g in cells) / len(cells)
             gini_rows.append((kind.value, config, "mean", means[kind.value]))
             lines.append(f"gini {kind.value}/{config} = {means[kind.value]:.2f}")
         else:
             lines.append(f"gini {kind.value}/{config}: too few records")
 
     if fmt == "csv":
-        artifacts["gini.csv"] = _csv(gini_rows)
+        artifacts["gini.csv"] = _csv(("mechanism", "configuration", "seed", "gini"),
+                                     gini_rows)
         for res in results:
             suffix = f"_seed{res.seed}" if len(results) > 1 else ""
             for kind in mechanisms:
-                recs = [r for r in res.records if r.mechanism == kind.value]
-                artifacts[f"records_{kind.value}{suffix}.csv"] = _csv(
-                    _record_rows(recs)
+                artifacts[f"records_{kind.value}{suffix}.csv"] = _records_csv(
+                    r for r in res.records if r.mechanism == kind.value
                 )
     else:
-        doc = {
+        artifacts["result.json"] = _result_json({
             "experiment": "highway",
             "params": _jsonable(params_base),
             "seeds": list(seeds),
             "gini": {
-                "per_seed": [
-                    {"seed": r.seed, "cells": r.gini_cells} for r in results
-                ],
+                "per_seed": [{"seed": r.seed, "cells": r.gini_cells} for r in results],
                 "mean": means,
             },
-            "records": {
-                str(r.seed): [_record_json(rec) for rec in r.records]
-                for r in results
-            },
-        }
-        artifacts["result.json"] = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+            "records": {str(r.seed): _jsonable(r.records) for r in results},
+        })
     return lines, artifacts
 
 
 def _run_ring(
     params_base: RingRoadParams, seeds: Sequence[int], fmt: str
 ) -> tuple[list[str], dict[str, str]]:
-    results: list[ExperimentResult] = []
-    for seed in seeds:
-        params = dataclasses.replace(params_base, seed=seed)
-        results.append(ring_road_experiment(params))
+    results = [ring_road_experiment(dataclasses.replace(params_base, seed=s))
+               for s in seeds]
 
     curve = aggregate_curves([r.curve for r in results])
     lines: list[str] = []
@@ -424,30 +357,21 @@ def _run_ring(
 
     artifacts: dict[str, str] = {}
     if fmt == "csv":
-        rows: list[Sequence[Any]] = [
-            ("mean_participations", "unsatisfied_fraction", "band_low", "band_high")
-        ]
-        for (x, y), (lo, hi) in zip(curve.points, curve.band):
-            rows.append((x, y, lo, hi))
-        artifacts["curve.csv"] = _csv(rows)
+        artifacts["curve.csv"] = _csv(
+            ("mean_participations", "unsatisfied_fraction", "band_low", "band_high"),
+            ((x, y, lo, hi) for (x, y), (lo, hi) in zip(curve.points, curve.band)),
+        )
         for res in results:
             suffix = f"_seed{res.seed}" if len(results) > 1 else ""
-            artifacts[f"records{suffix}.csv"] = _csv(_record_rows(res.records))
+            artifacts[f"records{suffix}.csv"] = _records_csv(res.records)
     else:
-        doc = {
+        artifacts["result.json"] = _result_json({
             "experiment": "ring",
             "params": _jsonable(params_base),
             "seeds": list(seeds),
-            "curve": {
-                "points": [list(pt) for pt in curve.points],
-                "band": [list(b) for b in curve.band],
-            },
-            "records": {
-                str(r.seed): [_record_json(rec) for rec in r.records]
-                for r in results
-            },
-        }
-        artifacts["result.json"] = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+            "curve": {"points": _jsonable(curve.points), "band": _jsonable(curve.band)},
+            "records": {str(r.seed): _jsonable(r.records) for r in results},
+        })
     return lines, artifacts
 
 
@@ -548,10 +472,7 @@ def run(args: argparse.Namespace) -> tuple[list[str], dict[str, str]]:
             raise CliError("--config only applies to the highway experiment")
         agents, params = _parse_game_scenario(doc)
         mechanisms = _parse_mechanisms(args.mechanism, ALL_MECHANISMS)
-        try:
-            return _run_game(agents, params, mechanisms, args.format)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        return _run_game(agents, params, mechanisms, args.format)
 
     raw_params = doc.get("params", {}) if doc else {}
     if not isinstance(raw_params, Mapping):
@@ -575,11 +496,12 @@ def run(args: argparse.Namespace) -> tuple[list[str], dict[str, str]]:
         )
         if mechanisms != [MechanismKind.REPEATED_GAME]:
             raise CliError("the ring road experiment runs under rg only")
-        params = _parse_ring_params(raw_params, seed)
+        params = _parse_params(RingRoadParams, raw_params, seed)
         return _run_ring(params, seeds, args.format)
     if experiment == "highway":
         mechanisms = _parse_mechanisms(args.mechanism, HIGHWAY_MECHANISMS)
-        params = _parse_highway_params(raw_params, args.config, seed)
+        params = _parse_params(HighwayParams, raw_params, seed,
+                               configuration=args.config)
         return _run_highway(params, seeds, mechanisms, args.format)
     raise CliError(f"unknown experiment {experiment!r}; use 'ring' or 'highway'")
 
@@ -596,10 +518,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for line in lines:
             print(line)
         return 0
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from socd import MechanismKind
-from socd.cli import _cell, _fmt, main
+from socd import MechanismKind, SwitchKind
+from socd.cli import _cell, main
 
 S1_SCENARIO = {
     "agents": [
@@ -330,24 +330,33 @@ def test_unknown_experiment_name(tmp_path, capsys):
 # ------------------------------------------------------------- determinism
 
 
+def _cases(*pairs):
+    return [pytest.param(value, text, id=repr(value)) for value, text in pairs]
+
+
 @pytest.mark.parametrize(
-    "value",
-    [
-        True,
-        False,
-        *MechanismKind,
-        Fraction(-7, 3),
-        -0.0,
-        1e-320,
-        float("inf"),
-        3**100,
-        "v7",
-        np.float64(0.1),
-    ],
-    ids=repr,
+    "value, text",
+    _cases(
+        (True, "True"),
+        (False, "False"),
+        *((kind, kind.value) for kind in MechanismKind),
+        (SwitchKind.FRONT_JOIN, "front_join"),
+        (Fraction(-7, 3), "-7/3"),
+        (-0.0, "-0.0"),
+        (1e-320, "1e-320"),
+        (float("inf"), "inf"),
+        (3**100, "515377520732011331036461129765621272702107522001"),
+        ("v7", "v7"),
+        (None, "None"),
+        (np.int64(3), "3"),
+        # a float subclass keeps its own repr ("np.float64(0.1)" on numpy 2)
+        (np.float64(0.1), repr(np.float64(0.1))),
+    ),
 )
-def test_cell_formatter_matches_fmt(value):
-    assert _cell(value) == _fmt(value)
+def test_cell_formatter_matches_fmt(value, text):
+    """Each CSV cell has its documented format: exact fractions, enum values,
+    repr for floats and ints, str for the rest."""
+    assert _cell(value) == text
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):
