@@ -221,8 +221,30 @@ def _attrs(header: Sequence[str], objs: Iterable[Any]) -> tuple[Sequence[str], A
     return header, map(attrgetter(*header), objs)
 
 
+# Exact cell types whose f-string form is `_cell`'s: `str` of an id column,
+# `repr` of the other columns (where a str would gain quotes).
+_ID_TYPES = frozenset({str, int, float})
+_NUMBER_TYPES = frozenset({int, float})
+
+
 def _records_csv(records: Iterable[ParticipationRecord]) -> str:
-    return _csv(*_attrs(_RECORD_COLUMNS, records))
+    """`_csv` of the record columns, with one f-string per row; a row with
+    any other type of value (bool, numpy scalar, Fraction, ...) is written
+    by `_cell`."""
+    ids, numbers = _ID_TYPES, _NUMBER_TYPES
+    lines = [",".join(_RECORD_COLUMNS) + "\n"]
+    for r in records:
+        convoy, agent, lead, epps = r.convoy, r.agent, r.actual_lead, r.epps
+        ratio, rotations, net = r.ratio, r.rotations, r.net_utility
+        if (type(convoy) in ids and type(agent) in ids and type(lead) in numbers
+                and type(epps) in numbers and type(ratio) in numbers
+                and type(rotations) in numbers and type(net) in numbers):
+            lines.append(f"{convoy},{agent},{lead!r},{epps!r},{ratio!r},"
+                         f"{rotations!r},{net!r}\n")
+        else:
+            row = (convoy, agent, lead, epps, ratio, rotations, net)
+            lines.append(",".join(map(_cell, row)) + "\n")
+    return "".join(lines)
 
 
 def _result_json(doc: Mapping[str, Any]) -> str:

@@ -44,7 +44,7 @@ class InsufficientRecords(ValueError):
     """A Gini cell needs at least two records."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParticipationRecord:
     """One agent's outcome in one convoy: the unit every experiment emits.
 

@@ -119,6 +119,11 @@ class HighwayParams:
 
     def __post_init__(self) -> None:
         _require_ints(self, "n_stations", "n_convoys", "agents_per_convoy", "seed")
+        cost = self.switch_cost
+        if isinstance(cost, bool) or not isinstance(cost, numbers.Rational):
+            raise ValueError(f"switch_cost must be an int or a Fraction, not {cost!r}")
+        if cost < 0:
+            raise ValueError(f"switch_cost must be non-negative, not {cost}")
         if self.configuration not in ("uniform", "bimodal"):
             raise ValueError("configuration must be 'uniform' or 'bimodal'")
         if self.n_stations < 2:
@@ -254,6 +259,57 @@ def highway_experiment(
     )
 
 
+# Doubles the ring road draws ahead per refill of its join-draw buffer.
+_BLOCK = 512
+
+
+def _fresh(rng: np.random.Generator) -> tuple[dict, list[float], list[int], int, int]:
+    """An empty join-draw buffer starting where `rng` stands: the snapshot,
+    the doubles, the hits (the sentinel alone), the position and the hit
+    pointer."""
+    return rng.bit_generator.state, [], [0], 0, 0
+
+
+def _rewind(rng: np.random.Generator, snapshot: dict, pos: int) -> None:
+    """Put `rng` back where it stood `pos` doubles after `snapshot`.
+
+    Restoring the state keeps the half-used 32-bit word that PCG64 buffers
+    for `permutation` and `integers`; `bit_generator.advance` would clear it.
+    """
+    rng.bit_generator.state = snapshot
+    rng.random(pos)
+
+
+def _refill(
+    rng: np.random.Generator,
+    p: float,
+    snapshot: dict,
+    buf: list[float],
+    hits: list[int],
+    pos: int,
+    h: int,
+    n: int,
+) -> tuple[dict, list[float], list[int], int, int]:
+    """Make `buf` hold the `n` doubles from `pos` on, drawn ahead by block.
+
+    `hits` lists the indices of the doubles below `p`, ending in the
+    sentinel `len(buf)`; `h` indexes the first hit at or after `pos`.  Once
+    more than one block is consumed, the buffer restarts at `pos` from a
+    fresh snapshot, so it never holds more than two blocks plus `n - 1`
+    doubles.
+    """
+    if pos > _BLOCK:
+        _rewind(rng, snapshot, pos)
+        snapshot, buf, hits, pos, h = _fresh(rng)
+    while len(buf) < pos + n:
+        more = rng.random(_BLOCK)
+        hits.pop()
+        hits += (np.flatnonzero(more < p) + len(buf)).tolist()
+        buf += more.tolist()
+        hits.append(len(buf))
+    return snapshot, buf, hits, pos, h
+
+
 def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
     """Simulate the rejoin loop until the target mean participation count.
 
@@ -272,10 +328,20 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
     recomputed, only when the convoy changes (a join or an exit).  The
     running share sum still gains 1/n once per section, in section order:
     the shares are float differences of that sum, so adding in bulk would
-    round differently.  Random draws come in the same order as a plain
-    per-section loop makes them (one double per parked candidate, then a
-    permutation of several same-visit joiners, then one trip length per
-    joiner), so a seed gives the same records and curve.
+    round differently.
+
+    Random draws come in the same order as a plain per-section loop makes
+    them (one double per parked candidate, then a permutation of several
+    same-visit joiners, then one trip length per joiner), so a seed gives
+    the same records and curve.  The doubles are drawn ahead in blocks,
+    with the ascending indices of those below the join probability (the
+    hits) beside them.  A visit whose candidates' doubles hold no hit only
+    moves the buffer position past them; a join visit reads its joiners at
+    the hits and its trip lengths from the next doubles.  A permutation
+    reads the generator itself, so before it the generator is put back at
+    the buffer position (the state saved where the buffer starts is
+    restored and the consumed doubles drawn again), and a new buffer starts
+    after it.
     """
     rng = np.random.default_rng(params.seed)
     n_stations, n_vehicles = params.n_stations, params.n_vehicles
@@ -311,7 +377,14 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
         total_records = 0
         target_records = params.target_mean_participations * n_vehicles
         next_checkpoint = params.curve_step
-        random, uniform = rng.random, rng.uniform
+
+        # Join draws come from a buffer of the generator's doubles, drawn
+        # ahead from `snapshot` (the generator state where the buffer
+        # starts): buf[pos] is the next double the stream would give, and
+        # hits[h] is the first index >= pos whose double is below p.  The
+        # sentinel hits[-1] == len(buf) also sends a visit that runs past
+        # the buffer to the refill below.
+        snapshot, buf, hits, pos, h = _fresh(rng)
 
         lap = 0  # section number of the current lap's visit to station 0
         while total_records < target_records:
@@ -356,12 +429,24 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
                     if total_records >= target_records:
                         break
 
-                # join draws from the vehicles parked before this visit
+                # join draws from the vehicles parked before this visit: one
+                # double each, buf[pos:stop]; a visit without a hit there
+                # only moves pos
                 candidates = parked[station]
-                joiners: list[int] = []
-                for vid in candidates:
-                    if random() < p:
-                        joiners.append(vid)
+                joiners = None
+                if candidates:
+                    stop = pos + len(candidates)
+                    if hits[h] < stop:
+                        if stop > len(buf):
+                            snapshot, buf, hits, pos, h = _refill(
+                                rng, p, snapshot, buf, hits, pos, h, len(candidates)
+                            )
+                            stop = pos + len(candidates)
+                        joiners = []
+                        while (i := hits[h]) < stop:
+                            joiners.append(candidates[i - pos])
+                            h += 1
+                    pos = stop
                 if joiners:
                     # before the appends below: an empty `out` is still this
                     # station's bucket, which a full-lap trip joins
@@ -369,14 +454,26 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
                         vid for vid in candidates if vid not in joiners
                     ] + out
                     if len(joiners) > 1:
+                        # the permutation reads the generator itself: put it
+                        # back at pos, and start a new buffer after it
+                        _rewind(rng, snapshot, pos)
                         order = rng.permutation(len(joiners))
                         joiners = [joiners[k] for k in order]
+                        snapshot, buf, hits, pos, h = _fresh(rng)
+                    if pos + len(joiners) > len(buf):
+                        snapshot, buf, hits, pos, h = _refill(
+                            rng, p, snapshot, buf, hits, pos, h, len(joiners)
+                        )
                     section = lap + station
                     if stack:
                         led_count[stack[-1]] += section - lead_start
                     lead_start = section
                     for vid in joiners:
-                        trip = uniform(0.0, road_length)
+                        # rng.uniform(0.0, road_length) is 0.0 + road_length
+                        # * (next double), and adding 0.0 to the non-negative
+                        # product changes no bit
+                        trip = road_length * buf[pos]
+                        pos += 1
                         sections = int(trip // section_length) + 1
                         d = (station + sections) % n_stations
                         dest[vid] = d
@@ -385,6 +482,8 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
                         join_cum[vid] = cum_inv
                         join_section[vid] = section
                         led_count[vid] = 0
+                    while hits[h] < pos:  # trip draws below p are not hits
+                        h += 1
                     inv = 1.0 / len(stack)
                 elif out:
                     parked[station] = candidates + out

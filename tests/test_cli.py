@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from socd import MechanismKind, SwitchKind
-from socd.cli import _cell, main
+from socd import MechanismKind, ParticipationRecord, SwitchKind
+from socd.cli import _RECORD_COLUMNS, _attrs, _cell, _csv, _records_csv, main
 
 S1_SCENARIO = {
     "agents": [
@@ -357,6 +357,47 @@ def test_cell_formatter_matches_fmt(value, text):
     """Each CSV cell has its documented format: exact fractions, enum values,
     repr for floats and ints, str for the rest."""
     assert _cell(value) == text
+
+
+def test_records_csv_matches_the_table_writer():
+    """The one-f-string row writer gives `_csv`'s bytes, and a row with any
+    other value type keeps `_cell`'s format (repr of numpy floats, str of
+    fractions and of str values)."""
+    nan, inf = float("nan"), float("inf")
+    records = [
+        ParticipationRecord(agent="a1", convoy="c1", actual_lead=1.0, epps=2.0),
+        ParticipationRecord(agent=7, convoy=0, actual_lead=3.0, epps=1e-300,
+                            rotations=2, net_utility=-0.0),
+        ParticipationRecord(agent=1.5, convoy=3**40, actual_lead=0.0, epps=inf,
+                            net_utility=nan),
+        ParticipationRecord(agent=1, convoy=1, actual_lead=1.0, epps=4.0,
+                            rotations=True),
+        ParticipationRecord(agent=np.int64(2), convoy=np.int64(5),
+                            actual_lead=np.float64(1.5), epps=np.float64(0.1),
+                            rotations=np.int64(1)),
+        ParticipationRecord(agent="a2", convoy=4, actual_lead=Fraction(1, 2),
+                            epps=2.0, net_utility=Fraction(-1, 3)),
+        ParticipationRecord(agent="a3", convoy=5, actual_lead=2.0, epps=2.0,
+                            ratio=nan, net_utility="x"),
+    ]
+    for rows in [records, *([r] for r in records), []]:
+        assert _records_csv(rows) == _csv(*_attrs(_RECORD_COLUMNS, rows))
+    lines = _records_csv(records).splitlines()
+    assert lines[3] == f"{3**40},1.5,0.0,inf,0.0,0,nan"
+    assert lines[4] == "1,1,1.0,4.0,0.25,True,0.0"
+    assert lines[5].startswith(f"5,2,{np.float64(1.5)!r},")
+    assert lines[6] == "4,a2,1/2,2.0,0.25,0,-1/3"
+    assert lines[7] == "5,a3,2.0,2.0,nan,0,x"
+
+
+def test_highway_negative_switch_cost_exits_1_naming_it(tmp_path, capsys):
+    for value in (-1, "-1/2"):
+        doc = json.loads(json.dumps(HIGHWAY_SCENARIO))
+        doc["params"]["switch_cost"] = value
+        code = main(["--scenario", write_scenario(tmp_path, doc)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("error: params: switch_cost must be non-negative")
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction as F
 
 import numpy as np
@@ -48,6 +51,18 @@ def test_participation_record_validation():
         ParticipationRecord(agent=1, convoy=0, actual_lead=3.0, epps=0.0)
     with pytest.raises(ValueError):
         ParticipationRecord(agent=1, convoy=0, actual_lead=-1.0, epps=4.0)
+
+
+def test_participation_record_is_slotted_and_frozen():
+    rec = ParticipationRecord(agent="a1", convoy=2, actual_lead=3.0, epps=4.0,
+                              mechanism="rg", rotations=1, net_utility=0.5)
+    assert not hasattr(rec, "__dict__")
+    assert pickle.loads(pickle.dumps(rec)) == rec
+    assert copy.deepcopy(rec) == rec
+    moved = dataclasses.replace(rec, convoy=3)
+    assert (moved.convoy, moved.ratio) == (3, 0.75)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.agent = "a2"
 
 
 def test_convergence_curve_validation():

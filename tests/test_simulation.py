@@ -23,6 +23,7 @@ from socd import (
     sample_stream,
     validate_stream,
 )
+from socd import simulation
 from socd.simulation import ENTRY_OFFSET
 
 
@@ -76,6 +77,26 @@ def test_highway_params_validation():
 def test_params_counts_and_seeds_must_be_integers(params, field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         params(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (True, "an int or a Fraction"),
+        (0.5, "an int or a Fraction"),
+        ("1", "an int or a Fraction"),
+        (-1, "non-negative"),
+        (F(-1, 2), "non-negative"),
+    ],
+)
+def test_highway_switch_cost_must_be_a_non_negative_rational(value, message):
+    with pytest.raises(ValueError, match=f"^switch_cost must be {message}"):
+        HighwayParams(switch_cost=value)
+
+
+@pytest.mark.parametrize("value", [0, 2, F(1, 3), np.int64(1)])
+def test_highway_switch_cost_accepts_rationals(value):
+    assert HighwayParams(switch_cost=value).switch_cost == value
 
 
 def test_params_accept_numpy_integers():
@@ -272,6 +293,51 @@ def test_ring_road_matches_per_section_oracle(params):
     assert exact(ring_road_experiment(params)) == exact(
         ring_oracle.ring_road_experiment(params)
     )
+
+
+# Blocks of a few doubles put hits on block edges, refills between a visit's
+# candidates and its trip draws, and permutations right after a refill.
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+@settings(max_examples=75, deadline=None, derandomize=True, database=None)
+@given(RING_PARAMS)
+@example(RingRoadParams(n_stations=1, road_length=1.0, n_vehicles=3,
+                        join_probability=0.5, target_mean_participations=6.0,
+                        curve_step=1.0))
+@example(RingRoadParams(n_stations=3, road_length=3.0, n_vehicles=40,
+                        join_probability=1.0, target_mean_participations=6.0,
+                        curve_step=0.05))
+@example(RingRoadParams(n_stations=2, road_length=2.0, n_vehicles=2,
+                        join_probability=1.0, target_mean_participations=6.0,
+                        curve_step=0.25, seed=3))
+def test_ring_road_buffer_edges_match_oracle(block, params):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "_BLOCK", block)
+        got = exact(ring_road_experiment(params))
+    assert got == exact(ring_oracle.ring_road_experiment(params))
+
+
+def test_ring_road_buffer_stays_bounded_without_permutations(monkeypatch):
+    """One vehicle never joins with another, so no permutation restarts the
+    buffer; the refill alone must keep it within two blocks."""
+    block = 8
+    monkeypatch.setattr(simulation, "_BLOCK", block)
+    sizes = []
+    refill = simulation._refill
+
+    def spy(*args):
+        out = refill(*args)
+        sizes.append(len(out[1]))
+        return out
+
+    monkeypatch.setattr(simulation, "_refill", spy)
+    params = RingRoadParams(n_stations=5, road_length=5.0, n_vehicles=1,
+                            join_probability=0.3, target_mean_participations=300.0,
+                            curve_step=50.0)
+    result = ring_road_experiment(params)
+    assert len(result.records) == 300
+    assert len(sizes) > 20  # far more doubles drawn than two blocks hold
+    assert max(sizes) <= 2 * block
+    assert exact(result) == exact(ring_oracle.ring_road_experiment(params))
 
 
 # -------------------------------------------------------------- aggregation
