@@ -5,11 +5,15 @@ scenario files, impossible parameter combinations), 2 for I/O failures.
 The seed defaults to the SOCD_SEED environment variable, then to 0.
 
 Each artifact is one table, a header and rows of raw values, written as a
-CSV file by `_csv` or as a list of objects in `result.json` by `_json`.
-Both share one value rule (`_plain`): exact rationals become fraction
-strings and enums their value; CSV then writes floats and ints via repr and
-the rest via str.  JSON records also carry `mechanism`, and only CSV share
-reports carry `rotations`.  Output is deterministic; JSON has sorted keys.
+CSV file by `_csv` or as a list of objects in `result.json` by `_write`.
+Both share one value rule: exact rationals become fraction strings and
+enums their value; CSV then writes floats and ints via repr and the rest
+via str.  `_write` is the one JSON writer.  Its bytes are those of
+`json.dumps(..., sort_keys=True, indent=2)` on the same values: sorted keys,
+two-space indent, ASCII escapes, ints and floats by repr, and `NaN` and
+`Infinity` as `json` spells them.  It writes each table row as one string
+and a game's mechanisms one by one, as each finishes.  JSON records also
+carry `mechanism`, and only CSV share reports carry `rotations`.
 Experiment `params` are parsed by the fields of their dataclass.
 """
 
@@ -22,9 +26,10 @@ import os
 import sys
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .mechanisms import MechanismKind, net_utilities, run_mechanism
 from .metrics import ParticipationRecord
@@ -48,29 +53,9 @@ class CliError(Exception):
     """A validation problem the user can fix; maps to exit code 1."""
 
 
-# Exact types `_plain` passes through before its isinstance checks, which
-# are slow for Fraction and Enum (classes with a metaclass) on every cell.
-_AS_IS = frozenset({str, int, float, bool, type(None)})
-
-
-def _plain(value: Any) -> Any:
-    """The value rule both writers share: exact fractions as fraction
-    strings, enums by their value; anything else as it is."""
-    kind = type(value)
-    if kind is Fraction:
-        return str(value)
-    if kind in _AS_IS:
-        return value
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, Enum):
-        return value.value
-    return value
-
-
-# The exact types most cells have, formatted without `_plain`'s isinstance
-# chain; other types and subclasses (bool, enums, numpy scalars) take the
-# slow path below, so every cell keeps its string.
+# The exact types most cells have, formatted without an isinstance chain;
+# other types and subclasses (bool, enums, numpy scalars) take the slow path
+# below, so every cell keeps its string.
 _CELL_FORMATS: dict[type, Callable[[Any], str]] = {
     float: float.__repr__,
     int: int.__repr__,
@@ -80,11 +65,13 @@ _CELL_FORMATS: dict[type, Callable[[Any], str]] = {
 
 
 def _cell(value: Any) -> str:
-    """One CSV cell: `_plain`, then `repr` for floats and ints, `str` else."""
+    """One CSV cell: fractions by `str`, enums by their value; then `repr`
+    for floats and ints, `str` else."""
     fast = _CELL_FORMATS.get(type(value))
     if fast is not None:
         return fast(value)
-    value = _plain(value)
+    if isinstance(value, Enum):
+        value = value.value
     return repr(value) if isinstance(value, (float, int)) else str(value)
 
 
@@ -94,23 +81,126 @@ def _csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     )
 
 
-def _jsonable(value: Any) -> Any:
-    value = _plain(value)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+class _Table(NamedTuple):
+    """An artifact: a header and lazily built rows of raw values."""
+
+    header: Sequence[str]
+    rows: Iterable[Sequence[Any]]
 
 
-def _json(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> list[dict[str, Any]]:
-    """A table as a list of objects; a row longer than the header is cut."""
-    return [dict(zip(header, map(_plain, row))) for row in rows]
+class _Encoded(list):
+    """JSON text already written, in pieces, at the indent of the place it
+    goes in."""
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_json(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+# How the writer spells values of these exact types, with no isinstance chain.
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_json,
+    Fraction: '"%s"'.__mod__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda value: "null",
+}
+
+
+def _write(value: Any, pad: str, out: list[str]) -> None:
+    """Append `value` as JSON text to `out`; lines after its first start with
+    `pad` (a newline, then two spaces a level).
+
+    Fractions become fraction strings and enums their value; dataclasses and
+    mappings become objects (keys by `str`, sorted), lists and tuples arrays,
+    and a `_Table` an array with one object per row.
+    """
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        out.append(scalar(value))
+    elif type(value) is _Encoded:
+        out.extend(value)
+    elif type(value) is _Table:
+        _write_table(value, pad, out)
+    elif isinstance(value, Fraction):
+        out.append(encode_basestring_ascii(str(value)))
+    elif isinstance(value, Enum):
+        _write(value.value, pad, out)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        _write_members([(f.name, getattr(value, f.name))
+                        for f in dataclasses.fields(value)], pad, out)
+    elif isinstance(value, Mapping):
+        _write_members({str(k): v for k, v in value.items()}.items(), pad, out)
+    elif isinstance(value, (list, tuple)):
+        inner, sep = pad + "  ", "["
+        for item in value:
+            out.append(sep + inner)
+            _write(item, inner, out)
+            sep = ","
+        out.append(pad + "]" if value else "[]")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_json(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_members(pairs: Iterable[tuple[str, Any]], pad: str, out: list[str]) -> None:
+    """An object from (key, value) pairs with distinct keys, in key order."""
+    items = sorted(pairs, key=itemgetter(0))
+    inner, sep = pad + "  ", "{"
+    for key, value in items:
+        out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+        _write(value, inner, out)
+        sep = ","
+    out.append(pad + "}" if items else "{}")
+
+
+def _write_table(table: _Table, pad: str, out: list[str]) -> None:
+    """A table as an array of objects, each row one string from a format
+    made once from the sorted header; a row longer than the header is cut."""
+    header, rows = table
+    column = {key: i for i, key in enumerate(header)}  # a repeated key: its last
+    keys = sorted(column)
+    inner, cell_pad = pad + "  ", pad + "    "
+
+    def cell(value: Any) -> str:
+        scalar = _SCALARS.get(type(value))
+        if scalar is not None:
+            return scalar(value)
+        pieces: list[str] = []
+        _write(value, cell_pad, pieces)
+        return "".join(pieces)
+
+    if len(keys) > 1:
+        pick = itemgetter(*(column[key] for key in keys))
+    else:
+        pick = lambda row: tuple(row[column[key]] for key in keys)  # noqa: E731
+    sep = "," + inner
+    form = sep + ("{" + ",".join(
+        f"{cell_pad}{encode_basestring_ascii(key).replace('%', '%%')}: %s"
+        for key in keys
+    ) + inner + "}" if keys else "{}")
+    width, start = len(header), len(out)
+    for row in rows:
+        if len(row) >= width:
+            out.append(form % tuple(map(cell, pick(row))))
+        else:
+            out.append(sep)
+            _write(dict(zip(header, row)), inner, out)
+    if len(out) == start:
+        out.append("[]")
+    else:  # the first row's leading comma opens the array instead
+        out[start] = "[" + out[start][1:]
+        out.append(pad + "]")
 
 
 def _expect_keys(obj: Mapping[str, Any], allowed: Iterable[str], where: str) -> None:
@@ -216,9 +306,13 @@ _RECORD_COLUMNS = ("convoy", "agent", "actual_lead", "epps", "ratio", "rotations
                    "net_utility")
 
 
-def _attrs(header: Sequence[str], objs: Iterable[Any]) -> tuple[Sequence[str], Any]:
+# JSON records carry every field, `mechanism` included.
+_RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(ParticipationRecord))
+
+
+def _attrs(header: Sequence[str], objs: Iterable[Any]) -> _Table:
     """A table whose columns are the attributes its header names."""
-    return header, map(attrgetter(*header), objs)
+    return _Table(header, map(attrgetter(*header), objs))
 
 
 # Exact cell types whose f-string form is `_cell`'s: `str` of an id column,
@@ -247,8 +341,15 @@ def _records_csv(records: Iterable[ParticipationRecord]) -> str:
     return "".join(lines)
 
 
-def _result_json(doc: Mapping[str, Any]) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _result_json(doc: Any) -> str:
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+# Where a mechanism's object sits in a game's result.json: two levels down.
+_MECHANISM_PAD = "\n    "
 
 
 def _run_game(
@@ -259,8 +360,7 @@ def _run_game(
 ) -> tuple[list[str], dict[str, str]]:
     lines: list[str] = []
     artifacts: dict[str, str] = {}
-    doc: dict[str, Any] = {"scenario": "game", "params": _jsonable(params),
-                           "mechanisms": {}}
+    fragments: dict[str, _Encoded] = {}
     sweep = stream_shares(agents)
     for kind in mechanisms:
         outcome = run_mechanism(kind, sweep, params)
@@ -274,14 +374,14 @@ def _run_game(
             "schedule": _attrs(("agent", "start", "stop"), schedule.periods),
             "switches": _attrs(("time", "outgoing", "incoming", "kind", "n_r", "cost"),
                                schedule.switches),
-            "share_reports": (
+            "share_reports": _Table(
                 ("agent", "assigned", "ex_ante", "ex_post", "net_utility", "rotations"),
                 ((r.agent, r.assigned, r.ex_ante, r.ex_post, nets[r.agent],
                   int(r.agent in rotated)) for r in outcome.reports),
             ),
         }
         if outcome.ledger is not None:
-            tables["ledger"] = (
+            tables["ledger"] = _Table(
                 ("segment_start", "segment_end", "payer", "payee", "amount"),
                 ((t.segment.start, t.segment.end, t.payer, t.payee, t.amount)
                  for t in outcome.ledger.transfers),
@@ -293,18 +393,16 @@ def _run_game(
             # JSON share reports have no "rotations" key although the CSV has
             # that (last) column: adding it changes every games result.json,
             # so it waits with the other byte-changing cleanups (ROADMAP
-            # item 2).  `_json` cuts each row to the shortened header.
+            # item 2).  The writer cuts each row to the shortened header.
             header, rows = tables["share_reports"]
-            tables["share_reports"] = header[:-1], rows
-            doc["mechanisms"][kind.value] = {
-                "ledger": None,
-                **{name: _json(*table) for name, table in tables.items()},
-                "efficiency": str(eff),
-            }
-    # drop the sweep and the last outcome before the document is serialized
-    sweep = outcome = schedule = None
+            tables["share_reports"] = _Table(header[:-1], rows)
+            # written now: the rows read this mechanism's `nets` and `rotated`
+            fragment = fragments[kind.value] = _Encoded()
+            _write({"ledger": None, **tables, "efficiency": str(eff)},
+                   _MECHANISM_PAD, fragment)
     if fmt == "json":
-        artifacts["result.json"] = _result_json(doc)
+        artifacts["result.json"] = _result_json(
+            {"scenario": "game", "params": params, "mechanisms": fragments})
     return lines, artifacts
 
 
@@ -345,13 +443,13 @@ def _run_highway(
     else:
         artifacts["result.json"] = _result_json({
             "experiment": "highway",
-            "params": _jsonable(params_base),
+            "params": params_base,
             "seeds": list(seeds),
             "gini": {
                 "per_seed": [{"seed": r.seed, "cells": r.gini_cells} for r in results],
                 "mean": means,
             },
-            "records": {str(r.seed): _jsonable(r.records) for r in results},
+            "records": {str(r.seed): _attrs(_RECORD_FIELDS, r.records) for r in results},
         })
     return lines, artifacts
 
@@ -389,10 +487,10 @@ def _run_ring(
     else:
         artifacts["result.json"] = _result_json({
             "experiment": "ring",
-            "params": _jsonable(params_base),
+            "params": params_base,
             "seeds": list(seeds),
-            "curve": {"points": _jsonable(curve.points), "band": _jsonable(curve.band)},
-            "records": {str(r.seed): _jsonable(r.records) for r in results},
+            "curve": {"points": curve.points, "band": curve.band},
+            "records": {str(r.seed): _attrs(_RECORD_FIELDS, r.records) for r in results},
         })
     return lines, artifacts
 
@@ -508,6 +606,8 @@ def run(args: argparse.Namespace) -> tuple[list[str], dict[str, str]]:
         n_seeds = 1
     if n_seeds < 1:
         raise CliError("seeds must be at least 1")
+    if seed < 0:  # here, since errors from the params read "params: ..."
+        raise CliError(f"seed must be non-negative, not {seed}")
     seeds = list(range(seed, seed + n_seeds))
 
     if experiment == "ring":

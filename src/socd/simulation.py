@@ -63,6 +63,21 @@ def _require_ints(params: object, *names: str) -> None:
             raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
+def _require_reals(params: object, *names: str) -> None:
+    """Reject lengths and rates that are not real numbers (bools included),
+    which would otherwise fail later, as a TypeError, in a comparison."""
+    for name in names:
+        value = getattr(params, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, not {value!r}")
+
+
+def _require_seed(seed: int) -> None:
+    # numpy would reject it later without naming the seed
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, not {seed}")
+
+
 @dataclass(frozen=True)
 class RingRoadParams:
     """Circular-road rejoin experiment.
@@ -85,6 +100,9 @@ class RingRoadParams:
 
     def __post_init__(self) -> None:
         _require_ints(self, "n_stations", "n_vehicles", "seed")
+        _require_reals(self, "road_length", "join_probability",
+                       "target_mean_participations", "curve_step")
+        _require_seed(self.seed)
         if self.n_stations < 1 or self.n_vehicles < 1:
             raise ValueError("n_stations and n_vehicles must be positive")
         if not 0.0 <= self.join_probability <= 1.0:
@@ -119,6 +137,7 @@ class HighwayParams:
 
     def __post_init__(self) -> None:
         _require_ints(self, "n_stations", "n_convoys", "agents_per_convoy", "seed")
+        _require_seed(self.seed)
         cost = self.switch_cost
         if isinstance(cost, bool) or not isinstance(cost, numbers.Rational):
             raise ValueError(f"switch_cost must be an int or a Fraction, not {cost!r}")

@@ -1,15 +1,19 @@
 """The artifact builders and experiment-params parsers as they were before
 `socd.cli` wrote every artifact from one row table: the oracle the
 differential tests in `tests/test_artifacts.py` compare `socd.cli` against.
+At the end, the table model's JSON writer as it was before `socd.cli._write`
+replaced it: the oracle of `tests/test_json_writer.py`.
 
-Kept verbatim (only the imports changed), so the tests pin the old bytes,
-lines and error messages rather than the new code's own output.
+Kept verbatim (only the imports changed, and the table model's JSON
+functions gained a `_table_` prefix), so the tests pin the old bytes, lines
+and error messages rather than the new code's own output.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from enum import Enum
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -366,3 +370,48 @@ def _run_ring(
         }
         artifacts["result.json"] = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     return lines, artifacts
+
+
+# ------------------------------------------------- the table model's JSON
+
+# Exact types `_plain` passes through before its isinstance checks, which
+# are slow for Fraction and Enum (classes with a metaclass) on every cell.
+_AS_IS = frozenset({str, int, float, bool, type(None)})
+
+
+def _plain(value: Any) -> Any:
+    """The value rule both writers share: exact fractions as fraction
+    strings, enums by their value; anything else as it is."""
+    kind = type(value)
+    if kind is Fraction:
+        return str(value)
+    if kind in _AS_IS:
+        return value
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, Enum):
+        return value.value
+    return value
+
+
+def _table_jsonable(value: Any) -> Any:
+    value = _plain(value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            f.name: _table_jsonable(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    if isinstance(value, Mapping):
+        return {str(k): _table_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_table_jsonable(v) for v in value]
+    return value
+
+
+def _table_json(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> list[dict[str, Any]]:
+    """A table as a list of objects; a row longer than the header is cut."""
+    return [dict(zip(header, map(_plain, row))) for row in rows]
+
+
+def _table_result_json(doc: Mapping[str, Any]) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

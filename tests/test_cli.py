@@ -220,6 +220,21 @@ def test_invalid_env_seed(tmp_path, capsys, monkeypatch):
     assert "SOCD_SEED" in err
 
 
+@pytest.mark.parametrize("experiment", ["highway", "ring"])
+@pytest.mark.parametrize("source", ["flag", "env", "scenario"])
+def test_negative_seed_is_named(tmp_path, capsys, monkeypatch, experiment, source):
+    argv = ["--experiment", experiment]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    elif source == "env":
+        monkeypatch.setenv("SOCD_SEED", "-1")
+    else:
+        doc = HIGHWAY_SCENARIO if experiment == "highway" else RING_SCENARIO
+        argv = ["--scenario", write_scenario(tmp_path, dict(doc, seed=-1))]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: seed must be non-negative, not -1\n")
+
+
 def test_nonpositive_seeds_rejected(tmp_path, capsys):
     scenario = write_scenario(tmp_path, HIGHWAY_SCENARIO)
     assert main(["--scenario", scenario, "--seeds", "0"]) == 1

@@ -99,6 +99,30 @@ def test_highway_switch_cost_accepts_rationals(value):
     assert HighwayParams(switch_cost=value).switch_cost == value
 
 
+@pytest.mark.parametrize("value", ["5", "0.5", True, None, F(1, 2) * 1j])
+@pytest.mark.parametrize(
+    "field", ["road_length", "join_probability", "target_mean_participations",
+              "curve_step"],
+)
+def test_ring_float_fields_must_be_real_numbers(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+        RingRoadParams(**{field: value})
+
+
+def test_ring_float_fields_accept_ints_and_numpy_floats():
+    params = RingRoadParams(road_length=5, join_probability=np.float64(0.25),
+                            target_mean_participations=np.float32(4), curve_step=2)
+    assert (params.road_length, params.join_probability) == (5, 0.25)
+    assert (params.target_mean_participations, params.curve_step) == (4, 2)
+
+
+@pytest.mark.parametrize("params", [HighwayParams, RingRoadParams])
+@pytest.mark.parametrize("seed", [-1, np.int64(-3)])
+def test_params_reject_negative_seeds(params, seed):
+    with pytest.raises(ValueError, match=f"^seed must be non-negative, not {seed}$"):
+        params(seed=seed)
+
+
 def test_params_accept_numpy_integers():
     assert HighwayParams(n_convoys=np.int64(3), seed=np.int64(7)).n_convoys == 3
     assert RingRoadParams(n_vehicles=np.int32(4)).n_vehicles == 4
