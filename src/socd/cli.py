@@ -166,7 +166,8 @@ def _write_members(pairs: Iterable[tuple[str, Any]], pad: str, out: list[str]) -
 
 def _write_table(table: _Table, pad: str, out: list[str]) -> None:
     """A table as an array of objects, each row one string from a format
-    made once from the sorted header; a row longer than the header is cut."""
+    made once from the sorted header.  Rows may be longer than the header,
+    which cuts them, but not shorter."""
     header, rows = table
     column = {key: i for i, key in enumerate(header)}  # a repeated key: its last
     keys = sorted(column)
@@ -184,18 +185,12 @@ def _write_table(table: _Table, pad: str, out: list[str]) -> None:
         pick = itemgetter(*(column[key] for key in keys))
     else:
         pick = lambda row: tuple(row[column[key]] for key in keys)  # noqa: E731
-    sep = "," + inner
-    form = sep + ("{" + ",".join(
+    form = "," + inner + ("{" + ",".join(
         f"{cell_pad}{encode_basestring_ascii(key).replace('%', '%%')}: %s"
         for key in keys
     ) + inner + "}" if keys else "{}")
-    width, start = len(header), len(out)
-    for row in rows:
-        if len(row) >= width:
-            out.append(form % tuple(map(cell, pick(row))))
-        else:
-            out.append(sep)
-            _write(dict(zip(header, row)), inner, out)
+    start = len(out)
+    out.extend(form % tuple(map(cell, pick(row))) for row in rows)
     if len(out) == start:
         out.append("[]")
     else:  # the first row's leading comma opens the array instead
