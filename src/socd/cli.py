@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 for validation problems (bad flags, malformed
 scenario files, impossible parameter combinations), 2 for I/O failures.
-The seed defaults to the SOCD_SEED environment variable, then to 0.
+Only experiments take a seed: --seed, else the scenario's `seed`, else the
+SOCD_SEED environment variable, else 0.  A game ignores SOCD_SEED.
 
 Each artifact is one table, a header and rows of raw values, written as a
 CSV file by `_csv` or as a list of objects in `result.json` by `_write`.
@@ -23,6 +24,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from enum import Enum
 from fractions import Fraction
@@ -204,12 +206,22 @@ def _expect_keys(obj: Mapping[str, Any], allowed: Iterable[str], where: str) -> 
         raise CliError(f"unknown key {unknown[0]!r} in {where}")
 
 
+# Fraction("1e999999999") would build 10**999999999, so exponents are
+# bounded by CPython's default int digit limit, which already refuses a
+# longer run of digits anywhere else in the string.
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+_MAX_EXPONENT = 4300
+
+
 def _exact(value: Any, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise CliError(
             f"{where}: use an integer or a string like \"0.5\", not a float literal"
         )
     try:
+        exponent = isinstance(value, str) and _EXPONENT.search(value)
+        if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
+            raise ValueError(value)
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError):
         raise CliError(f"{where}: not an exact number: {value!r}") from None
@@ -517,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", choices=("uniform", "bimodal"),
                         help="highway entry pattern")
     parser.add_argument("--seed", type=int, default=None,
-                        help=f"base seed (default: ${ENV_SEED} or 0)")
+                        help=f"base seed of an experiment (default: ${ENV_SEED} or 0)")
     parser.add_argument("--seeds", type=int, default=None, metavar="N",
                         help="number of consecutive seeds to run (experiments)")
     parser.add_argument("--out", metavar="DIR", help="directory for artifacts")
@@ -549,19 +561,6 @@ def run(args: argparse.Namespace) -> tuple[list[str], dict[str, str]]:
     """Execute one CLI invocation; returns (summary lines, artifacts)."""
     if (args.scenario is None) == (args.experiment is None):
         raise CliError("exactly one of --scenario or --experiment is required")
-    if args.seeds is not None and args.seeds < 1:
-        raise CliError("--seeds must be at least 1")
-
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get(ENV_SEED)
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise CliError(f"{ENV_SEED} must be an integer, got {env!r}") from None
-        else:
-            seed = 0
 
     doc: Mapping[str, Any] = {}
     experiment = args.experiment
@@ -569,7 +568,7 @@ def run(args: argparse.Namespace) -> tuple[list[str], dict[str, str]]:
         raw = Path(args.scenario).read_text(encoding="utf-8")
         try:
             doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise CliError(f"scenario is not valid JSON: {exc}") from None
         if not isinstance(doc, Mapping):
             raise CliError("scenario must be a JSON object")
@@ -581,8 +580,9 @@ def run(args: argparse.Namespace) -> tuple[list[str], dict[str, str]]:
 
     if experiment is None:
         # plain game scenario
-        if args.seeds is not None:
-            raise CliError("--seeds only applies to experiments")
+        for flag, value in (("--seed", args.seed), ("--seeds", args.seeds)):
+            if value is not None:
+                raise CliError(f"{flag} only applies to experiments")
         if args.config is not None:
             raise CliError("--config only applies to the highway experiment")
         agents, params = _parse_game_scenario(doc)
@@ -592,13 +592,18 @@ def run(args: argparse.Namespace) -> tuple[list[str], dict[str, str]]:
     raw_params = doc.get("params", {}) if doc else {}
     if not isinstance(raw_params, Mapping):
         raise CliError("scenario field 'params' must be an object")
-    if doc and args.seed is None and "seed" in doc:
+    seed = args.seed
+    if seed is None and "seed" in doc:
         seed = _int(doc["seed"], "seed")
+    if seed is None:
+        env = os.environ.get(ENV_SEED, "0")
+        try:
+            seed = int(env)
+        except ValueError:
+            raise CliError(f"{ENV_SEED} must be an integer, got {env!r}") from None
     n_seeds = args.seeds
-    if doc and n_seeds is None and "seeds" in doc:
-        n_seeds = _int(doc["seeds"], "seeds")
     if n_seeds is None:
-        n_seeds = 1
+        n_seeds = _int(doc.get("seeds", 1), "seeds")
     if n_seeds < 1:
         raise CliError("seeds must be at least 1")
     if seed < 0:  # here, since errors from the params read "params: ..."

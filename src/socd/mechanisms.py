@@ -9,7 +9,11 @@ order and the claim after which a member leaves the front differ:
 * repeated game (`rg_run`): the newest arrival takes the front and leads;
 * single game (`sg_run`): every arrival claims a leading share and rotates
   to the back once it has led that long, optionally with the unfinished
-  members' claims cut as newcomers arrive.
+  members' claims cut as newcomers arrive (`_relieve`).
+
+The convoy's queue, finished members and remaining claims live only inside
+`_drive`.  Mechanisms without a claim (pt, rg) take the departures and the
+arrival at one instant as one step with one switch; sg and sg-da take two.
 
 Mechanisms take an agent stream or its `StreamShares` sweep and produce a
 `MechanismOutcome`: schedule, share reports, any payment ledger and any
@@ -19,7 +23,7 @@ rotation charges, all in exact arithmetic.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -43,16 +47,12 @@ from .model import (
 
 __all__ = [
     "MechanismKind",
-    "ConvoyState",
     "Transfer",
     "Ledger",
     "MechanismOutcome",
-    "convoy_switch_cost",
-    "pt_segment_payment",
     "pt_run",
     "rg_run",
     "sg_run",
-    "sg_adjust_shares",
     "run_mechanism",
     "net_utilities",
 ]
@@ -67,22 +67,6 @@ class MechanismKind(str, Enum):
     @property
     def dynamic_adjust(self) -> bool:
         return self is MechanismKind.SINGLE_GAME_DYNAMIC
-
-
-def convoy_switch_cost(kind: SwitchKind, n_r: int, params: GameParams) -> Fraction:
-    """Cost of one switch: rotations cost c * n_r, the other kinds are free.
-
-    A joining agent slots in at the front and a leaving leader simply exits,
-    so neither forces the convoy to re-form around a rotating vehicle.
-    """
-    if kind is SwitchKind.ROTATION:
-        return params.c * n_r
-    return Fraction(0)
-
-
-def pt_segment_payment(segment: Segment, params: GameParams) -> Fraction:
-    """Per-follower payment to the segment's leader: |seg| * u / n_seg."""
-    return segment.length * params.u / len(segment.members)
 
 
 @dataclass(frozen=True)
@@ -101,38 +85,6 @@ class Ledger:
 
     transfers: tuple[Transfer, ...]
     net: Mapping[AgentId, Fraction]
-
-
-@dataclass
-class ConvoyState:
-    """Live convoy: unfinished members ride in front of finished ones.
-
-    `unfinished` is the queue in the mechanism's order, its front member
-    leading; `finished` holds agents that already rotated, in rotation
-    order.  `remaining` maps each member to the leading time it still owes
-    (single game only).
-    """
-
-    unfinished: list[AgentSpec] = field(default_factory=list)
-    finished: list[AgentSpec] = field(default_factory=list)
-    remaining: dict[AgentId, Fraction] = field(default_factory=dict)
-    led: dict[AgentId, Fraction] = field(default_factory=dict)
-    rotations: dict[AgentId, int] = field(default_factory=dict)
-
-    @property
-    def ordering(self) -> list[AgentId]:
-        return [m.id for m in self.unfinished] + [m.id for m in self.finished]
-
-    @property
-    def leader(self) -> AgentSpec | None:
-        if self.unfinished:
-            return self.unfinished[0]
-        if self.finished:
-            return self.finished[0]
-        return None
-
-    def __len__(self) -> int:
-        return len(self.unfinished) + len(self.finished)
 
 
 @dataclass(frozen=True)
@@ -176,16 +128,15 @@ class _Policy:
 
     Arrivals join the queue in front (`newest_first`) or in
     (t_leave, t_arrive) order.  A member rotates behind the queue once it
-    has led its `claim`; with no claim nobody rotates.  `adjust` lets each
-    arrival cut the unfinished members' claims.  `merge_ties` makes the
-    departures and the arrival at one instant one step with one switch.
+    has led its `claim`; with no claim nobody rotates, and the departures
+    and the arrival at one instant are one step with one switch.  `adjust`
+    lets each arrival cut the unfinished members' claims.
     """
 
     kind: MechanismKind
     newest_first: bool = False
     claim: Callable[[AgentSpec], Fraction] | None = None
     adjust: bool = False
-    merge_ties: bool = False
 
 
 _DEPART, _ARRIVE, _ROTATE = range(3)  # priority at equal instants
@@ -198,15 +149,18 @@ def _drive(
 
     At one instant the departures go first, then the arrival, then any due
     rotation.  The queue's front member leads; once every member has
-    rotated, the first finished one leads on.  The next departure is a
-    pointer into the stream sorted by departure: an agent that has not
-    arrived yet is never next, because its arrival comes first.
+    rotated, the first finished one leads on.  A rotation costs c * n_r,
+    n_r counting queued and finished members; other switches are free.  The
+    next departure is a pointer into the stream sorted by departure: an
+    agent that has not arrived yet is never next, because its arrival comes
+    first.
     """
     stream = shares.stream
     n = len(stream)
     by_leave = sorted(stream, key=lambda a: a.t_leave)
-    state = ConvoyState()
-    queue, finished, remaining = state.unfinished, state.finished, state.remaining
+    queue: list[AgentSpec] = []  # unfinished members in the mechanism's order
+    finished: list[AgentSpec] = []  # members that rotated, in rotation order
+    remaining: dict[AgentId, Fraction] = {}  # leading time each member still owes
     leaves: list[Time] = []  # the members' departures, ascending; kept for `adjust`
     periods: list[ActivePeriod] = []
     switches: list[SwitchEvent] = []
@@ -225,7 +179,7 @@ def _drive(
             if remaining[front] < 0:
                 raise RuntimeError(f"leader {front!r} led past its remaining share")
 
-        pre = state.leader
+        pre = queue[0] if queue else finished[0] if finished else None
         if action == _DEPART:
             first = j
             while j < n and by_leave[j].t_leave == t_next:
@@ -235,7 +189,7 @@ def _drive(
             finished[:] = [m for m in finished if m.id not in gone]
             del leaves[: j - first]  # the earliest departures; a no-op unless `adjust`
             # an emptied convoy re-forming at once is one handover either way
-            merge = policy.merge_ties or not len(state)
+            merge = policy.claim is None or not (queue or finished)
             if merge and i < n and stream[i].t_arrive == t_next:
                 action = _ARRIVE
         if action == _ARRIVE:
@@ -250,7 +204,8 @@ def _drive(
             if policy.adjust:
                 bisect.insort(leaves, joined.t_leave)
                 cuts = _ante_cut(t_next, joined.t_leave, leaves)
-                _relieve(joined, state, [(s, e, len(leaves) - k) for s, e, k in cuts])
+                _relieve(joined, queue, remaining,
+                         [(s, e, len(leaves) - k) for s, e, k in cuts])
         elif action == _ROTATE:
             rotator = queue.pop(0)
             if remaining[rotator.id] != 0:
@@ -259,7 +214,7 @@ def _drive(
                 )
             finished.append(rotator)
 
-        post = state.leader
+        post = queue[0] if queue else finished[0] if finished else None
         if post is not pre:
             if pre is not None and t_next > start:
                 periods.append(ActivePeriod(pre.id, start, t_next))
@@ -272,11 +227,9 @@ def _drive(
                     kind = SwitchKind.FRONT_JOIN
                 else:
                     raise RuntimeError("leader changed without a matching event")
-                n_r = len(state)
-                switches.append(
-                    SwitchEvent(t_next, pre.id, post.id, kind, n_r,
-                                convoy_switch_cost(kind, n_r, params))
-                )
+                n_r = len(queue) + len(finished)
+                cost = params.c * n_r if kind is SwitchKind.ROTATION else Fraction(0)
+                switches.append(SwitchEvent(t_next, pre.id, post.id, kind, n_r, cost))
             start = t_next
         t = t_next
 
@@ -306,7 +259,7 @@ def pt_run(
     and switching is free.
     """
     shares = stream_shares(agents)
-    policy = _Policy(MechanismKind.PAYMENT_TRANSFER, merge_ties=True)
+    policy = _Policy(MechanismKind.PAYMENT_TRANSFER)
     outcome = _drive(shares, params, policy)
     by_id = {a.id: a for a in shares.stream}
     transfers: list[Transfer] = []
@@ -317,7 +270,7 @@ def pt_run(
         while period.stop <= seg.start:  # the leader changes only at a segment start
             period = next(periods)
         leader = period.agent
-        pay = pt_segment_payment(seg, params)
+        pay = seg.length * params.u / len(seg.members)
         for fid in sorted(seg.members - {leader}, key=lambda i: by_id[i].t_arrive):
             transfers.append(Transfer(seg, fid, leader, pay))
             net[fid] -= pay
@@ -335,22 +288,29 @@ def rg_run(
     shares within one game are accepted and settle over repeated games, so
     no agent ever rotates and no payments change hands.
     """
-    policy = _Policy(MechanismKind.REPEATED_GAME, newest_first=True, merge_ties=True)
+    policy = _Policy(MechanismKind.REPEATED_GAME, newest_first=True)
     return _drive(stream_shares(agents), params, policy)
 
 
 def _relieve(
-    newcomer: AgentSpec, state: ConvoyState, cuts: Sequence[tuple[Time, Time, int]]
+    newcomer: AgentSpec,
+    queue: Sequence[AgentSpec],
+    remaining: dict[AgentId, Fraction],
+    cuts: Sequence[tuple[Time, Time, int]],
 ) -> None:
-    """Cut `state.remaining` in place by the newcomer's (start, end, n_seg) cuts.
+    """Dynamic adjustment: cut the unfinished members' `remaining` in place.
+
+    The share the newcomer absorbs in each (start, end, n_seg) cut of its
+    ex-ante decomposition, (end - start) / n_seg, is split evenly among the
+    other `queue` members still available after `start`, clamped at zero.
 
     Clamps compose (max(0, max(0, x - a) - b) = max(0, x - a - b) for
     a, b >= 0), so each member is cut once by the sum of its pools' cuts.
-    `state.unfinished` is ordered by departure, so each segment's pool is a
-    suffix of it: the cut is added where that suffix starts and summed in
-    one walk, O(segments + pool) instead of O(segments * pool).
+    `queue` is ordered by departure, so each segment's pool is a suffix of
+    it: the cut is added where that suffix starts and summed in one walk,
+    O(segments + pool) instead of O(segments * pool).
     """
-    pool = [m for m in state.unfinished if m.id != newcomer.id]
+    pool = [m for m in queue if m.id != newcomer.id]
     leaves = [m.t_leave for m in pool]
     steps = [Fraction(0)] * len(pool)  # cut that starts at each pool index
     for start, end, n_seg in cuts:
@@ -361,24 +321,7 @@ def _relieve(
     for m, step in zip(pool, steps):
         cut += step
         if cut:
-            state.remaining[m.id] = max(Fraction(0), state.remaining[m.id] - cut)
-
-
-def sg_adjust_shares(
-    new_agent: AgentSpec, state: ConvoyState, eas: Sequence[Segment]
-) -> dict[AgentId, Fraction]:
-    """Dynamic adjustment: newcomers relieve the unfinished members.
-
-    For every segment of the newcomer's ex-ante decomposition, the share the
-    newcomer absorbs (|seg|/n_seg) is split evenly among the unfinished
-    members still available in that segment, and deducted from their
-    remaining shares, clamped at zero.  Finished members and the newcomer
-    itself are never adjusted.  Returns the updated remaining map; `state`
-    is left alone.
-    """
-    copy = ConvoyState(unfinished=state.unfinished, remaining=dict(state.remaining))
-    _relieve(new_agent, copy, [(seg.start, seg.end, len(seg.members)) for seg in eas])
-    return copy.remaining
+            remaining[m.id] = max(Fraction(0), remaining[m.id] - cut)
 
 
 def sg_run(
@@ -396,10 +339,10 @@ def sg_run(
     until it departs, until a sooner-departing agent arrives in front of it,
     or until its remaining share reaches zero, at which point it rotates to
     the back and pays c * n_r.  With `dynamic_adjust`, every arrival also
-    reduces the unfinished members' remaining shares as `sg_adjust_shares`
-    does.  Departures, an arrival and a rotation at one instant are three
-    steps in that order, so leaving agents never pay and an arrival in front
-    of an exhausted leader pre-empts its rotation.
+    cuts the unfinished members' remaining shares (`_relieve`).  Departures,
+    an arrival and a rotation at one instant are three steps in that order,
+    so leaving agents never pay and an arrival in front of an exhausted
+    leader pre-empts its rotation.
     """
     shares = stream_shares(agents)
     allowance = params.c / params.u if include_switch_allowance else Fraction(0)

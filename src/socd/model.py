@@ -51,7 +51,6 @@ __all__ = [
     "eps_segments",
     "ex_ante_share",
     "ex_post_share",
-    "assigned_share",
     "efficiency",
     "validate_schedule",
 ]
@@ -483,23 +482,6 @@ def ex_post_share(
     if agent.id not in ex_post:
         raise UnknownAgent(agent.id)
     return ex_post[agent.id] + params.c / params.u
-
-
-def assigned_share(
-    schedule: Schedule,
-    agent: AgentId,
-    agents: Iterable[AgentSpec] | None = None,
-) -> Fraction:
-    """Total active time of `agent` in `schedule`.
-
-    An agent with no periods has share 0; if a roster is given, asking about
-    an agent outside it raises UnknownAgent instead.
-    """
-    if agents is not None and not any(a.id == agent for a in agents):
-        raise UnknownAgent(agent)
-    return sum(
-        (p.length for p in schedule.periods if p.agent == agent), Fraction(0)
-    )
 
 
 def efficiency(

@@ -29,10 +29,10 @@ import numpy as np
 
 from .mechanisms import MechanismKind, net_utilities, run_mechanism
 from .metrics import (
-    UNSATISFIED_THRESHOLD,
     ConvergenceCurve,
     ParticipationRecord,
     gini,
+    unsatisfied_fraction,
 )
 from .model import AgentSpec, GameParams, stream_shares
 
@@ -440,10 +440,12 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
                         next_checkpoint <= params.target_mean_participations
                         and total_records / n_vehicles >= next_checkpoint
                     ):
-                        mask = np.array(participated)
-                        ratios = np.array(cum_actual)[mask] / np.array(cum_epps)[mask]
-                        frac = float(np.mean(ratios > UNSATISFIED_THRESHOLD))
-                        points.append((next_checkpoint, frac))
+                        ratios = (
+                            cum_actual[v] / cum_epps[v]
+                            for v in range(n_vehicles)
+                            if participated[v]
+                        )
+                        points.append((next_checkpoint, unsatisfied_fraction(ratios)))
                         next_checkpoint += params.curve_step
                     if total_records >= target_records:
                         break

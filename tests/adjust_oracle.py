@@ -5,7 +5,8 @@ segment of the newcomer's ex-ante cut, rescan the unfinished members for the
 ones still available, and cut each of them by the segment's share split
 evenly among them, clamping at zero after every segment.  It costs
 O(segments * pool) per arrival and is kept only as a test oracle for
-`socd.mechanisms.sg_adjust_shares`.
+`socd.mechanisms._relieve`, and as the adjustment of the old sg loop in
+`mechanism_oracle.py`.
 """
 
 from __future__ import annotations
@@ -13,12 +14,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from socd import AgentSpec, ConvoyState, Segment
+from socd import AgentSpec, Segment
 
 
-def sg_adjust_shares(
-    new_agent: AgentSpec, state: ConvoyState, eas: Sequence[Segment]
-) -> dict:
+def sg_adjust_shares(new_agent: AgentSpec, state, eas: Sequence[Segment]) -> dict:
+    """The remaining claims after `new_agent` arrives; `state` is left alone.
+
+    `state` is a `mechanism_oracle.ConvoyState`; only its `unfinished`
+    queue and its `remaining` map are read.
+    """
     updated = dict(state.remaining)
     for seg in eas:
         share = seg.length / len(seg.members)

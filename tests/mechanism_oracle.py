@@ -4,35 +4,80 @@
 over its members, `rg_run` walks every arrival and departure instant with a
 newest-first stack, and `sg_run` walks departure, arrival and rotation
 events, finding the next departure by a `min` over the convoy.  They are
-kept only as a test oracle for the one event loop in `socd.mechanisms`.
+kept only as a test oracle for the one event loop in `socd.mechanisms`,
+with the convoy state and pricing helpers they used.  The sg loop adjusts
+claims through the per-segment reference in `adjust_oracle.py`.
 """
 
 from __future__ import annotations
 
 import bisect
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
+from adjust_oracle import sg_adjust_shares
 from socd import (
     ActivePeriod,
     AgentSpec,
-    ConvoyState,
     GameParams,
     Ledger,
     MechanismKind,
     MechanismOutcome,
     Schedule,
+    Segment,
     StreamShares,
     SwitchEvent,
     SwitchKind,
     Transfer,
-    convoy_switch_cost,
     eas_segments,
-    pt_segment_payment,
-    sg_adjust_shares,
     stream_shares,
 )
 from socd.model import AgentId, Time
+
+
+def convoy_switch_cost(kind: SwitchKind, n_r: int, params: GameParams) -> Fraction:
+    """Cost of one switch: rotations cost c * n_r, the other kinds are free.
+
+    A joining agent slots in at the front and a leaving leader simply exits,
+    so neither forces the convoy to re-form around a rotating vehicle.
+    """
+    if kind is SwitchKind.ROTATION:
+        return params.c * n_r
+    return Fraction(0)
+
+
+def pt_segment_payment(segment: Segment, params: GameParams) -> Fraction:
+    """Per-follower payment to the segment's leader: |seg| * u / n_seg."""
+    return segment.length * params.u / len(segment.members)
+
+
+@dataclass
+class ConvoyState:
+    """Live convoy: unfinished members ride in front of finished ones.
+
+    `unfinished` is the queue in the mechanism's order, its front member
+    leading; `finished` holds agents that already rotated, in rotation
+    order.  `remaining` maps each member to the leading time it still owes
+    (single game only).
+    """
+
+    unfinished: list[AgentSpec] = field(default_factory=list)
+    finished: list[AgentSpec] = field(default_factory=list)
+    remaining: dict[AgentId, Fraction] = field(default_factory=dict)
+    led: dict[AgentId, Fraction] = field(default_factory=dict)
+    rotations: dict[AgentId, int] = field(default_factory=dict)
+
+    @property
+    def leader(self) -> AgentSpec | None:
+        if self.unfinished:
+            return self.unfinished[0]
+        if self.finished:
+            return self.finished[0]
+        return None
+
+    def __len__(self) -> int:
+        return len(self.unfinished) + len(self.finished)
 
 
 def pt_run(
@@ -170,39 +215,6 @@ def rg_run(
     )
 
 
-def sg_adjust_shares(
-    new_agent: AgentSpec, state: ConvoyState, eas: Sequence[Segment]
-) -> dict[AgentId, Fraction]:
-    """Dynamic adjustment: newcomers relieve the unfinished members.
-
-    For every segment of the newcomer's ex-ante decomposition, the share the
-    newcomer absorbs (|seg|/n_seg) is split evenly among the unfinished
-    members still available in that segment, and deducted from their
-    remaining shares, clamped at zero.  Finished members and the newcomer
-    itself are never adjusted.  Returns the updated remaining map.
-
-    Clamps compose (max(0, max(0, x - a) - b) = max(0, x - a - b) for
-    a, b >= 0), so each member is cut once by the sum of its pools' cuts.
-    `state.unfinished` is ordered by departure, so each segment's pool is a
-    suffix of it: the cut is added where that suffix starts and summed in
-    one walk, O(segments + pool) instead of O(segments * pool).
-    """
-    pool = [m for m in state.unfinished if m.id != new_agent.id]
-    leaves = [m.t_leave for m in pool]
-    steps = [Fraction(0)] * len(pool)  # cut that starts at each pool index
-    for seg in eas:
-        first = bisect.bisect_right(leaves, seg.start)  # leaves after seg.start
-        if first < len(pool):
-            steps[first] += seg.length / len(seg.members) / (len(pool) - first)
-    updated = dict(state.remaining)
-    cut = Fraction(0)
-    for m, step in zip(pool, steps):
-        cut += step
-        if cut:
-            updated[m.id] = max(Fraction(0), updated[m.id] - cut)
-    return updated
-
-
 def sg_run(
     agents: Iterable[AgentSpec] | StreamShares,
     params: GameParams = GameParams(),
@@ -218,7 +230,7 @@ def sg_run(
     until it departs, until a sooner-departing agent arrives in front of it,
     or until its remaining share reaches zero, at which point it rotates to
     the back and pays c * n_r.  With `dynamic_adjust`, every arrival also
-    reduces the unfinished members' remaining shares via
+    reduces the unfinished members' remaining shares via the per-segment
     `sg_adjust_shares`.
 
     At one instant, departures are processed first, then the arrival, then

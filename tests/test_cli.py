@@ -4,15 +4,28 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import socd
 from socd import MechanismKind, ParticipationRecord, SwitchKind
-from socd.cli import _RECORD_COLUMNS, _attrs, _cell, _csv, _records_csv, main
+from socd.cli import (
+    _RECORD_COLUMNS,
+    CliError,
+    _attrs,
+    _cell,
+    _csv,
+    _exact,
+    _records_csv,
+    main,
+)
 
 S1_SCENARIO = {
     "agents": [
@@ -158,6 +171,45 @@ def test_non_json_scenario_exits_1(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+def test_too_deeply_nested_scenario_exits_1(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code = main(["--scenario", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: scenario is not valid JSON: ")
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"agents": [{"id": "a", "arrive": 0, "leave": "1e999999999"}]},
+         "agents[0].leave"),
+        (dict(S1_SCENARIO, params={"u": "1e-999999999"}), "params.u"),
+        (dict(HIGHWAY_SCENARIO, params={"switch_cost": "1E+4301"}),
+         "params.switch_cost"),
+    ],
+)
+def test_huge_exponents_exit_1_without_hanging(tmp_path, doc, where):
+    # Fraction would build 10**|exponent|; in a subprocess, so a regression
+    # fails on the timeout instead of hanging the suite
+    env = dict(os.environ, PYTHONPATH=str(Path(socd.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "socd.cli", "--scenario", write_scenario(tmp_path, doc)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(f"error: {where}: not an exact number: ")
+
+
+def test_exponents_up_to_the_int_digit_limit_are_exact():
+    assert _exact("1e4300", "x") == 10**4300
+    assert _exact(" 1.5E-4300 ", "x") == Fraction(3, 2 * 10**4300)
+    assert _exact("1_0e1_0", "x") == 10**11
+    with pytest.raises(CliError, match="x: not an exact number"):
+        _exact("1e4301", "x")
+
+
 def test_unknown_mechanism_name(tmp_path, capsys):
     scenario = write_scenario(tmp_path, S1_SCENARIO)
     code = main(["--scenario", scenario, "--mechanism", "zz"])
@@ -171,7 +223,22 @@ def test_experiment_flags_rejected_for_games(tmp_path, capsys):
     assert main(["--scenario", scenario, "--seeds", "3"]) == 1
     _, err = capsys.readouterr()
     assert "--seeds only applies to experiments" in err
+    for seed in ("3", "-5"):
+        assert main(["--scenario", scenario, "--seed", seed]) == 1
+        assert capsys.readouterr() == (
+            "", "error: --seed only applies to experiments\n"
+        )
     assert main(["--scenario", scenario, "--config", "uniform"]) == 1
+
+
+@pytest.mark.parametrize("env", ["abc", "-5", "7"])
+def test_games_ignore_the_env_seed(tmp_path, capsys, monkeypatch, env):
+    scenario = write_scenario(tmp_path, S1_SCENARIO)
+    assert main(["--scenario", scenario, "--format", "json"]) == 0
+    unseeded = capsys.readouterr()
+    monkeypatch.setenv("SOCD_SEED", env)
+    assert main(["--scenario", scenario, "--format", "json"]) == 0
+    assert capsys.readouterr() == unseeded
 
 
 def test_exactly_one_mode_required(tmp_path, capsys):
@@ -238,6 +305,10 @@ def test_negative_seed_is_named(tmp_path, capsys, monkeypatch, experiment, sourc
 def test_nonpositive_seeds_rejected(tmp_path, capsys):
     scenario = write_scenario(tmp_path, HIGHWAY_SCENARIO)
     assert main(["--scenario", scenario, "--seeds", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: seeds must be at least 1\n")
+    scenario = write_scenario(tmp_path, dict(HIGHWAY_SCENARIO, seeds=-2))
+    assert main(["--scenario", scenario]) == 1
+    assert capsys.readouterr() == ("", "error: seeds must be at least 1\n")
 
 
 # --------------------------------------------------------------- experiments

@@ -25,25 +25,22 @@ import pytest
 
 from socd import (
     AgentSpec,
-    ConvoyState,
     GameParams,
     MechanismKind,
     SwitchKind,
-    convoy_switch_cost,
     eas_segments,
     efficiency,
     ex_post_share,
     game_duration,
     net_utilities,
     pt_run,
-    pt_segment_payment,
     rg_run,
     run_mechanism,
-    sg_adjust_shares,
     sg_run,
     validate_schedule,
 )
 from conftest import S1, random_stream
+from socd.mechanisms import _relieve
 
 GRID = 72  # lcm of n_seg * pool_size for up to 4 agents; see module docstring
 
@@ -389,18 +386,18 @@ def test_sg_dynamic_clamps_shares_at_zero():
 
 
 def test_sg_adjust_shares_unit_behavior(s1):
+    # sg-da's adjustment, `_relieve`, fed a2's ex-ante cut as (start, end, n_seg)
     a1, a2, a3 = s1
-    state = ConvoyState(
-        unfinished=[a1], remaining={"a1": F(6), "a2": F(9)},
-        led={"a1": F(4)}, rotations={},
-    )
-    updated = sg_adjust_shares(a2, state, eas_segments(a2, [a1, a2]))
-    assert updated["a1"] == F(3)  # cut by [4,10)/2 = 3; [10,16) pool is empty
-    assert updated["a2"] == F(9)  # newcomers never cut themselves
+    cuts = [(s.start, s.end, len(s.members)) for s in eas_segments(a2, [a1, a2])]
+    remaining = {"a1": F(6), "a2": F(9)}
+    _relieve(a2, [a1, a2], remaining, cuts)
+    assert remaining["a1"] == F(3)  # cut by [4,10)/2 = 3; [10,16) pool is empty
+    assert remaining["a2"] == F(9)  # newcomers never cut themselves
 
     # reductions clamp at zero rather than going negative
-    state = ConvoyState(unfinished=[a1], remaining={"a1": F(1), "a2": F(9)})
-    assert sg_adjust_shares(a2, state, eas_segments(a2, [a1, a2]))["a1"] == F(0)
+    remaining = {"a1": F(1), "a2": F(9)}
+    _relieve(a2, [a1, a2], remaining, cuts)
+    assert remaining["a1"] == F(0)
 
 
 def test_unequal_shares_when_an_agent_arrives_late():
@@ -422,20 +419,29 @@ def test_unequal_shares_when_an_agent_arrives_late():
 
 
 def test_convoy_switch_cost_cases():
-    p = GameParams(c=3)
-    assert convoy_switch_cost(SwitchKind.FRONT_JOIN, 7, p) == F(0)
-    assert convoy_switch_cost(SwitchKind.LEADER_LEAVE, 2, p) == F(0)
-    assert convoy_switch_cost(SwitchKind.ROTATION, 5, GameParams(c=2)) == F(10)
+    # rg: every arrival joins in front, each leaving leader hands back
+    out = rg_run([AgentSpec(f"a{k}", k, 100 - k) for k in range(7)], GameParams(c=3))
+    costs = {(ev.kind, ev.n_r): ev.cost for ev in out.schedule.switches}
+    assert costs[SwitchKind.FRONT_JOIN, 7] == F(0)
+    assert costs[SwitchKind.LEADER_LEAVE, 2] == F(0)
+    assert set(costs.values()) == {F(0)}
+
+    # sg: each exhausted leader rotates behind the other four, paying c * n_r
+    out = sg_run([AgentSpec(f"a{k}", k, 100 - k) for k in range(5)], GameParams(c=2))
+    rotations = [ev for ev in out.schedule.switches if ev.kind is SwitchKind.ROTATION]
+    assert [(ev.n_r, ev.cost) for ev in rotations] == [(5, F(10))] * 3
+    assert out.rotation_costs == {"a2": F(10), "a3": F(10), "a4": F(10)}
 
 
 def test_pt_segment_payment_cases():
-    from socd import Segment
+    # each follower pays the leader |seg| * u / n_seg per segment
+    out = pt_run([AgentSpec(x, -k, 10) for k, x in enumerate("abcd")])
+    paid = [(t.payer, t.amount) for t in out.ledger.transfers if t.segment.start == 0]
+    assert paid == [("c", F(5, 2)), ("b", F(5, 2)), ("a", F(5, 2))]  # [0, 10), n = 4
 
-    seg = Segment(F(0), F(10), frozenset({"a", "b", "c", "d"}))
-    assert pt_segment_payment(seg, GameParams()) == F(5, 2)
-
-    seg2 = Segment(F(0), F(6), frozenset({"a", "b", "c"}))
-    assert pt_segment_payment(seg2, GameParams(u=2)) == F(4)
+    out = pt_run([AgentSpec(x, -k, 6) for k, x in enumerate("abc")], GameParams(u=2))
+    paid = [(t.payer, t.amount) for t in out.ledger.transfers if t.segment.start == 0]
+    assert paid == [("b", F(4)), ("a", F(4))]  # [0, 6), n = 3
 
 
 def test_pt_single_agent_has_empty_ledger():

@@ -21,7 +21,6 @@ from socd import (
     SwitchKind,
     UnknownAgent,
     as_time,
-    assigned_share,
     availability_union,
     eas_segments,
     efficiency,
@@ -239,26 +238,6 @@ def test_ex_post_share_fixtures(s1):
     assert ex_post_share(a3, s1) == F(23, 3)  # 2/3 + 3 + 4
 
 
-def test_assigned_share_sums_period_lengths():
-    sched = Schedule(
-        periods=(
-            ActivePeriod("a", 0, 3),
-            ActivePeriod("b", 3, 7),
-            ActivePeriod("a", 7, 9),
-        ),
-        switches=(),
-    )
-    assert assigned_share(sched, "a") == F(5)
-    assert assigned_share(sched, "b") == F(4)
-    assert assigned_share(sched, "never-active") == F(0)
-
-
-def test_assigned_share_checks_roster_when_given(s1):
-    sched = Schedule(periods=(ActivePeriod("a1", 0, 4),), switches=())
-    with pytest.raises(UnknownAgent):
-        assigned_share(sched, "zz", s1)
-
-
 # --------------------------------------------------------------- efficiency
 
 RG_S1_PERIODS = (
@@ -447,7 +426,7 @@ def test_schedule_accounting_on_random_streams():
         assert validate_schedule(sched, stream) == []
 
         total = game_duration(stream)
-        assert sum(assigned_share(sched, a.id) for a in stream) == total
+        assert sum((p.length for p in sched.periods), F(0)) == total
 
         # agent-wise efficiency equals the segment-wise closed form
         params = GameParams(u=F(int(rng.integers(1, 4))))

@@ -1,8 +1,11 @@
-"""Static checks on the library source, from its syntax tree alone."""
+"""Static checks on the library source, from its syntax tree alone, and on
+the library functions the benchmark traces (read from `perfbench/bench.py`'s
+syntax tree, without importing it)."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -15,13 +18,18 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _exported(tree: ast.Module) -> set[str]:
+def _literal(tree: ast.Module, name: str, default: object = None) -> object:
+    """The literal value a module assigns to `name` at its top level."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
-            return set(ast.literal_eval(node.value))
-    return set()
+            return ast.literal_eval(node.value)
+    return default
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    return set(_literal(tree, "__all__", ()))
 
 
 def test_library_modules_found():
@@ -49,3 +57,16 @@ def test_every_import_is_used(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert unused == [], f"{path.name}: unused imports {unused}"
+
+
+def test_every_benchmark_span_resolves():
+    # the benchmark wraps each (module, attr) it traces, read here from its
+    # syntax tree; a renamed or deleted function would break every run
+    spans = _literal(_tree(SRC.parent.parent / "perfbench" / "bench.py"), "SPANS")
+    assert spans, "perfbench/bench.py defines no SPANS"
+    missing = [
+        (module, attr)
+        for _, module, attr in spans
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert missing == [], f"benchmark spans that no longer resolve: {missing}"

@@ -3,9 +3,10 @@
 * Every stream-taking mechanism, `net_utilities` and `efficiency` give the
   same results on a stream and on its sweep, and on a sweep they neither
   validate nor sweep again.
-* The one-pass `sg_adjust_shares` equals the per-segment oracle in
-  `adjust_oracle.py`, alone and inside whole sg-da runs.
-* The one-pass `efficiency` equals its definition via `assigned_share`.
+* The one-pass adjustment `mechanisms._relieve` equals the per-segment
+  oracle in `adjust_oracle.py`, alone and inside whole sg-da runs.
+* The one-pass `efficiency` equals its definition, each agent's lead time
+  summed over its periods.
 """
 
 from __future__ import annotations
@@ -19,21 +20,20 @@ from hypothesis import strategies as st
 import adjust_oracle as oracle
 import socd.mechanisms
 import socd.model
+from mechanism_oracle import ConvoyState
 from socd import (
     AgentSpec,
-    ConvoyState,
     GameParams,
     MechanismKind,
     Segment,
-    assigned_share,
     eas_segments,
     efficiency,
     net_utilities,
     run_mechanism,
-    sg_adjust_shares,
     sg_run,
     stream_shares,
 )
+from socd.mechanisms import _relieve
 from test_shares import HANDOVER, HOLE, LARGE_DENOMINATORS, SINGLE, streams
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
@@ -94,9 +94,12 @@ def test_a_sweep_is_neither_validated_nor_swept_again():
 def test_one_pass_efficiency_matches_its_definition(stream, params):
     for kind in MechanismKind:
         schedule = run_mechanism(kind, stream, params).schedule
+        led = [
+            sum((p.length for p in schedule.periods if p.agent == a.id), F(0))
+            for a in stream
+        ]
         gained = sum(
-            (params.u * (a.window - assigned_share(schedule, a.id)) for a in stream),
-            F(0),
+            (params.u * (a.window - lead) for a, lead in zip(stream, led)), F(0)
         )
         if params.charge_all_switches:
             cost = params.c * len(schedule.switches)
@@ -109,7 +112,7 @@ def test_one_pass_efficiency_matches_its_definition(stream, params):
 
 
 def _case(newcomer, unfinished, finished, remaining):
-    """(newcomer, state, ex-ante cut) as `sg_run` hands them over."""
+    """(newcomer, state, ex-ante cut) as the sg-da driver sees them."""
     members = sorted([*unfinished, newcomer], key=lambda m: (m.t_leave, m.t_arrive))
     state = ConvoyState(
         unfinished=members, finished=list(finished), remaining=dict(remaining)
@@ -147,6 +150,15 @@ def adjust_cases(draw):
     return _case(newcomer, unfinished, finished, remaining)
 
 
+def _relieved(newcomer, state, eas):
+    """`_relieve` run on a copy of `state.remaining`, each `Segment` of the
+    ex-ante cut handed over as its (start, end, n_seg)."""
+    remaining = dict(state.remaining)
+    cuts = [(seg.start, seg.end, len(seg.members)) for seg in eas]
+    _relieve(newcomer, state.unfinished, remaining, cuts)
+    return remaining
+
+
 @settings(max_examples=200, **SETTINGS)
 @given(adjust_cases())
 @example(CLAMPED_THEN_CUT)
@@ -154,35 +166,34 @@ def adjust_cases(draw):
 @example(ONLY_UNFINISHED)
 def test_one_pass_adjustment_matches_per_segment_oracle(case):
     newcomer, state, eas = case
-    before = dict(state.remaining)
-    assert sg_adjust_shares(newcomer, state, eas) == oracle.sg_adjust_shares(
+    assert _relieved(newcomer, state, eas) == oracle.sg_adjust_shares(
         newcomer, state, eas
     )
-    assert state.remaining == before  # the state itself is left alone
 
 
 def test_fixed_adjustment_examples_are_the_cases_they_name():
     newcomer, state, eas = CLAMPED_THEN_CUT
     assert [(s.start, s.end) for s in eas] == [(0, 4), (4, 8), (8, 10)]
     assert oracle.sg_adjust_shares(newcomer, state, eas[:1])["b"] == 0
-    assert sg_adjust_shares(newcomer, state, eas) == {
+    assert _relieved(newcomer, state, eas) == {
         "a": F(5) - F(2, 3), "b": F(0), "n": F(3)
     }
     newcomer, state, eas = POOL_EMPTIES
     assert all(m.t_leave <= eas[-1].start for m in state.unfinished if m != newcomer)
-    assert sg_adjust_shares(newcomer, state, eas) == {
+    assert _relieved(newcomer, state, eas) == {
         "a": F(0), "b": F(5) - F(2, 3) - F(2), "n": F(3)
     }
     newcomer, state, eas = ONLY_UNFINISHED
     assert state.unfinished == [newcomer]
-    assert sg_adjust_shares(newcomer, state, eas) == state.remaining
+    assert _relieved(newcomer, state, eas) == state.remaining
 
 
-def _relieve_by_oracle(newcomer, state, cuts):
+def _relieve_by_oracle(newcomer, queue, remaining, cuts):
     """The per-segment oracle fed `mechanisms._drive`'s (start, end, n_seg) cuts; it
     reads only each segment's bounds and member count."""
     eas = [Segment(s, e, frozenset(range(n_seg))) for s, e, n_seg in cuts]
-    state.remaining.update(oracle.sg_adjust_shares(newcomer, state, eas))
+    state = ConvoyState(unfinished=list(queue), remaining=remaining)
+    remaining.update(oracle.sg_adjust_shares(newcomer, state, eas))
 
 
 @settings(
