@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import re
 import sys
@@ -207,10 +208,20 @@ def _expect_keys(obj: Mapping[str, Any], allowed: Iterable[str], where: str) -> 
 
 
 # Fraction("1e999999999") would build 10**999999999, so exponents are
-# bounded by CPython's default int digit limit, which already refuses a
-# longer run of digits anywhere else in the string.
+# bounded first, by CPython's default int digit limit, which already refuses
+# a longer run of digits anywhere else in the string.  Then each value's
+# numerator and denominator must have at most _MAX_DIGITS digits, and a
+# game's denominators a common multiple of at most _MAX_COMMON_DIGITS: the
+# sums and products the outputs print (shares, payments, utilities,
+# efficiency) stay far under the 4300-digit limit on printing an int, an
+# experiment's switch cost and utilities convert to finite floats, and the
+# tick scale the core runs on stays bounded.
 _EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
 _MAX_EXPONENT = 4300
+_MAX_DIGITS = 100
+_MAX_VALUE = 10**_MAX_DIGITS
+_MAX_COMMON_DIGITS = 1000
+_MAX_COMMON = 10**_MAX_COMMON_DIGITS
 
 
 def _exact(value: Any, where: str) -> Fraction:
@@ -222,9 +233,14 @@ def _exact(value: Any, where: str) -> Fraction:
         exponent = isinstance(value, str) and _EXPONENT.search(value)
         if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
             raise ValueError(value)
-        return Fraction(value)
+        exact = Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError):
         raise CliError(f"{where}: not an exact number: {value!r}") from None
+    if max(abs(exact.numerator), exact.denominator) >= _MAX_VALUE:
+        raise CliError(
+            f"{where}: more than {_MAX_DIGITS} digits in the numerator or denominator"
+        )
+    return exact
 
 
 def _int(value: Any, where: str) -> int:
@@ -240,6 +256,17 @@ def _number(value: Any, where: str) -> float:
 
 
 def _parse_game_scenario(doc: Mapping[str, Any]) -> tuple[list[AgentSpec], GameParams]:
+    common = 1  # lcm of the denominators read so far
+
+    def exact(value: Any, where: str) -> Fraction:
+        nonlocal common
+        number = _exact(value, where)
+        common = math.lcm(common, number.denominator)
+        if common >= _MAX_COMMON:
+            raise CliError(f"{where}: the game's denominators together need more "
+                           f"than {_MAX_COMMON_DIGITS} digits")
+        return number
+
     _expect_keys(doc, ("agents", "params"), "scenario")
     raw_agents = doc.get("agents")
     if not isinstance(raw_agents, list) or not raw_agents:
@@ -257,8 +284,8 @@ def _parse_game_scenario(doc: Mapping[str, Any]) -> tuple[list[AgentSpec], GameP
             agents.append(
                 AgentSpec(
                     entry["id"],
-                    _exact(entry["arrive"], f"{where}.arrive"),
-                    _exact(entry["leave"], f"{where}.leave"),
+                    exact(entry["arrive"], f"{where}.arrive"),
+                    exact(entry["leave"], f"{where}.leave"),
                 )
             )
         except ValueError as exc:
@@ -270,9 +297,9 @@ def _parse_game_scenario(doc: Mapping[str, Any]) -> tuple[list[AgentSpec], GameP
     _expect_keys(raw_params, ("u", "c", "ca"), "params")
     try:
         params = GameParams(
-            u=_exact(raw_params.get("u", 1), "params.u"),
-            c=_exact(raw_params.get("c", 0), "params.c"),
-            ca=_exact(raw_params.get("ca", 0), "params.ca"),
+            u=exact(raw_params.get("u", 1), "params.u"),
+            c=exact(raw_params.get("c", 0), "params.c"),
+            ca=exact(raw_params.get("ca", 0), "params.ca"),
         )
     except ValueError as exc:
         raise CliError(f"params: {exc}") from None

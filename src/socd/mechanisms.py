@@ -17,17 +17,19 @@ arrival at one instant as one step with one switch; sg and sg-da take two.
 
 Mechanisms take an agent stream or its `StreamShares` sweep and produce a
 `MechanismOutcome`: schedule, share reports, any payment ledger and any
-rotation charges, all in exact arithmetic.
+rotation charges, all exact.  The loop, the claims, the payments and the
+net utilities run on the sweep's integer ticks; Fractions are built once,
+for the outcome.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import (
     ActivePeriod,
@@ -40,8 +42,8 @@ from .model import (
     StreamShares,
     SwitchEvent,
     SwitchKind,
-    Time,
     _ante_cut,
+    _div,
     stream_shares,
 )
 
@@ -87,6 +89,21 @@ class Ledger:
     net: Mapping[AgentId, Fraction]
 
 
+class _Run(NamedTuple):
+    """A mechanism's outcome in the ticks of its sweep (`model._Ticks`).
+
+    The lists are indexed by stream position.  `periods` holds (member,
+    start, stop), `led` each member's leading time and `rotated` the sum of
+    n_r over its rotations.  `paid` is the pt ledger's net, in units of
+    1/(scale * u.denominator), and None for the other mechanisms.
+    """
+
+    periods: list[tuple[int, int, int]]
+    led: list[int]
+    rotated: list[int]
+    paid: list[int] | None = None
+
+
 @dataclass(frozen=True)
 class MechanismOutcome:
     """What a mechanism produced: schedule, payments, rotation charges.
@@ -104,6 +121,7 @@ class MechanismOutcome:
     shares: StreamShares
     params: GameParams
     lead_shares: Mapping[AgentId, Fraction]
+    _run: _Run | None = field(default=None, repr=False, compare=False)
 
     def assigned(self) -> dict[AgentId, Fraction]:
         return dict(self.lead_shares)
@@ -127,15 +145,15 @@ class _Policy:
     """What sets one mechanism apart; `_drive` runs everything else.
 
     Arrivals join the queue in front (`newest_first`) or in
-    (t_leave, t_arrive) order.  A member rotates behind the queue once it
-    has led its `claim`; with no claim nobody rotates, and the departures
-    and the arrival at one instant are one step with one switch.  `adjust`
-    lets each arrival cut the unfinished members' claims.
+    (t_leave, t_arrive) order.  With `claims`, a member rotates behind the
+    queue once it has led its ex-ante share; without, nobody rotates, and
+    the departures and the arrival at one instant are one step with one
+    switch.  `adjust` lets each arrival cut the unfinished members' claims.
     """
 
     kind: MechanismKind
     newest_first: bool = False
-    claim: Callable[[AgentSpec], Fraction] | None = None
+    claims: bool = False
     adjust: bool = False
 
 
@@ -153,97 +171,106 @@ def _drive(
     n_r counting queued and finished members; other switches are free.  The
     next departure is a pointer into the stream sorted by departure: an
     agent that has not arrived yet is never next, because its arrival comes
-    first.
+    first.  Members are stream positions and times are ticks; the periods,
+    switches and shares become Fractions at the end.
     """
-    stream = shares.stream
+    stream, ticks = shares.stream, shares._ticks
+    arrive, leave, by_leave = ticks.arrive, ticks.leave, ticks.by_leave
     n = len(stream)
-    by_leave = sorted(stream, key=lambda a: a.t_leave)
-    queue: list[AgentSpec] = []  # unfinished members in the mechanism's order
-    finished: list[AgentSpec] = []  # members that rotated, in rotation order
-    remaining: dict[AgentId, Fraction] = {}  # leading time each member still owes
-    leaves: list[Time] = []  # the members' departures, ascending; kept for `adjust`
-    periods: list[ActivePeriod] = []
-    switches: list[SwitchEvent] = []
+    queue: list[int] = []  # unfinished members in the mechanism's order
+    finished: list[int] = []  # members that rotated, in rotation order
+    remaining = list(ticks.ex_ante)  # leading time each member still owes
+    leaves: list[int] = []  # the members' departures, ascending; kept for `adjust`
+    periods: list[tuple[int, int, int]] = []
+    switches: list[tuple[int, int, int, SwitchKind, int]] = []
     i = j = 0  # next arrival in `stream`, next departure in `by_leave`
-    t = start = stream[0].t_arrive  # last event, start of the open period
+    t = start = arrive[0]  # last event, start of the open period
 
     while j < n:
-        t_next, action = by_leave[j].t_leave, _DEPART
-        if i < n and stream[i].t_arrive < t_next:
-            t_next, action = stream[i].t_arrive, _ARRIVE
-        if policy.claim and queue:
-            front = queue[0].id
+        t_next, action = leave[by_leave[j]], _DEPART
+        if i < n and arrive[i] < t_next:
+            t_next, action = arrive[i], _ARRIVE
+        if policy.claims and queue:
+            front = queue[0]
             if t + remaining[front] < t_next:
                 t_next, action = t + remaining[front], _ROTATE
             remaining[front] -= t_next - t
             if remaining[front] < 0:
-                raise RuntimeError(f"leader {front!r} led past its remaining share")
+                raise RuntimeError(
+                    f"leader {stream[front].id!r} led past its remaining share"
+                )
 
         pre = queue[0] if queue else finished[0] if finished else None
         if action == _DEPART:
             first = j
-            while j < n and by_leave[j].t_leave == t_next:
+            while j < n and leave[by_leave[j]] == t_next:
                 j += 1
-            gone = {a.id for a in by_leave[first:j]}
-            queue[:] = [m for m in queue if m.id not in gone]
-            finished[:] = [m for m in finished if m.id not in gone]
+            gone = set(by_leave[first:j])
+            queue[:] = [m for m in queue if m not in gone]
+            finished[:] = [m for m in finished if m not in gone]
             del leaves[: j - first]  # the earliest departures; a no-op unless `adjust`
             # an emptied convoy re-forming at once is one handover either way
-            merge = policy.claim is None or not (queue or finished)
-            if merge and i < n and stream[i].t_arrive == t_next:
+            merge = not policy.claims or not (queue or finished)
+            if merge and i < n and arrive[i] == t_next:
                 action = _ARRIVE
         if action == _ARRIVE:
-            joined = stream[i]
+            joined = i
             i += 1
             if policy.newest_first:
                 queue.insert(0, joined)
-            else:
-                bisect.insort(queue, joined, key=lambda m: (m.t_leave, m.t_arrive))
-            if policy.claim:
-                remaining[joined.id] = policy.claim(joined)
+            else:  # by departure, then arrival
+                bisect.insort(queue, joined, key=lambda m: (leave[m], m))
             if policy.adjust:
-                bisect.insort(leaves, joined.t_leave)
-                cuts = _ante_cut(t_next, joined.t_leave, leaves)
-                _relieve(joined, queue, remaining,
+                bisect.insort(leaves, leave[joined])
+                cuts = _ante_cut(t_next, leave[joined], leaves)
+                _relieve(joined, queue, leave, remaining,
                          [(s, e, len(leaves) - k) for s, e, k in cuts])
         elif action == _ROTATE:
             rotator = queue.pop(0)
-            if remaining[rotator.id] != 0:
+            if remaining[rotator] != 0:
                 raise RuntimeError(
-                    f"{rotator.id!r} rotated with {remaining[rotator.id]} still to lead"
+                    f"{stream[rotator].id!r} rotated with "
+                    f"{Fraction(remaining[rotator], ticks.scale)} still to lead"
                 )
             finished.append(rotator)
 
         post = queue[0] if queue else finished[0] if finished else None
-        if post is not pre:
+        if post != pre:
             if pre is not None and t_next > start:
-                periods.append(ActivePeriod(pre.id, start, t_next))
+                periods.append((pre, start, t_next))
             if pre is not None and post is not None:
-                if pre.t_leave == t_next:
+                if leave[pre] == t_next:
                     kind = SwitchKind.LEADER_LEAVE
                 elif action == _ROTATE:
                     kind = SwitchKind.ROTATION
-                elif post.t_arrive == t_next:
+                elif arrive[post] == t_next:
                     kind = SwitchKind.FRONT_JOIN
                 else:
                     raise RuntimeError("leader changed without a matching event")
-                n_r = len(queue) + len(finished)
-                cost = params.c * n_r if kind is SwitchKind.ROTATION else Fraction(0)
-                switches.append(SwitchEvent(t_next, pre.id, post.id, kind, n_r, cost))
+                switches.append((t_next, pre, post, kind, len(queue) + len(finished)))
             start = t_next
         t = t_next
 
-    led = {a.id: Fraction(0) for a in stream}
-    for p in periods:
-        led[p.agent] += p.length
-    charged: dict[AgentId, Fraction] = {}  # each rotator pays for its rotations
-    for ev in switches:
-        if ev.kind is SwitchKind.ROTATION:
-            charged[ev.outgoing] = charged.get(ev.outgoing, Fraction(0)) + ev.cost
-    rotation_costs = {a.id: charged[a.id] for a in stream if a.id in charged}
-    schedule = Schedule(tuple(periods), tuple(switches))
+    ids, time = [a.id for a in stream], ticks.time
+    led, rotated = [0] * n, [0] * n
+    for k, begin, stop in periods:
+        led[k] += stop - begin
+    events = []
+    for at, out, into, kind, n_r in switches:
+        cost = 0
+        if kind is SwitchKind.ROTATION:  # each rotator pays for its rotations
+            rotated[out] += n_r
+            cost = params.c * n_r
+        events.append(SwitchEvent(time(at), ids[out], ids[into], kind, n_r, cost))
+    schedule = Schedule(
+        tuple(ActivePeriod(ids[k], time(b), time(e)) for k, b, e in periods),
+        tuple(events),
+    )
+    lead_shares = {ids[k]: Fraction(led[k], ticks.scale) for k in range(n)}
+    rotation_costs = {ids[k]: params.c * rotated[k] for k in range(n) if rotated[k]}
     return MechanismOutcome(
-        policy.kind, schedule, None, rotation_costs, shares, params, led
+        policy.kind, schedule, None, rotation_costs, shares, params, lead_shares,
+        _Run(periods, led, rotated),
     )
 
 
@@ -259,23 +286,28 @@ def pt_run(
     and switching is free.
     """
     shares = stream_shares(agents)
-    policy = _Policy(MechanismKind.PAYMENT_TRANSFER)
-    outcome = _drive(shares, params, policy)
-    by_id = {a.id: a for a in shares.stream}
+    outcome = _drive(shares, params, _Policy(MechanismKind.PAYMENT_TRANSFER))
+    stream, ticks, run = shares.stream, shares._ticks, outcome._run
+    position = {a.id: k for k, a in enumerate(stream)}
+    u, money = params.u.numerator, ticks.scale * params.u.denominator
+    paid = [0] * len(stream)  # in units of 1/money
     transfers: list[Transfer] = []
-    net = {a.id: Fraction(0) for a in shares.stream}
-    periods = iter(outcome.schedule.periods)
-    period = next(periods)
-    for seg in shares.segments:
-        while period.stop <= seg.start:  # the leader changes only at a segment start
-            period = next(periods)
-        leader = period.agent
-        pay = seg.length * params.u / len(seg.members)
-        for fid in sorted(seg.members - {leader}, key=lambda i: by_id[i].t_arrive):
-            transfers.append(Transfer(seg, fid, leader, pay))
-            net[fid] -= pay
-            net[leader] += pay
-    return replace(outcome, ledger=Ledger(tuple(transfers), net))
+    periods = iter(run.periods)
+    leader, _, stop = next(periods)
+    for seg, (begin, end) in zip(shares.segments, ticks.bounds):
+        while stop <= begin:  # the leader changes only at a segment start
+            leader, _, stop = next(periods)
+        pay = _div((end - begin) * u, len(seg.members))
+        amount, payee = Fraction(pay, money), stream[leader].id
+        for k in sorted(position[m] for m in seg.members):  # in arrival order
+            if k != leader:
+                transfers.append(Transfer(seg, stream[k].id, payee, amount))
+                paid[k] -= pay
+                paid[leader] += pay
+    net = {a.id: Fraction(paid[k], money) for k, a in enumerate(stream)}
+    return replace(
+        outcome, ledger=Ledger(tuple(transfers), net), _run=run._replace(paid=paid)
+    )
 
 
 def rg_run(
@@ -293,16 +325,21 @@ def rg_run(
 
 
 def _relieve(
-    newcomer: AgentSpec,
-    queue: Sequence[AgentSpec],
-    remaining: dict[AgentId, Fraction],
-    cuts: Sequence[tuple[Time, Time, int]],
+    newcomer: int,
+    queue: Sequence[int],
+    leave: Sequence[int],
+    remaining: list[int],
+    cuts: Sequence[tuple[int, int, int]],
 ) -> None:
     """Dynamic adjustment: cut the unfinished members' `remaining` in place.
 
-    The share the newcomer absorbs in each (start, end, n_seg) cut of its
-    ex-ante decomposition, (end - start) / n_seg, is split evenly among the
-    other `queue` members still available after `start`, clamped at zero.
+    Members are stream positions, `leave` their departures and `remaining`
+    their claims, all in ticks.  The share the newcomer absorbs in each
+    (start, end, n_seg) cut of its ex-ante decomposition,
+    (end - start) / n_seg, is split evenly among the other `queue` members
+    still available after `start`, clamped at zero.  The tick scale makes
+    each split a whole number of ticks: n_seg and the pool size are both at
+    most the peak number present.
 
     Clamps compose (max(0, max(0, x - a) - b) = max(0, x - a - b) for
     a, b >= 0), so each member is cut once by the sum of its pools' cuts.
@@ -310,57 +347,52 @@ def _relieve(
     it: the cut is added where that suffix starts and summed in one walk,
     O(segments + pool) instead of O(segments * pool).
     """
-    pool = [m for m in queue if m.id != newcomer.id]
-    leaves = [m.t_leave for m in pool]
-    steps = [Fraction(0)] * len(pool)  # cut that starts at each pool index
+    pool = [m for m in queue if m != newcomer]
+    leaves = [leave[m] for m in pool]
+    steps = [0] * len(pool)  # cut that starts at each pool index
     for start, end, n_seg in cuts:
         first = bisect.bisect_right(leaves, start)  # leaves after `start`
         if first < len(pool):
-            steps[first] += (end - start) / n_seg / (len(pool) - first)
-    cut = Fraction(0)
+            steps[first] += _div(end - start, n_seg * (len(pool) - first))
+    cut = 0
     for m, step in zip(pool, steps):
         cut += step
         if cut:
-            remaining[m.id] = max(Fraction(0), remaining[m.id] - cut)
+            remaining[m] = max(0, remaining[m] - cut)
 
 
 def sg_run(
     agents: Iterable[AgentSpec] | StreamShares,
     params: GameParams = GameParams(),
     dynamic_adjust: bool = False,
-    include_switch_allowance: bool = False,
 ) -> MechanismOutcome:
     """Single-game load balancing, optionally with dynamic adjustment.
 
-    Each arrival is allocated a remaining leading share equal to its
-    ex-ante proportional segment sum over the agents present (plus c/u when
-    `include_switch_allowance` is set).  Unfinished members ride in front of
-    finished ones, ordered by departure time, and the front agent leads
-    until it departs, until a sooner-departing agent arrives in front of it,
-    or until its remaining share reaches zero, at which point it rotates to
-    the back and pays c * n_r.  With `dynamic_adjust`, every arrival also
-    cuts the unfinished members' remaining shares (`_relieve`).  Departures,
-    an arrival and a rotation at one instant are three steps in that order,
-    so leaving agents never pay and an arrival in front of an exhausted
-    leader pre-empts its rotation.
+    Each arrival claims a remaining leading share equal to its ex-ante
+    proportional segment sum over the agents present, which are exactly
+    those available then, so the claim is the sweep's ex-ante sum.
+    Unfinished members ride in front of finished ones, ordered by departure
+    time, and the front agent leads until it departs, until a
+    sooner-departing agent arrives in front of it, or until its remaining
+    share reaches zero, at which point it rotates to the back and pays
+    c * n_r.  With `dynamic_adjust`, every arrival also cuts the unfinished
+    members' remaining shares (`_relieve`).  Departures, an arrival and a
+    rotation at one instant are three steps in that order, so leaving
+    agents never pay and an arrival in front of an exhausted leader
+    pre-empts its rotation.
     """
-    shares = stream_shares(agents)
-    allowance = params.c / params.u if include_switch_allowance else Fraction(0)
-    # the agents present at an arrival are exactly those available then, so
-    # the claim is the sweep's ex-ante segment sum
     policy = _Policy(
         MechanismKind("sg-da" if dynamic_adjust else "sg"),
-        claim=lambda a: shares.ex_ante[a.id] + allowance,
+        claims=True,
         adjust=dynamic_adjust,
     )
-    return _drive(shares, params, policy)
+    return _drive(stream_shares(agents), params, policy)
 
 
 def run_mechanism(
     kind: MechanismKind | str,
     agents: Iterable[AgentSpec] | StreamShares,
     params: GameParams = GameParams(),
-    include_switch_allowance: bool = False,
 ) -> MechanismOutcome:
     """Dispatch by mechanism kind (accepts the CLI spellings)."""
     kind = MechanismKind(kind)
@@ -368,12 +400,7 @@ def run_mechanism(
         return pt_run(agents, params)
     if kind is MechanismKind.REPEATED_GAME:
         return rg_run(agents, params)
-    return sg_run(
-        agents,
-        params,
-        dynamic_adjust=kind.dynamic_adjust,
-        include_switch_allowance=include_switch_allowance,
-    )
+    return sg_run(agents, params, dynamic_adjust=kind.dynamic_adjust)
 
 
 def net_utilities(
@@ -382,13 +409,28 @@ def net_utilities(
     params: GameParams,
 ) -> dict[AgentId, Fraction]:
     """Per-agent net utility: u per unit of availability not spent leading,
-    plus net transfers received, minus rotation charges paid."""
-    assigned = outcome.assigned()
-    net: dict[AgentId, Fraction] = {}
-    for a in stream_shares(agents).stream:
-        value = params.u * (a.window - assigned[a.id])
-        if outcome.ledger is not None:
-            value += outcome.ledger.net.get(a.id, Fraction(0))
-        value -= outcome.rotation_costs.get(a.id, Fraction(0))
-        net[a.id] = value
-    return net
+    plus net transfers received, minus rotation charges paid.
+
+    `agents` is the stream the outcome ran on, or its sweep.  Each utility
+    is summed in integers over one common denominator: the tick scale
+    times the denominators of u, of the ledger's u and of c.
+    """
+    stream = stream_shares(agents).stream
+    if stream != outcome.shares.stream:
+        raise ValueError("net utilities need the stream the outcome ran on")
+    ticks, run = outcome.shares._ticks, outcome._run
+    u, pay, c = params.u, outcome.params.u.denominator, outcome.params.c
+    den = ticks.scale * u.denominator * pay * c.denominator
+    lead_w = u.numerator * pay * c.denominator  # per tick not spent leading
+    paid_w = u.denominator * c.denominator  # per ledger unit
+    rotated_w = c.numerator * ticks.scale * u.denominator * pay  # per unit of n_r
+    paid = [0] * len(stream) if run.paid is None else run.paid
+    return {
+        a.id: Fraction(
+            lead_w * (ticks.leave[k] - ticks.arrive[k] - run.led[k])
+            + paid_w * paid[k]
+            - rotated_w * run.rotated[k],
+            den,
+        )
+        for k, a in enumerate(stream)
+    }

@@ -7,21 +7,25 @@ the segment decompositions behind ex-ante and ex-post proportional shares
 (all of them read off one event sweep per stream, `stream_shares`), and the
 schedule validity and efficiency accounting shared by every mechanism.
 
-Times and shares are exact `fractions.Fraction` values throughout; floats
-belong to the metrics and reporting layers.  All intervals are half-open
-``[start, end)`` so adjacent segments and active periods tile without
-overlap.  When a departure and an arrival coincide, the departure is
-processed first.
+Every public time and share is an exact `fractions.Fraction`; floats
+belong to the metrics and reporting layers.  Inside, the sweep and the
+mechanisms run on integer ticks: `stream_shares` picks one tick scale per
+stream under which every time and every division the core makes is a
+whole number of ticks, and Fractions are built once, at the outputs.  All
+intervals are half-open ``[start, end)`` so adjacent segments and active
+periods tile without overlap.  When a departure and an arrival coincide,
+the departure is processed first.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import pairwise
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 __all__ = [
     "AgentId",
@@ -66,6 +70,8 @@ def as_time(value: int | str | Fraction) -> Fraction:
     rejected: their binary value is rarely the decimal the caller meant, and
     the model is exact by contract.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError(
             f"times must be exact (int, str or Fraction), not {type(value).__name__}"
@@ -254,6 +260,39 @@ class ShareReport:
     ex_post: Fraction
 
 
+class _Ticks(NamedTuple):
+    """A stream's instants and segment sums as whole numbers of ticks.
+
+    A tick is 1/`scale` of a time unit.  The lists are indexed by position
+    in the stream (arrival order) and are never mutated.  `by_leave` lists
+    those positions by departure, ties in arrival order; `bounds` holds each
+    realized segment's (start, end); `instants` maps every arrival and
+    departure tick back to the stream's own Fraction.
+    """
+
+    scale: int
+    arrive: list[int]
+    leave: list[int]
+    by_leave: list[int]
+    ex_ante: list[int]
+    ex_post: list[int]
+    bounds: list[tuple[int, int]]
+    instants: dict[int, Fraction]
+
+    def time(self, tick: int) -> Fraction:
+        """The exact time at `tick`."""
+        known = self.instants.get(tick)
+        return Fraction(tick, self.scale) if known is None else known
+
+
+def _div(numerator: int, divisor: int) -> int:
+    """numerator / divisor, which the tick scale makes a whole number."""
+    quotient, rest = divmod(numerator, divisor)
+    if rest:
+        raise RuntimeError(f"a division by {divisor} left a fraction of a tick")
+    return quotient
+
+
 @dataclass(frozen=True)
 class StreamShares:
     """Everything one event sweep reads off a stream (see `stream_shares`).
@@ -261,13 +300,15 @@ class StreamShares:
     `stream` is the validated stream in arrival order and `segments` its
     realized segmentation.  `ex_ante` and `ex_post` map every agent to its
     proportional segment sum, the sum of |seg|/n_seg over its ex-ante or
-    ex-post segments, without the c/u allowance.
+    ex-post segments, without the c/u allowance.  The sweep's integer view,
+    which the mechanisms run on, rides along privately.
     """
 
     stream: tuple[AgentSpec, ...]
     segments: tuple[Segment, ...]
     ex_ante: Mapping[AgentId, Fraction]
     ex_post: Mapping[AgentId, Fraction]
+    _ticks: _Ticks | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -346,7 +387,8 @@ def _ante_cut(
     ascending order; all lie after `start` and one of them is `end`.  Each
     known departure inside the window cuts, so this yields (s, e, i) per
     segment, whose members are the present agents at positions i: of
-    `leaves` (those leaving at e or later).
+    `leaves` (those leaving at e or later).  Times may be Fractions or the
+    sweep's integer ticks.
     """
     i = 0
     while leaves[i] < end:
@@ -367,49 +409,78 @@ def stream_shares(agents: Iterable[AgentSpec] | StreamShares) -> StreamShares:
     cum(t_leave) - cum(t_arrive).  The departures of the present agents are
     kept sorted, so each ex-ante sum is one walk over them at the arrival.
 
+    The sweep runs on integer ticks.  The scale is the lcm of the stream's
+    time denominators times lcm(1..N)**2, N the peak number of agents
+    present: every segment length is then divisible by any member count
+    (the shares) and by any product of two of them (sg-da's cuts, see
+    `mechanisms._relieve`).
+
     A `StreamShares` is returned as it is, neither re-validated nor swept
-    again.  Every function that takes an agent stream resolves it through
-    here, so a caller that sweeps once can pass the sweep everywhere.
+    again; one built by hand, without the tick view, is swept again from
+    its stream.  Every function that takes an agent stream resolves it
+    through here, so a caller that sweeps once can pass the sweep everywhere.
     """
     if isinstance(agents, StreamShares):
-        return agents
+        if agents._ticks is not None:
+            return agents
+        agents = agents.stream
     stream = validate_stream(agents)
-    by_leave = sorted(stream, key=lambda a: a.t_leave)
-    times = sorted({t for a in stream for t in (a.t_arrive, a.t_leave)})
+    n = len(stream)
+    base = math.lcm(*(t.denominator for a in stream for t in (a.t_arrive, a.t_leave)))
+    arrive = [a.t_arrive.numerator * _div(base, a.t_arrive.denominator) for a in stream]
+    leave = [a.t_leave.numerator * _div(base, a.t_leave.denominator) for a in stream]
+    by_leave = sorted(range(n), key=leave.__getitem__)
+    peak = gone = 0
+    for k, t in enumerate(arrive):  # departures go first at equal instants
+        while leave[by_leave[gone]] <= t:
+            gone += 1
+        peak = max(peak, k + 1 - gone)
+    wide = math.lcm(*range(1, peak + 1)) ** 2
+    scale = base * wide
+    arrive = [t * wide for t in arrive]
+    leave = [t * wide for t in leave]
+    instants: dict[int, Fraction] = {}
+    for a, t_arrive, t_leave in zip(stream, arrive, leave):
+        instants[t_arrive] = a.t_arrive
+        instants[t_leave] = a.t_leave
 
     present: set[AgentId] = set()
-    leaves: list[Time] = []  # departures of the present agents, ascending
+    leaves: list[int] = []  # departures of the present agents, ascending
     segments: list[Segment] = []
+    bounds: list[tuple[int, int]] = []
+    ante, post = [0] * n, [0] * n
     ex_ante: dict[AgentId, Fraction] = {}
     ex_post: dict[AgentId, Fraction] = {}
-    cum = Fraction(0)  # sum of |seg|/n_seg over the segments ended so far
-    cum_at_arrival: dict[AgentId, Fraction] = {}
+    cum = 0  # sum of |seg|/n_seg over the segments ended so far
+    cum_at_arrival = [0] * n
     arriving = departing = 0  # next indices into stream and by_leave
-    prev: Time | None = None
-    for t in times:
+    prev = 0
+    for t in sorted(instants):
         if present:
-            segments.append(Segment(prev, t, frozenset(present)))
-            cum += (t - prev) / len(present)
+            segments.append(Segment(instants[prev], instants[t], frozenset(present)))
+            bounds.append((prev, t))
+            cum += _div(t - prev, len(present))
         gone = departing
-        while departing < len(by_leave) and by_leave[departing].t_leave == t:
-            a = by_leave[departing]
-            present.remove(a.id)
-            ex_post[a.id] = cum - cum_at_arrival[a.id]
+        while departing < n and leave[by_leave[departing]] == t:
+            k = by_leave[departing]
+            present.remove(stream[k].id)
+            post[k] = cum - cum_at_arrival[k]
+            ex_post[stream[k].id] = Fraction(post[k], scale)
             departing += 1
         del leaves[: departing - gone]  # they are the earliest departures
-        if arriving < len(stream) and stream[arriving].t_arrive == t:
-            a = stream[arriving]
-            present.add(a.id)
-            cum_at_arrival[a.id] = cum
-            bisect.insort(leaves, a.t_leave)
-            n = len(leaves)
-            ex_ante[a.id] = sum(
-                ((e - s) / (n - i) for s, e, i in _ante_cut(t, a.t_leave, leaves)),
-                Fraction(0),
-            )
+        if arriving < n and arrive[arriving] == t:
+            k = arriving
+            present.add(stream[k].id)
+            cum_at_arrival[k] = cum
+            bisect.insort(leaves, leave[k])
+            m = len(leaves)
+            cuts = _ante_cut(t, leave[k], leaves)
+            ante[k] = sum(_div(e - s, m - i) for s, e, i in cuts)
+            ex_ante[stream[k].id] = Fraction(ante[k], scale)
             arriving += 1
         prev = t
-    return StreamShares(tuple(stream), tuple(segments), ex_ante, ex_post)
+    ticks = _Ticks(scale, arrive, leave, by_leave, ante, post, bounds, instants)
+    return StreamShares(tuple(stream), tuple(segments), ex_ante, ex_post, ticks)
 
 
 def stream_segments(agents: Sequence[AgentSpec]) -> list[Segment]:

@@ -243,19 +243,21 @@ def highway_experiment(
                 params.configuration, rng, params.agents_per_convoy, params.n_stations
             )
         )
-        stream, epps = shares.stream, shares.ex_post
+        # floats straight from the ticks: int / int is correctly rounded, so
+        # each equals float() of the exact Fraction
+        scale, epps = shares._ticks.scale, shares._ticks.ex_post
         for kind in kinds:
             outcome = run_mechanism(kind, shares, game_params)
             nets = net_utilities(outcome, shares, game_params)
-            assigned = outcome.assigned()
-            for a in stream:
+            led = outcome._run.led
+            for k, a in enumerate(shares.stream):
                 records.append(
                     ParticipationRecord(
                         agent=a.id,
                         convoy=ci,
-                        actual_lead=float(assigned[a.id]),
-                        epps=float(epps[a.id]),
-                        ratio=float(assigned[a.id] / epps[a.id]),
+                        actual_lead=led[k] / scale,
+                        epps=epps[k] / scale,
+                        ratio=led[k] / epps[k],
                         mechanism=kind.value,
                         rotations=1 if a.id in outcome.rotation_costs else 0,
                         net_utility=float(nets[a.id]),

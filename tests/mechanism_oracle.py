@@ -219,19 +219,17 @@ def sg_run(
     agents: Iterable[AgentSpec] | StreamShares,
     params: GameParams = GameParams(),
     dynamic_adjust: bool = False,
-    include_switch_allowance: bool = False,
 ) -> MechanismOutcome:
     """Single-game load balancing, optionally with dynamic adjustment.
 
     Each arrival is allocated a remaining leading share equal to its
-    ex-ante proportional segment sum over the agents present (plus c/u when
-    `include_switch_allowance` is set).  Unfinished members ride in front of
-    finished ones, ordered by departure time, and the front agent leads
-    until it departs, until a sooner-departing agent arrives in front of it,
-    or until its remaining share reaches zero, at which point it rotates to
-    the back and pays c * n_r.  With `dynamic_adjust`, every arrival also
-    reduces the unfinished members' remaining shares via the per-segment
-    `sg_adjust_shares`.
+    ex-ante proportional segment sum over the agents present.  Unfinished
+    members ride in front of finished ones, ordered by departure time, and
+    the front agent leads until it departs, until a sooner-departing agent
+    arrives in front of it, or until its remaining share reaches zero, at
+    which point it rotates to the back and pays c * n_r.  With
+    `dynamic_adjust`, every arrival also reduces the unfinished members'
+    remaining shares via the per-segment `sg_adjust_shares`.
 
     At one instant, departures are processed first, then the arrival, then
     any rotation, so leaving agents never pay and an arrival in front of an
@@ -297,10 +295,7 @@ def sg_run(
             i += 1
             # the agents present now are exactly those available at the
             # arrival, so the claim is the sweep's ex-ante segment sum
-            share = shares.ex_ante[a.id]
-            if include_switch_allowance:
-                share += params.c / params.u
-            remaining[a.id] = share
+            remaining[a.id] = shares.ex_ante[a.id]
             bisect.insort(unfinished, a, key=lambda m: (m.t_leave, m.t_arrive))
             if dynamic_adjust:
                 eas = eas_segments(a, unfinished + finished)
@@ -373,16 +368,10 @@ def run_mechanism(
     kind: MechanismKind | str,
     agents: Iterable[AgentSpec] | StreamShares,
     params: GameParams = GameParams(),
-    include_switch_allowance: bool = False,
 ) -> MechanismOutcome:
     kind = MechanismKind(kind)
     if kind is MechanismKind.PAYMENT_TRANSFER:
         return pt_run(agents, params)
     if kind is MechanismKind.REPEATED_GAME:
         return rg_run(agents, params)
-    return sg_run(
-        agents,
-        params,
-        dynamic_adjust=kind.dynamic_adjust,
-        include_switch_allowance=include_switch_allowance,
-    )
+    return sg_run(agents, params, dynamic_adjust=kind.dynamic_adjust)

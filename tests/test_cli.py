@@ -202,12 +202,54 @@ def test_huge_exponents_exit_1_without_hanging(tmp_path, doc, where):
     assert proc.stderr.startswith(f"error: {where}: not an exact number: ")
 
 
-def test_exponents_up_to_the_int_digit_limit_are_exact():
-    assert _exact("1e4300", "x") == 10**4300
-    assert _exact(" 1.5E-4300 ", "x") == Fraction(3, 2 * 10**4300)
+def test_values_within_the_digit_bound_are_exact():
+    assert _exact("1e99", "x") == 10**99
+    assert _exact(" 1.5E-99 ", "x") == Fraction(3, 2 * 10**99)
     assert _exact("1_0e1_0", "x") == 10**11
     with pytest.raises(CliError, match="x: not an exact number"):
         _exact("1e4301", "x")
+    for value in ("1e100", "-1e100", "1e-100", "1/" + "7" * 101, 10**100, "1e4300"):
+        with pytest.raises(CliError, match="x: more than 100 digits"):
+            _exact(value, "x")
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        (dict(HIGHWAY_SCENARIO, params={"switch_cost": "1e4300"}),
+         "params.switch_cost"),
+        ({"agents": [{"id": "a", "arrive": 0, "leave": "1e4300"}]},
+         "agents[0].leave"),
+    ],
+)
+def test_huge_values_exit_1_naming_the_field(tmp_path, doc, where):
+    # both used to crash after parsing: a float overflow in the highway's
+    # utilities, an unprintable 4301-digit int in the game's artifacts; in a
+    # subprocess, so a regression fails on the timeout instead of hanging
+    env = dict(os.environ, PYTHONPATH=str(Path(socd.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "socd.cli", "--scenario", write_scenario(tmp_path, doc),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(f"error: {where}: more than 100 digits")
+    assert "Traceback" not in proc.stderr
+
+
+def test_game_denominators_are_bounded_together(tmp_path, capsys):
+    # pairwise coprime denominators of 98 or 99 digits: every value is in
+    # bound, but their common multiple passes 1000 digits at the 11th
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    denominators = [b ** int(99 / math.log10(b)) for b in bases]
+    assert all(10**97 < d < 10**99 for d in denominators)
+    doc = {"agents": [{"id": f"a{k}", "arrive": k, "leave": f"{(k + 1) * d + 1}/{d}"}
+                      for k, d in enumerate(denominators)]}
+    code = main(["--scenario", write_scenario(tmp_path, doc)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == (f"error: agents[{len(bases) - 1}].leave: the game's denominators "
+                   "together need more than 1000 digits\n")
 
 
 def test_unknown_mechanism_name(tmp_path, capsys):

@@ -57,19 +57,19 @@ def rotators(outcome):
 
 
 @settings(max_examples=100, **SETTINGS)
-@given(streams(), params_st, st.booleans())
-@example(HANDOVER, GameParams(c=1), False)
-@example(FRONT_AT_HANDOVER, GameParams(c=1), False)
-@example(HOLE, GameParams(c=1), True)
-@example(REFORM, GameParams(), False)
-@example(ROTATION_AT_ARRIVAL, GameParams(c=1), False)
-@example(SINGLE, GameParams(c=1), True)
-@example(LARGE_DENOMINATORS, GameParams(u=2, c=1), True)
-def test_event_loop_matches_the_per_mechanism_loops(stream, params, allowance):
+@given(streams(), params_st)
+@example(HANDOVER, GameParams(c=1))
+@example(FRONT_AT_HANDOVER, GameParams(c=1))
+@example(HOLE, GameParams(c=1))
+@example(REFORM, GameParams())
+@example(ROTATION_AT_ARRIVAL, GameParams(c=1))
+@example(SINGLE, GameParams(c=1))
+@example(LARGE_DENOMINATORS, GameParams(u=2, c=1))
+def test_event_loop_matches_the_per_mechanism_loops(stream, params):
     sweep = stream_shares(stream)
     for kind in MechanismKind:
-        new = run_mechanism(kind, sweep, params, allowance)
-        old = oracle.run_mechanism(kind, sweep, params, allowance)
+        new = run_mechanism(kind, sweep, params)
+        old = oracle.run_mechanism(kind, sweep, params)
         assert new.schedule.periods == old.schedule.periods, kind
         assert new.schedule.switches == old.schedule.switches, kind
         assert new.ledger == old.ledger, kind
@@ -124,19 +124,17 @@ def long_stream(n: int, seed: int) -> list[AgentSpec]:
 @given(
     st.builds(long_stream, st.integers(1, 500), st.integers(0, 2**32 - 1)),
     params_st,
-    st.booleans(),
 )
-@example(long_stream(500, 0), GameParams(c=1), True)
-def test_mechanism_properties_at_large_n(stream, params, allowance):
+@example(long_stream(500, 0), GameParams(c=1))
+def test_mechanism_properties_at_large_n(stream, params):
     sweep = stream_shares(stream)
     for kind in MechanismKind:
-        out = run_mechanism(kind, sweep, params, allowance)
+        out = run_mechanism(kind, sweep, params)
         assert validate_schedule(out.schedule, stream) == [], kind
         led = out.lead_shares
         if kind in (MechanismKind.SINGLE_GAME, MechanismKind.SINGLE_GAME_DYNAMIC):
             assert len(rotators(out)) == len(set(rotators(out))), "rotated twice"
-            extra = params.c / params.u if allowance else 0
-            assert all(led[a.id] <= sweep.ex_ante[a.id] + extra for a in stream)
+            assert all(led[a.id] <= sweep.ex_ante[a.id] for a in stream)
         else:
             assert rotators(out) == [] and out.rotation_costs == {}
     pt = run_mechanism(MechanismKind.PAYMENT_TRANSFER, sweep, params)

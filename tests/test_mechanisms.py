@@ -40,7 +40,7 @@ from socd import (
     validate_schedule,
 )
 from conftest import S1, random_stream
-from socd.mechanisms import _relieve
+from tick_adapter import relieve as _relieve
 
 GRID = 72  # lcm of n_seg * pool_size for up to 4 agents; see module docstring
 
@@ -86,7 +86,7 @@ def pt_oracle(stream, params):
     return led, net
 
 
-def sg_oracle(stream, dynamic_adjust=False, allowance_units=0):
+def sg_oracle(stream, dynamic_adjust=False):
     """Single-game shares replayed step by step on the 1/72 grid.
 
     Works entirely in integer multiples of 1/72.  Each member is a
@@ -136,7 +136,7 @@ def sg_oracle(stream, dynamic_adjust=False, allowance_units=0):
             for s, e in pairwise(bounds):
                 n_seg = sum(1 for m in present if m[0] >= e)
                 segs.append((s, e, n_seg))
-            rm[id_n] = sum(exact_div(e - s, n) for s, e, n in segs) + allowance_units
+            rm[id_n] = sum(exact_div(e - s, n) for s, e, n in segs)
             if dynamic_adjust:
                 for s, e, n in segs:
                     pool = [m for m in unfinished if m[0] > s]
@@ -464,22 +464,6 @@ def test_run_mechanism_accepts_cli_spellings(s1):
         run_mechanism("nope", s1)
 
 
-def test_sg_allowance_flag_extends_allocations(s1):
-    # with c=2 the allocation gains c/u; a1 now exhausts 10+2 only after
-    # its window, so nothing changes except the booked allocation
-    params = GameParams(c=2)
-    plain = sg_run(s1, params)
-    padded = sg_run(s1, params, include_switch_allowance=True)
-    assert plain.assigned() == padded.assigned()
-
-    # but a front agent that would rotate now leads c/u longer
-    stream = [AgentSpec("a", 0, 10), AgentSpec("b", 1, 4)]
-    plain = sg_run(stream, GameParams(c=F(1, 2)))
-    padded = sg_run(stream, GameParams(c=F(1, 2)), include_switch_allowance=True)
-    assert plain.assigned()["b"] == F(3, 2)
-    assert padded.assigned()["b"] == F(2)
-
-
 # ------------------------------------------------- engine-vs-oracle sweeps
 
 
@@ -497,24 +481,6 @@ def test_sg_engine_matches_grid_oracle():
         engine_log = [(s.time, s.outgoing, s.n_r) for s in rotation_events(out)]
         assert engine_log == [(t, who, n) for t, who, n in log]
         assert validate_schedule(out.schedule, stream) == []
-
-
-def test_sg_engine_matches_grid_oracle_with_switch_allowance():
-    rng = np.random.default_rng(42)
-    params = GameParams(c=1)
-    for _ in range(25):
-        stream = random_stream(
-            rng, n_agents=int(rng.integers(2, 5)), integer_times=True, horizon=12
-        )
-        out = sg_run(stream, params, include_switch_allowance=True)
-        led, rotations, log = sg_oracle(stream, allowance_units=GRID)
-
-        assert out.assigned() == led
-        # every counted rotation charges c * convoy size to the rotator
-        charged = {}
-        for t, who, n in log:
-            charged[who] = charged.get(who, F(0)) + params.c * n
-        assert {k: v for k, v in out.rotation_costs.items() if v} == charged
 
 
 def test_rg_engine_matches_interval_oracle():

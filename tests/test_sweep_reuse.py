@@ -33,8 +33,9 @@ from socd import (
     sg_run,
     stream_shares,
 )
-from socd.mechanisms import _relieve
 from test_shares import HANDOVER, HOLE, LARGE_DENOMINATORS, SINGLE, streams
+from tick_adapter import on_ticks
+from tick_adapter import relieve as _relieve
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
 params_st = st.builds(
@@ -49,16 +50,16 @@ params_st = st.builds(
 
 
 @settings(max_examples=80, **SETTINGS)
-@given(streams(), params_st, st.booleans())
-@example(HOLE, GameParams(c=1), False)
-@example(HANDOVER, GameParams(c=F(1, 2)), True)
-@example(SINGLE, GameParams(), False)
-@example(LARGE_DENOMINATORS, GameParams(u=2, c=1), True)
-def test_mechanisms_read_a_sweep_like_the_stream(stream, params, allowance):
+@given(streams(), params_st)
+@example(HOLE, GameParams(c=1))
+@example(HANDOVER, GameParams(c=F(1, 2)))
+@example(SINGLE, GameParams())
+@example(LARGE_DENOMINATORS, GameParams(u=2, c=1))
+def test_mechanisms_read_a_sweep_like_the_stream(stream, params):
     sweep = stream_shares(stream)
     for kind in MechanismKind:
-        plain = run_mechanism(kind, stream, params, allowance)
-        swept = run_mechanism(kind, sweep, params, allowance)
+        plain = run_mechanism(kind, stream, params)
+        swept = run_mechanism(kind, sweep, params)
         assert swept.shares is sweep
         assert swept.schedule == plain.schedule
         assert swept.ledger == plain.ledger
@@ -201,13 +202,13 @@ def _relieve_by_oracle(newcomer, queue, remaining, cuts):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     **SETTINGS,
 )
-@given(streams(max_agents=40), st.booleans())
-@example(HOLE, True)
-@example(HANDOVER, False)
-@example(LARGE_DENOMINATORS, True)
-def test_sg_da_runs_match_with_the_per_segment_oracle(stream, allowance):
+@given(streams(max_agents=40))
+@example(HOLE)
+@example(HANDOVER)
+@example(LARGE_DENOMINATORS)
+def test_sg_da_runs_match_with_the_per_segment_oracle(stream):
     params = GameParams(c=1)
-    fast = sg_run(stream, params, True, allowance)
-    with mock.patch.object(socd.mechanisms, "_relieve", _relieve_by_oracle):
-        slow = sg_run(stream, params, True, allowance)
+    fast = sg_run(stream, params, True)
+    with mock.patch.object(socd.mechanisms, "_relieve", on_ticks(_relieve_by_oracle)):
+        slow = sg_run(stream, params, True)
     assert fast == slow
