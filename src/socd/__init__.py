@@ -24,12 +24,9 @@ from .metrics import (
     AllZeroSample,
     ConvergenceCurve,
     EmptySample,
-    InsufficientRecords,
     ParticipationRecord,
     ZeroEpps,
     gini,
-    gini_table,
-    lead_ratio,
     unsatisfied_fraction,
 )
 from .model import (
@@ -49,7 +46,6 @@ from .model import (
     UnknownAgent,
     Violation,
     as_time,
-    availability_union,
     eas_segments,
     efficiency,
     eps_segments,
@@ -93,7 +89,6 @@ __all__ = [
     "UnknownAgent",
     "Violation",
     "as_time",
-    "availability_union",
     "eas_segments",
     "efficiency",
     "eps_segments",
@@ -119,12 +114,9 @@ __all__ = [
     "AllZeroSample",
     "ConvergenceCurve",
     "EmptySample",
-    "InsufficientRecords",
     "ParticipationRecord",
     "ZeroEpps",
     "gini",
-    "gini_table",
-    "lead_ratio",
     "unsatisfied_fraction",
     # simulation
     "HIGHWAY_MECHANISMS",

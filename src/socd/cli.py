@@ -295,14 +295,17 @@ def _parse_game_scenario(doc: Mapping[str, Any]) -> tuple[list[AgentSpec], GameP
     if not isinstance(raw_params, Mapping):
         raise CliError("scenario field 'params' must be an object")
     _expect_keys(raw_params, ("u", "c", "ca"), "params")
+    u = exact(raw_params.get("u", 1), "params.u")
+    c = exact(raw_params.get("c", 0), "params.c")
+    # the active-time cost: accepted for old scenario files, but leading
+    # costs only the utility it forgoes
+    ca = exact(raw_params.get("ca", 0), "params.ca")
     try:
-        params = GameParams(
-            u=exact(raw_params.get("u", 1), "params.u"),
-            c=exact(raw_params.get("c", 0), "params.c"),
-            ca=exact(raw_params.get("ca", 0), "params.ca"),
-        )
+        params = GameParams(u=u, c=c)
     except ValueError as exc:
         raise CliError(f"params: {exc}") from None
+    if ca != 0:
+        raise CliError("params: ca must be zero")
     return agents, params
 
 
@@ -385,6 +388,12 @@ def _result_json(doc: Any) -> str:
 # Where a mechanism's object sits in a game's result.json: two levels down.
 _MECHANISM_PAD = "\n    "
 
+# A game's result.json `params` still carries `ca` and `charge_all_switches`
+# at the only values they ever had, though `GameParams` has neither field:
+# dropping them changes every games result.json, so it waits with the other
+# byte-changing cleanups (ROADMAP item 2).
+_RETIRED_GAME_PARAMS = {"ca": "0", "charge_all_switches": False}
+
 
 def _run_game(
     agents: list[AgentSpec],
@@ -398,7 +407,7 @@ def _run_game(
     sweep = stream_shares(agents)
     for kind in mechanisms:
         outcome = run_mechanism(kind, sweep, params)
-        nets = net_utilities(outcome, sweep, params)
+        nets = net_utilities(outcome)
         eff = efficiency(outcome.schedule, sweep, params)
         shares = " ".join(f"{r.agent}={r.assigned}" for r in outcome.reports)
         lines.append(f"{kind.value}: shares {shares}; efficiency {eff}")
@@ -435,8 +444,9 @@ def _run_game(
             _write({"ledger": None, **tables, "efficiency": str(eff)},
                    _MECHANISM_PAD, fragment)
     if fmt == "json":
+        game_params = {"c": params.c, "u": params.u, **_RETIRED_GAME_PARAMS}
         artifacts["result.json"] = _result_json(
-            {"scenario": "game", "params": params, "mechanisms": fragments})
+            {"scenario": "game", "params": game_params, "mechanisms": fragments})
     return lines, artifacts
 
 

@@ -132,7 +132,7 @@ class MechanismOutcome:
         return tuple(
             ShareReport(
                 agent=a.id,
-                assigned=Fraction(self.lead_shares.get(a.id, 0)),
+                assigned=self.lead_shares[a.id],
                 ex_ante=self.shares.ex_ante[a.id] + allowance,
                 ex_post=self.shares.ex_post[a.id] + allowance,
             )
@@ -403,27 +403,20 @@ def run_mechanism(
     return sg_run(agents, params, dynamic_adjust=kind.dynamic_adjust)
 
 
-def net_utilities(
-    outcome: MechanismOutcome,
-    agents: Iterable[AgentSpec] | StreamShares,
-    params: GameParams,
-) -> dict[AgentId, Fraction]:
+def net_utilities(outcome: MechanismOutcome) -> dict[AgentId, Fraction]:
     """Per-agent net utility: u per unit of availability not spent leading,
     plus net transfers received, minus rotation charges paid.
 
-    `agents` is the stream the outcome ran on, or its sweep.  Each utility
-    is summed in integers over one common denominator: the tick scale
-    times the denominators of u, of the ledger's u and of c.
+    Reads the outcome's own stream (`outcome.shares`) and `outcome.params`.
+    Each utility is summed in integers over one common denominator: the
+    tick scale times the denominators of u and of c.
     """
-    stream = stream_shares(agents).stream
-    if stream != outcome.shares.stream:
-        raise ValueError("net utilities need the stream the outcome ran on")
-    ticks, run = outcome.shares._ticks, outcome._run
-    u, pay, c = params.u, outcome.params.u.denominator, outcome.params.c
-    den = ticks.scale * u.denominator * pay * c.denominator
-    lead_w = u.numerator * pay * c.denominator  # per tick not spent leading
-    paid_w = u.denominator * c.denominator  # per ledger unit
-    rotated_w = c.numerator * ticks.scale * u.denominator * pay  # per unit of n_r
+    stream, ticks, run = outcome.shares.stream, outcome.shares._ticks, outcome._run
+    u, c = outcome.params.u, outcome.params.c
+    den = ticks.scale * u.denominator * c.denominator
+    lead_w = u.numerator * c.denominator  # per tick not spent leading
+    paid_w = c.denominator  # per ledger unit, 1/(scale * u.denominator)
+    rotated_w = c.numerator * ticks.scale * u.denominator  # per unit of n_r
     paid = [0] * len(stream) if run.paid is None else run.paid
     return {
         a.id: Fraction(

@@ -7,7 +7,7 @@ core, but inequality statistics are reporting-layer quantities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -17,11 +17,8 @@ __all__ = [
     "EmptySample",
     "AllZeroSample",
     "ZeroEpps",
-    "InsufficientRecords",
     "gini",
-    "lead_ratio",
     "unsatisfied_fraction",
-    "gini_table",
     "UNSATISFIED_THRESHOLD",
 ]
 
@@ -38,10 +35,6 @@ class AllZeroSample(ValueError):
 
 class ZeroEpps(ValueError):
     """A lead ratio needs a positive proportional share."""
-
-
-class InsufficientRecords(ValueError):
-    """A Gini cell needs at least two records."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,37 +107,10 @@ def gini(values: Iterable[float]) -> float:
     return float(np.dot(weights, srt) / (n * total))
 
 
-def lead_ratio(record: ParticipationRecord) -> float:
-    """Actual lead over ex-post proportional share; 1.0 is exactly fair."""
-    if not record.epps > 0:
-        raise ZeroEpps(f"record ({record.convoy}, {record.agent}) has epps <= 0")
-    return record.actual_lead / record.epps
-
-
-def unsatisfied_fraction(
-    ratios: Iterable[float], threshold: float = UNSATISFIED_THRESHOLD
-) -> float:
-    """Fraction of ratios strictly above the threshold (default 1.10)."""
+def unsatisfied_fraction(ratios: Iterable[float]) -> float:
+    """Fraction of ratios strictly above `UNSATISFIED_THRESHOLD` (1.10)."""
     values = list(ratios)
     if not values:
         raise EmptySample("unsatisfied fraction of an empty population")
-    return sum(1 for r in values if r > threshold) / len(values)
+    return sum(1 for r in values if r > UNSATISFIED_THRESHOLD) / len(values)
 
-
-def gini_table(
-    groups: Mapping[object, Sequence[ParticipationRecord]],
-) -> dict[object, float]:
-    """Gini of pooled lead ratios per group (mechanism, configuration, ...).
-
-    Each cell needs at least two records; smaller cells raise
-    InsufficientRecords rather than reporting a meaningless 0.
-    """
-    table: dict[object, float] = {}
-    for key, records in groups.items():
-        records = list(records)
-        if len(records) < 2:
-            raise InsufficientRecords(
-                f"gini cell {key!r} has {len(records)} record(s); need at least 2"
-            )
-        table[key] = gini([r.ratio for r in records])
-    return table

@@ -47,7 +47,6 @@ __all__ = [
     "InvalidPresentSet",
     "UnknownAgent",
     "validate_stream",
-    "availability_union",
     "game_duration",
     "stream_shares",
     "stream_segments",
@@ -144,27 +143,20 @@ class AgentSpec:
 class GameParams:
     """Game constants: per-unit-time utility u, switch cost c.
 
-    The active-time cost ca must be zero; the mechanisms' accounting assumes
-    leading costs exactly the forgone utility.  `charge_all_switches` makes
-    the efficiency measure charge a flat c for every switch event instead of
-    only the cost-bearing rotations.
+    Leading costs exactly the utility it forgoes; there is no separate
+    active-time cost.
     """
 
     u: Fraction = Fraction(1)
     c: Fraction = Fraction(0)
-    ca: Fraction = Fraction(0)
-    charge_all_switches: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "u", Fraction(self.u))
         object.__setattr__(self, "c", Fraction(self.c))
-        object.__setattr__(self, "ca", Fraction(self.ca))
         if self.u <= 0:
             raise ValueError("u must be positive")
         if self.c < 0:
             raise ValueError("c must be non-negative")
-        if self.ca != 0:
-            raise ValueError("ca must be zero")
 
 
 @dataclass(frozen=True)
@@ -361,7 +353,7 @@ def validate_stream(agents: Iterable[AgentSpec]) -> list[AgentSpec]:
     return stream
 
 
-def availability_union(agents: Iterable[AgentSpec]) -> list[tuple[Time, Time]]:
+def _availability_union(agents: Iterable[AgentSpec]) -> list[tuple[Time, Time]]:
     """Merged intervals during which at least one agent is available."""
     windows = sorted((a.t_arrive, a.t_leave) for a in agents)
     merged: list[tuple[Time, Time]] = []
@@ -375,7 +367,7 @@ def availability_union(agents: Iterable[AgentSpec]) -> list[tuple[Time, Time]]:
 
 def game_duration(agents: Iterable[AgentSpec]) -> Fraction:
     """Total time with at least one available agent."""
-    return sum((end - start for start, end in availability_union(agents)), Fraction(0))
+    return sum((end - start for start, end in _availability_union(agents)), Fraction(0))
 
 
 def _ante_cut(
@@ -577,11 +569,7 @@ def efficiency(
         ),
         Fraction(0),
     )
-    if params.charge_all_switches:
-        cost = params.c * len(schedule.switches)
-    else:
-        cost = sum((ev.cost for ev in schedule.switches), Fraction(0))
-    return gained - cost
+    return gained - sum((ev.cost for ev in schedule.switches), Fraction(0))
 
 
 def _chain_consistent(
@@ -632,7 +620,7 @@ def validate_schedule(
 
     # Uncovered availability: holes strictly between periods are gaps,
     # anything at the edges (or with no periods at all) is idle time.
-    union = availability_union(stream)
+    union = _availability_union(stream)
     covered = [(p.start, p.stop) for p in periods if p.stop > p.start]
     uncovered: list[tuple[Time, Time]] = []
     for a_start, a_end in union:

@@ -72,6 +72,19 @@ def _require_reals(params: object, *names: str) -> None:
             raise ValueError(f"{name} must be a real number, not {value!r}")
 
 
+# Upper bound on an experiment's station, vehicle and convoy counts and on
+# the ring road's checkpoint count.  Past it a run would exhaust memory,
+# overflow numpy or never finish before writing a record, so the params
+# classes refuse it at construction.
+_MAX_SIZE = 10**6
+
+
+def _require_at_most(params: object, *names: str) -> None:
+    for name in names:
+        if getattr(params, name) > _MAX_SIZE:
+            raise ValueError(f"{name} must be at most {_MAX_SIZE}")
+
+
 def _require_seed(seed: int) -> None:
     # numpy would reject it later without naming the seed
     if seed < 0:
@@ -114,6 +127,10 @@ class RingRoadParams:
             raise ValueError("road_length and curve_step must be positive")
         if self.target_mean_participations <= 0:
             raise ValueError("target_mean_participations must be positive")
+        _require_at_most(self, "n_stations", "n_vehicles")
+        if self.target_mean_participations / self.curve_step > _MAX_SIZE:
+            raise ValueError("target_mean_participations / curve_step (the "
+                             f"checkpoint count) must be at most {_MAX_SIZE}")
 
 
 @dataclass(frozen=True)
@@ -149,6 +166,7 @@ class HighwayParams:
             raise ValueError("need at least two stations")
         if self.n_convoys < 1 or self.agents_per_convoy < 1:
             raise ValueError("n_convoys and agents_per_convoy must be positive")
+        _require_at_most(self, "n_stations", "n_convoys")
         if self.agents_per_convoy > self.n_stations - 1:
             raise ValueError("agents_per_convoy must be below n_stations")
 
@@ -248,7 +266,7 @@ def highway_experiment(
         scale, epps = shares._ticks.scale, shares._ticks.ex_post
         for kind in kinds:
             outcome = run_mechanism(kind, shares, game_params)
-            nets = net_utilities(outcome, shares, game_params)
+            nets = net_utilities(outcome)
             led = outcome._run.led
             for k, a in enumerate(shares.stream):
                 records.append(

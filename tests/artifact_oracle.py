@@ -168,12 +168,14 @@ def _run_game(
 ) -> tuple[list[str], dict[str, str]]:
     lines: list[str] = []
     artifacts: dict[str, str] = {}
-    doc: dict[str, Any] = {"scenario": "game", "params": _jsonable(params),
+    doc: dict[str, Any] = {"scenario": "game",
+                           "params": {**_jsonable(params), "ca": "0",
+                                      "charge_all_switches": False},
                            "mechanisms": {}}
     sweep = stream_shares(agents)
     for kind in mechanisms:
         outcome = run_mechanism(kind, sweep, params)
-        nets = net_utilities(outcome, sweep, params)
+        nets = net_utilities(outcome)
         eff = efficiency(outcome.schedule, sweep, params)
         shares = " ".join(f"{r.agent}={r.assigned}" for r in outcome.reports)
         lines.append(f"{kind.value}: shares {shares}; efficiency {eff}")

@@ -74,7 +74,7 @@ def test_criterion_01_payment_transfer_equitability(corpus, capsys):
     agents_checked = 0
     for stream in corpus:
         outcome = pt_run(stream, params)
-        nets = net_utilities(outcome, stream, params)
+        nets = net_utilities(outcome)
         if sum(outcome.ledger.net.values(), F(0)) != 0:
             bad += 1
         for a in stream:
@@ -243,7 +243,7 @@ def test_criterion_06_reference_game_exact(capsys):
     checks.append(pt.assigned() == {"a1": F(10), "a2": F(6), "a3": F(4)})
     checks.append(pt.ledger.net == {"a1": F(10, 3), "a2": F(1, 3),
                                     "a3": F(-11, 3)})
-    nets = net_utilities(pt, stream, params)
+    nets = net_utilities(pt)
     checks.append(nets == {"a1": F(10, 3), "a2": F(19, 3), "a3": F(13, 3)})
 
     epps = {a.id: ex_post_share(a, stream, params) for a in stream}

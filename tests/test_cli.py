@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 
 import socd
-from socd import MechanismKind, ParticipationRecord, SwitchKind
+from socd import (
+    HighwayParams,
+    MechanismKind,
+    ParticipationRecord,
+    RingRoadParams,
+    SwitchKind,
+)
 from socd.cli import (
     _RECORD_COLUMNS,
     CliError,
@@ -120,6 +126,7 @@ def test_game_json_document(tmp_path, capsys):
         (lambda d: d.update(extra=1), "unknown key 'extra'"),
         (lambda d: d["agents"][0].update(depart=9), "unknown key 'depart'"),
         (lambda d: d["params"].update(u=0), "u must be positive"),
+        (lambda d: d["params"].update(ca=1), "params: ca must be zero"),
         (lambda d: d["agents"][1].update(arrive=0, leave="1/2"),
          "arrive"),  # duplicate arrival time
     ],
@@ -132,6 +139,16 @@ def test_malformed_game_scenarios_exit_1(tmp_path, capsys, mutate, fragment):
     _, err = capsys.readouterr()
     assert code == 1
     assert fragment in err
+
+
+@pytest.mark.parametrize("ca", [0, "0"])
+def test_zero_active_time_cost_is_accepted(tmp_path, capsys, ca):
+    # `ca` is no GameParams field, but scenario files may still give it as 0
+    code = main(["--scenario", write_scenario(tmp_path, S1_SCENARIO)])
+    plain = capsys.readouterr()
+    doc = dict(S1_SCENARIO, params={**S1_SCENARIO["params"], "ca": ca})
+    assert main(["--scenario", write_scenario(tmp_path, doc)]) == code == 0
+    assert capsys.readouterr() == plain
 
 
 @pytest.mark.parametrize(
@@ -445,6 +462,40 @@ def test_non_finite_ring_params_exit_1(tmp_path, capsys, key, value):
     assert code == 1
     assert err == f"error: params: {key} must be finite\n"
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "base, key, value, message",
+    [
+        (RING_SCENARIO, "n_stations", 10**20, "n_stations must be at most 1000000"),
+        (RING_SCENARIO, "n_vehicles", 10**20, "n_vehicles must be at most 1000000"),
+        (dict(RING_SCENARIO, params={**RING_SCENARIO["params"], "n_vehicles": 2}),
+         "curve_step", 1e-300, "target_mean_participations / curve_step (the "
+         "checkpoint count) must be at most 1000000"),
+        (HIGHWAY_SCENARIO, "n_stations", 10**20, "n_stations must be at most 1000000"),
+        (HIGHWAY_SCENARIO, "n_convoys", 10**20, "n_convoys must be at most 1000000"),
+    ],
+    ids=["ring-n_stations", "ring-n_vehicles", "ring-checkpoints",
+         "highway-n_stations", "highway-n_convoys"],
+)
+def test_experiment_sizes_are_bounded(tmp_path, capsys, monkeypatch, base, key, value,
+                                      message):
+    # refused when the params are built, before the experiment allocates or
+    # loops: these used to overflow numpy, exhaust memory or never finish
+    def never(*args, **kwargs):
+        pytest.fail("the experiment ran")
+
+    monkeypatch.setattr("socd.cli.ring_road_experiment", never)
+    monkeypatch.setattr("socd.cli.highway_experiment", never)
+    doc = dict(base, params={**base["params"], key: value})
+    code = main(["--scenario", write_scenario(tmp_path, doc)])
+    assert (code, *capsys.readouterr()) == (1, "", f"error: params: {message}\n")
+
+
+def test_experiment_sizes_at_the_bound_are_accepted():
+    RingRoadParams(n_stations=10**6, n_vehicles=10**6,
+                   target_mean_participations=10**6, curve_step=1)
+    HighwayParams(n_stations=10**6, n_convoys=10**6)
 
 
 def test_unknown_experiment_name(tmp_path, capsys):

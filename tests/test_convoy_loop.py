@@ -138,6 +138,6 @@ def test_mechanism_properties_at_large_n(stream, params):
         else:
             assert rotators(out) == [] and out.rotation_costs == {}
     pt = run_mechanism(MechanismKind.PAYMENT_TRANSFER, sweep, params)
-    utilities = net_utilities(pt, sweep, params)
+    utilities = net_utilities(pt)
     for a in stream:
         assert utilities[a.id] == params.u * (a.window - sweep.ex_post[a.id])

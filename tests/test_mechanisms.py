@@ -266,11 +266,11 @@ def test_pt_reference_payments(s1):
     assert net == dict(out.ledger.net)
 
     # lost lead time plus transfers: 10-10+10/3, 12-6+1/3, 12-4-11/3
-    assert net_utilities(out, s1, GameParams()) == {
+    assert net_utilities(out) == {
         "a1": F(10, 3), "a2": F(19, 3), "a3": F(13, 3)
     }
     # transfers are zero-sum, so total utility equals the welfare measure
-    assert sum(net_utilities(out, s1, GameParams()).values()) == F(14)
+    assert sum(net_utilities(out).values()) == F(14)
 
 
 def test_reference_schedules_validate(s1):
@@ -515,7 +515,7 @@ def test_pt_balances_settle_everyone_to_the_same_utility():
     for _ in range(150):
         stream = random_stream(rng)
         out = pt_run(stream, params)
-        utilities = net_utilities(out, stream, params)
+        utilities = net_utilities(out)
         for a in stream:
             expected = params.u * (a.window - ex_post_share(a, stream, params))
             assert utilities[a.id] == expected

@@ -15,13 +15,10 @@ from socd import (
     AllZeroSample,
     ConvergenceCurve,
     EmptySample,
-    InsufficientRecords,
     ParticipationRecord,
     ZeroEpps,
     ex_post_share,
     gini,
-    gini_table,
-    lead_ratio,
     rg_run,
     unsatisfied_fraction,
 )
@@ -129,11 +126,6 @@ def test_gini_scale_invariance():
 # -------------------------------------------------------------------- ratios
 
 
-def test_lead_ratio_fixtures():
-    assert lead_ratio(ParticipationRecord(0, 0, actual_lead=5.0, epps=5.0)) == 1.0
-    assert lead_ratio(ParticipationRecord(0, 0, actual_lead=0.0, epps=4.0)) == 0.0
-
-
 def test_lead_ratio_of_reference_game(s1):
     # shares (4, 4, 12) against realized proportional (20/3, 17/3, 23/3)
     out = rg_run(s1)
@@ -145,7 +137,7 @@ def test_lead_ratio_of_reference_game(s1):
             actual_lead=float(out.assigned()[a.id]),
             epps=float(ex_post_share(a, s1)),
         )
-        ratios.append(lead_ratio(rec))
+        ratios.append(rec.ratio)
     assert ratios == pytest.approx([0.6, 12 / 17, 36 / 23])
 
 
@@ -157,34 +149,3 @@ def test_unsatisfied_fraction_is_strict():
     with pytest.raises(EmptySample):
         unsatisfied_fraction([])
 
-
-def test_unsatisfied_fraction_monotone_in_threshold():
-    rng = np.random.default_rng(14)
-    ratios = rng.uniform(0.0, 2.0, size=200).tolist()
-    fractions = [
-        unsatisfied_fraction(ratios, threshold=t)
-        for t in np.linspace(0.0, 2.0, 21)
-    ]
-    assert fractions == sorted(fractions, reverse=True)
-
-
-# --------------------------------------------------------------------- table
-
-
-def _rec(ratio: float) -> ParticipationRecord:
-    return ParticipationRecord(agent=0, convoy=0, actual_lead=ratio, epps=1.0)
-
-
-def test_gini_table_pools_ratios_per_cell():
-    groups = {
-        ("rg", "uniform"): [_rec(0.5), _rec(1.5)],
-        ("sg", "uniform"): [_rec(1.0), _rec(1.0), _rec(1.0)],
-    }
-    table = gini_table(groups)
-    assert table[("rg", "uniform")] == 0.25
-    assert table[("sg", "uniform")] == 0.0
-
-
-def test_gini_table_rejects_single_record_cells():
-    with pytest.raises(InsufficientRecords):
-        gini_table({"cell": [_rec(1.0)]})

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
@@ -21,7 +22,6 @@ from socd import (
     SwitchKind,
     UnknownAgent,
     as_time,
-    availability_union,
     eas_segments,
     efficiency,
     eps_segments,
@@ -32,6 +32,7 @@ from socd import (
     validate_schedule,
     validate_stream,
 )
+from socd.model import _availability_union
 from conftest import S1, random_stream
 
 
@@ -88,9 +89,7 @@ def test_game_params_validation():
         GameParams(u=0)
     with pytest.raises(ValueError):
         GameParams(c=-1)
-    # active-time cost is carried but pinned to zero
-    with pytest.raises(ValueError):
-        GameParams(ca=1)
+    assert [f.name for f in dataclasses.fields(GameParams)] == ["u", "c"]
 
 
 def test_segment_requires_length_and_members():
@@ -149,10 +148,10 @@ def test_validate_stream_rejects_ids_that_print_alike():
 
 
 def test_availability_union_and_duration():
-    assert availability_union(S1) == [(F(0), F(20))]
+    assert _availability_union(S1) == [(F(0), F(20))]
     assert game_duration(S1) == F(20)
     gap = [AgentSpec("a", 0, 4), AgentSpec("b", 6, 9)]
-    assert availability_union(gap) == [(F(0), F(4)), (F(6), F(9))]
+    assert _availability_union(gap) == [(F(0), F(4)), (F(6), F(9))]
     assert game_duration(gap) == F(7)
 
 
@@ -263,19 +262,6 @@ def test_efficiency_subtracts_rotation_costs(s1):
     rot = SwitchEvent(8, "a2", "a3", SwitchKind.ROTATION, n_r=3, cost=F(3))
     sched = Schedule(periods=RG_S1_PERIODS, switches=(rot,))
     assert efficiency(sched, s1, GameParams(c=1)) == F(11)
-
-
-def test_efficiency_flag_charges_every_switch(s1):
-    switches = (
-        SwitchEvent(4, "a1", "a2", SwitchKind.FRONT_JOIN, n_r=2, cost=F(0)),
-        SwitchEvent(6, "a2", "a3", SwitchKind.ROTATION, n_r=2, cost=F(4)),
-        SwitchEvent(8, "a3", "a2", SwitchKind.LEADER_LEAVE, n_r=2, cost=F(0)),
-    )
-    sched = Schedule(periods=RG_S1_PERIODS, switches=switches)
-    assert efficiency(sched, s1, GameParams(c=2)) == F(10)  # only the rotation
-    assert efficiency(
-        sched, s1, GameParams(c=2, charge_all_switches=True)
-    ) == F(8)  # flat c per switch event
 
 
 # --------------------------------------------------------- schedule auditing

@@ -70,3 +70,13 @@ def test_every_benchmark_span_resolves():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == [], f"benchmark spans that no longer resolve: {missing}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_exported_name_resolves(path):
+    # a name left in `__all__` after its definition is deleted breaks
+    # `from socd import *`
+    name = "socd" if path.stem == "__init__" else f"socd.{path.stem}"
+    module = importlib.import_module(name)
+    missing = [n for n in _exported(_tree(path)) if not hasattr(module, n)]
+    assert missing == [], f"{name}.__all__ names undefined {missing}"
