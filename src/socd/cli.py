@@ -252,7 +252,10 @@ def _int(value: Any, where: str) -> int:
 def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise CliError(f"{where}: expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int past the largest float
+        raise CliError(f"{where}: too large for a float") from None
 
 
 def _parse_game_scenario(doc: Mapping[str, Any]) -> tuple[list[AgentSpec], GameParams]:

@@ -17,15 +17,20 @@ arrival at one instant as one step with one switch; sg and sg-da take two.
 
 Mechanisms take an agent stream or its `StreamShares` sweep and produce a
 `MechanismOutcome`: schedule, share reports, any payment ledger and any
-rotation charges, all exact.  The loop, the claims, the payments and the
-net utilities run on the sweep's integer ticks; Fractions are built once,
-for the outcome.
+rotation charges, all exact.  A run has two layers.  Its tick core
+(`_core`: the loop, the claims, pt's payments) works on the sweep's integer
+ticks and builds no Fraction, `ActivePeriod` or `SwitchEvent`; `_outcome`
+then builds the `MechanismOutcome` and its Fractions, once, from the core's
+`_Run`.  Net utilities come from one tick formula (`_nets`): integer
+numerators over one denominator, which `net_utilities` turns into Fractions.
+Callers that need no outcome, such as the highway experiment, read `_core`
+and `_nets` directly.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -92,15 +97,20 @@ class Ledger:
 class _Run(NamedTuple):
     """A mechanism's outcome in the ticks of its sweep (`model._Ticks`).
 
-    The lists are indexed by stream position.  `periods` holds (member,
-    start, stop), `led` each member's leading time and `rotated` the sum of
-    n_r over its rotations.  `paid` is the pt ledger's net, in units of
+    Members are stream positions.  `periods` holds (member, start, stop),
+    `switches` (time, outgoing, incoming, kind, n_r), `led` each member's
+    leading time and `rotated` the sum of n_r over its rotations, so a
+    member rotated iff its entry is not 0.  For pt, `payments` holds
+    (segment, payee, payers, pay) per realized segment, each payer paying
+    `pay`, and `paid` each member's net; both are in units of
     1/(scale * u.denominator), and None for the other mechanisms.
     """
 
     periods: list[tuple[int, int, int]]
+    switches: list[tuple[int, int, int, SwitchKind, int]]
     led: list[int]
     rotated: list[int]
+    payments: list[tuple[Segment, int, list[int], int]] | None = None
     paid: list[int] | None = None
 
 
@@ -151,38 +161,42 @@ class _Policy:
     switch.  `adjust` lets each arrival cut the unfinished members' claims.
     """
 
-    kind: MechanismKind
     newest_first: bool = False
     claims: bool = False
     adjust: bool = False
 
 
+_POLICIES = {
+    MechanismKind.PAYMENT_TRANSFER: _Policy(),
+    MechanismKind.REPEATED_GAME: _Policy(newest_first=True),
+    MechanismKind.SINGLE_GAME: _Policy(claims=True),
+    MechanismKind.SINGLE_GAME_DYNAMIC: _Policy(claims=True, adjust=True),
+}
+
 _DEPART, _ARRIVE, _ROTATE = range(3)  # priority at equal instants
 
 
-def _drive(
-    shares: StreamShares, params: GameParams, policy: _Policy
-) -> MechanismOutcome:
-    """Run the convoy over the stream's events; the outcome has no ledger.
+def _drive(shares: StreamShares, policy: _Policy) -> _Run:
+    """Run the convoy over the stream's events; the run has no ledger.
 
     At one instant the departures go first, then the arrival, then any due
     rotation.  The queue's front member leads; once every member has
-    rotated, the first finished one leads on.  A rotation costs c * n_r,
-    n_r counting queued and finished members; other switches are free.  The
+    rotated, the first finished one leads on.  A rotation switch records
+    n_r, the queued and finished members; other switches are free.  The
     next departure is a pointer into the stream sorted by departure: an
     agent that has not arrived yet is never next, because its arrival comes
-    first.  Members are stream positions and times are ticks; the periods,
-    switches and shares become Fractions at the end.
+    first.  Members are stream positions and times are ticks.
     """
-    stream, ticks = shares.stream, shares._ticks
+    ticks = shares._ticks
     arrive, leave, by_leave = ticks.arrive, ticks.leave, ticks.by_leave
-    n = len(stream)
+    n = len(arrive)
     queue: list[int] = []  # unfinished members in the mechanism's order
     finished: list[int] = []  # members that rotated, in rotation order
     remaining = list(ticks.ex_ante)  # leading time each member still owes
     leaves: list[int] = []  # the members' departures, ascending; kept for `adjust`
     periods: list[tuple[int, int, int]] = []
     switches: list[tuple[int, int, int, SwitchKind, int]] = []
+    led, rotated = [0] * n, [0] * n
     i = j = 0  # next arrival in `stream`, next departure in `by_leave`
     t = start = arrive[0]  # last event, start of the open period
 
@@ -197,7 +211,7 @@ def _drive(
             remaining[front] -= t_next - t
             if remaining[front] < 0:
                 raise RuntimeError(
-                    f"leader {stream[front].id!r} led past its remaining share"
+                    f"leader {shares.stream[front].id!r} led past its remaining share"
                 )
 
         pre = queue[0] if queue else finished[0] if finished else None
@@ -229,7 +243,7 @@ def _drive(
             rotator = queue.pop(0)
             if remaining[rotator] != 0:
                 raise RuntimeError(
-                    f"{stream[rotator].id!r} rotated with "
+                    f"{shares.stream[rotator].id!r} rotated with "
                     f"{Fraction(remaining[rotator], ticks.scale)} still to lead"
                 )
             finished.append(rotator)
@@ -238,40 +252,93 @@ def _drive(
         if post != pre:
             if pre is not None and t_next > start:
                 periods.append((pre, start, t_next))
+                led[pre] += t_next - start
             if pre is not None and post is not None:
+                n_r = len(queue) + len(finished)
                 if leave[pre] == t_next:
                     kind = SwitchKind.LEADER_LEAVE
                 elif action == _ROTATE:
                     kind = SwitchKind.ROTATION
+                    rotated[pre] += n_r  # each rotator pays for its rotations
                 elif arrive[post] == t_next:
                     kind = SwitchKind.FRONT_JOIN
                 else:
                     raise RuntimeError("leader changed without a matching event")
-                switches.append((t_next, pre, post, kind, len(queue) + len(finished)))
+                switches.append((t_next, pre, post, kind, n_r))
             start = t_next
         t = t_next
 
-    ids, time = [a.id for a in stream], ticks.time
-    led, rotated = [0] * n, [0] * n
-    for k, begin, stop in periods:
-        led[k] += stop - begin
-    events = []
-    for at, out, into, kind, n_r in switches:
-        cost = 0
-        if kind is SwitchKind.ROTATION:  # each rotator pays for its rotations
-            rotated[out] += n_r
-            cost = params.c * n_r
-        events.append(SwitchEvent(time(at), ids[out], ids[into], kind, n_r, cost))
+    return _Run(periods, switches, led, rotated)
+
+
+def _settle(shares: StreamShares, run: _Run, u: Fraction) -> _Run:
+    """pt's ledger on the run: in every realized segment each follower
+    pays the leader |seg| * u / n_seg, in units of 1/(scale * u.denominator).
+    Payers are listed in arrival order."""
+    ticks = shares._ticks
+    position = {a.id: k for k, a in enumerate(shares.stream)}
+    paid = [0] * len(shares.stream)
+    payments = []
+    periods = iter(run.periods)
+    leader, _, stop = next(periods)
+    for seg, (begin, end) in zip(shares.segments, ticks.bounds):
+        while stop <= begin:  # the leader changes only at a segment start
+            leader, _, stop = next(periods)
+        pay = _div((end - begin) * u.numerator, len(seg.members))
+        payers = [k for k in sorted(position[m] for m in seg.members) if k != leader]
+        for k in payers:
+            paid[k] -= pay
+        paid[leader] += pay * len(payers)
+        payments.append((seg, leader, payers, pay))
+    return run._replace(payments=payments, paid=paid)
+
+
+def _core(kind: MechanismKind, shares: StreamShares, u: Fraction) -> _Run:
+    """The tick core of mechanism `kind` on a sweep: its convoy run, with
+    the ledger for pt."""
+    run = _drive(shares, _POLICIES[kind])
+    return _settle(shares, run, u) if kind is MechanismKind.PAYMENT_TRANSFER else run
+
+
+def _outcome(
+    kind: MechanismKind, shares: StreamShares, params: GameParams, run: _Run
+) -> MechanismOutcome:
+    """The exact outcome of a tick run: the only place a mechanism builds
+    periods, switches, transfers and their Fractions.  A rotation costs
+    c * n_r; arrival and departure instants reuse the stream's Fractions."""
+    ticks, c = shares._ticks, params.c
+    ids, time = [a.id for a in shares.stream], ticks.time
     schedule = Schedule(
-        tuple(ActivePeriod(ids[k], time(b), time(e)) for k, b, e in periods),
-        tuple(events),
+        tuple(ActivePeriod(ids[k], time(b), time(e)) for k, b, e in run.periods),
+        tuple(
+            SwitchEvent(time(at), ids[out], ids[into], switch, n_r,
+                        c * n_r if switch is SwitchKind.ROTATION else 0)
+            for at, out, into, switch, n_r in run.switches
+        ),
     )
-    lead_shares = {ids[k]: Fraction(led[k], ticks.scale) for k in range(n)}
-    rotation_costs = {ids[k]: params.c * rotated[k] for k in range(n) if rotated[k]}
+    ledger = None
+    if run.paid is not None:
+        money = ticks.scale * params.u.denominator
+        transfers = []
+        for seg, payee, payers, pay in run.payments:
+            amount = Fraction(pay, money)
+            transfers += (Transfer(seg, ids[k], ids[payee], amount) for k in payers)
+        net = {ids[k]: Fraction(p, money) for k, p in enumerate(run.paid)}
+        ledger = Ledger(tuple(transfers), net)
+    lead_shares = {ids[k]: Fraction(led, ticks.scale) for k, led in enumerate(run.led)}
+    rotation_costs = {ids[k]: c * r for k, r in enumerate(run.rotated) if r}
     return MechanismOutcome(
-        policy.kind, schedule, None, rotation_costs, shares, params, lead_shares,
-        _Run(periods, led, rotated),
+        kind, schedule, ledger, rotation_costs, shares, params, lead_shares, run
     )
+
+
+def _mechanism(
+    kind: MechanismKind,
+    agents: Iterable[AgentSpec] | StreamShares,
+    params: GameParams,
+) -> MechanismOutcome:
+    shares = stream_shares(agents)
+    return _outcome(kind, shares, params, _core(kind, shares, params.u))
 
 
 def pt_run(
@@ -285,29 +352,7 @@ def pt_run(
     sooner-departing agent arrives, so the schedule contains no rotations
     and switching is free.
     """
-    shares = stream_shares(agents)
-    outcome = _drive(shares, params, _Policy(MechanismKind.PAYMENT_TRANSFER))
-    stream, ticks, run = shares.stream, shares._ticks, outcome._run
-    position = {a.id: k for k, a in enumerate(stream)}
-    u, money = params.u.numerator, ticks.scale * params.u.denominator
-    paid = [0] * len(stream)  # in units of 1/money
-    transfers: list[Transfer] = []
-    periods = iter(run.periods)
-    leader, _, stop = next(periods)
-    for seg, (begin, end) in zip(shares.segments, ticks.bounds):
-        while stop <= begin:  # the leader changes only at a segment start
-            leader, _, stop = next(periods)
-        pay = _div((end - begin) * u, len(seg.members))
-        amount, payee = Fraction(pay, money), stream[leader].id
-        for k in sorted(position[m] for m in seg.members):  # in arrival order
-            if k != leader:
-                transfers.append(Transfer(seg, stream[k].id, payee, amount))
-                paid[k] -= pay
-                paid[leader] += pay
-    net = {a.id: Fraction(paid[k], money) for k, a in enumerate(stream)}
-    return replace(
-        outcome, ledger=Ledger(tuple(transfers), net), _run=run._replace(paid=paid)
-    )
+    return _mechanism(MechanismKind.PAYMENT_TRANSFER, agents, params)
 
 
 def rg_run(
@@ -320,8 +365,7 @@ def rg_run(
     shares within one game are accepted and settle over repeated games, so
     no agent ever rotates and no payments change hands.
     """
-    policy = _Policy(MechanismKind.REPEATED_GAME, newest_first=True)
-    return _drive(stream_shares(agents), params, policy)
+    return _mechanism(MechanismKind.REPEATED_GAME, agents, params)
 
 
 def _relieve(
@@ -381,12 +425,8 @@ def sg_run(
     agents never pay and an arrival in front of an exhausted leader
     pre-empts its rotation.
     """
-    policy = _Policy(
-        MechanismKind("sg-da" if dynamic_adjust else "sg"),
-        claims=True,
-        adjust=dynamic_adjust,
-    )
-    return _drive(stream_shares(agents), params, policy)
+    kind = MechanismKind("sg-da" if dynamic_adjust else "sg")
+    return _mechanism(kind, agents, params)
 
 
 def run_mechanism(
@@ -395,35 +435,33 @@ def run_mechanism(
     params: GameParams = GameParams(),
 ) -> MechanismOutcome:
     """Dispatch by mechanism kind (accepts the CLI spellings)."""
-    kind = MechanismKind(kind)
-    if kind is MechanismKind.PAYMENT_TRANSFER:
-        return pt_run(agents, params)
-    if kind is MechanismKind.REPEATED_GAME:
-        return rg_run(agents, params)
-    return sg_run(agents, params, dynamic_adjust=kind.dynamic_adjust)
+    return _mechanism(MechanismKind(kind), agents, params)
+
+
+def _nets(shares: StreamShares, run: _Run, params: GameParams) -> tuple[list[int], int]:
+    """Each member's net utility as an integer numerator over one common
+    denominator, returned with it: the tick scale times the denominators of
+    u and of c.  Members are stream positions."""
+    ticks, u, c = shares._ticks, params.u, params.c
+    den = ticks.scale * u.denominator * c.denominator
+    lead_w = u.numerator * c.denominator  # per tick not spent leading
+    paid_w = c.denominator  # per ledger unit, 1/(scale * u.denominator)
+    rotated_w = c.numerator * ticks.scale * u.denominator  # per unit of n_r
+    paid = [0] * len(run.led) if run.paid is None else run.paid
+    return [
+        lead_w * (leave - arrive - led) + paid_w * net - rotated_w * rotated
+        for arrive, leave, led, net, rotated in zip(
+            ticks.arrive, ticks.leave, run.led, paid, run.rotated
+        )
+    ], den
 
 
 def net_utilities(outcome: MechanismOutcome) -> dict[AgentId, Fraction]:
     """Per-agent net utility: u per unit of availability not spent leading,
     plus net transfers received, minus rotation charges paid.
 
-    Reads the outcome's own stream (`outcome.shares`) and `outcome.params`.
-    Each utility is summed in integers over one common denominator: the
-    tick scale times the denominators of u and of c.
+    Reads the outcome's own stream (`outcome.shares`) and `outcome.params`,
+    and sums each utility in integers over one common denominator (`_nets`).
     """
-    stream, ticks, run = outcome.shares.stream, outcome.shares._ticks, outcome._run
-    u, c = outcome.params.u, outcome.params.c
-    den = ticks.scale * u.denominator * c.denominator
-    lead_w = u.numerator * c.denominator  # per tick not spent leading
-    paid_w = c.denominator  # per ledger unit, 1/(scale * u.denominator)
-    rotated_w = c.numerator * ticks.scale * u.denominator  # per unit of n_r
-    paid = [0] * len(stream) if run.paid is None else run.paid
-    return {
-        a.id: Fraction(
-            lead_w * (ticks.leave[k] - ticks.arrive[k] - run.led[k])
-            + paid_w * paid[k]
-            - rotated_w * run.rotated[k],
-            den,
-        )
-        for k, a in enumerate(stream)
-    }
+    nets, den = _nets(outcome.shares, outcome._run, outcome.params)
+    return {a.id: Fraction(net, den) for a, net in zip(outcome.shares.stream, nets)}

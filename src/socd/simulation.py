@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mechanisms import MechanismKind, net_utilities, run_mechanism
+from .mechanisms import MechanismKind, _core, _nets
 from .metrics import (
     ConvergenceCurve,
     ParticipationRecord,
@@ -73,7 +73,7 @@ def _require_reals(params: object, *names: str) -> None:
 
 
 # Upper bound on an experiment's station, vehicle and convoy counts and on
-# the ring road's checkpoint count.  Past it a run would exhaust memory,
+# the ring road's checkpoint and record counts.  Past it a run would exhaust memory,
 # overflow numpy or never finish before writing a record, so the params
 # classes refuse it at construction.
 _MAX_SIZE = 10**6
@@ -131,6 +131,9 @@ class RingRoadParams:
         if self.target_mean_participations / self.curve_step > _MAX_SIZE:
             raise ValueError("target_mean_participations / curve_step (the "
                              f"checkpoint count) must be at most {_MAX_SIZE}")
+        if self.target_mean_participations * self.n_vehicles > _MAX_SIZE:
+            raise ValueError("target_mean_participations * n_vehicles (the "
+                             f"record count) must be at most {_MAX_SIZE}")
 
 
 @dataclass(frozen=True)
@@ -248,12 +251,20 @@ def highway_experiment(
     sum (no switch-cost addend), i.e. the share the payment-transfer
     mechanism would charge for.  Gini cells with fewer than two records are
     omitted.
+
+    The records come from each mechanism's tick core (`mechanisms._core`
+    and `_nets`), not from a `MechanismOutcome`: no schedule, ledger or
+    output Fraction is built.  Each float is one int divided by another,
+    which is correctly rounded, so it equals float() of the exact Fraction
+    that `run_mechanism` and `net_utilities` would give.  Fractions are
+    built only for the streams and their sweeps.
     """
     kinds = [MechanismKind(m) for m in mechanisms]
     game_params = GameParams(u=Fraction(1), c=Fraction(params.switch_cost))
     children = np.random.SeedSequence(params.seed).spawn(params.n_convoys)
 
     records: list[ParticipationRecord] = []
+    ratios: dict[str, list[float]] = {kind.value: [] for kind in kinds}
     for ci, child in enumerate(children):
         rng = np.random.default_rng(child)
         shares = stream_shares(
@@ -261,32 +272,29 @@ def highway_experiment(
                 params.configuration, rng, params.agents_per_convoy, params.n_stations
             )
         )
-        # floats straight from the ticks: int / int is correctly rounded, so
-        # each equals float() of the exact Fraction
         scale, epps = shares._ticks.scale, shares._ticks.ex_post
         for kind in kinds:
-            outcome = run_mechanism(kind, shares, game_params)
-            nets = net_utilities(outcome)
-            led = outcome._run.led
+            mechanism = kind.value
+            run = _core(kind, shares, game_params.u)
+            nets, den = _nets(shares, run, game_params)
+            led = run.led
             for k, a in enumerate(shares.stream):
+                ratio = led[k] / epps[k]
                 records.append(
                     ParticipationRecord(
                         agent=a.id,
                         convoy=ci,
                         actual_lead=led[k] / scale,
                         epps=epps[k] / scale,
-                        ratio=led[k] / epps[k],
-                        mechanism=kind.value,
-                        rotations=1 if a.id in outcome.rotation_costs else 0,
-                        net_utility=float(nets[a.id]),
+                        ratio=ratio,
+                        mechanism=mechanism,
+                        rotations=1 if run.rotated[k] else 0,
+                        net_utility=nets[k] / den,
                     )
                 )
+                ratios[mechanism].append(ratio)
 
-    gini_cells: dict[str, float] = {}
-    for kind in kinds:
-        ratios = [r.ratio for r in records if r.mechanism == kind.value]
-        if len(ratios) >= 2:
-            gini_cells[kind.value] = gini(ratios)
+    gini_cells = {m: gini(values) for m, values in ratios.items() if len(values) >= 2}
 
     return ExperimentResult(
         kind="highway",

@@ -465,6 +465,17 @@ def test_non_finite_ring_params_exit_1(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize(
+    "key", ["road_length", "join_probability", "target_mean_participations", "curve_step"]
+)
+def test_ring_params_too_large_for_a_float_exit_1(tmp_path, capsys, key):
+    # a 401-digit JSON integer: float() of it raised OverflowError, a traceback
+    doc = dict(RING_SCENARIO, params={**RING_SCENARIO["params"], key: 10**400})
+    code = main(["--scenario", write_scenario(tmp_path, doc)])
+    assert (code, *capsys.readouterr()) == (
+        1, "", f"error: params.{key}: too large for a float\n")
+
+
+@pytest.mark.parametrize(
     "base, key, value, message",
     [
         (RING_SCENARIO, "n_stations", 10**20, "n_stations must be at most 1000000"),
@@ -472,10 +483,14 @@ def test_non_finite_ring_params_exit_1(tmp_path, capsys, key, value):
         (dict(RING_SCENARIO, params={**RING_SCENARIO["params"], "n_vehicles": 2}),
          "curve_step", 1e-300, "target_mean_participations / curve_step (the "
          "checkpoint count) must be at most 1000000"),
+        (dict(RING_SCENARIO, params={**RING_SCENARIO["params"], "n_vehicles": 2,
+                                     "curve_step": 1e7}),
+         "target_mean_participations", 1e12, "target_mean_participations * "
+         "n_vehicles (the record count) must be at most 1000000"),
         (HIGHWAY_SCENARIO, "n_stations", 10**20, "n_stations must be at most 1000000"),
         (HIGHWAY_SCENARIO, "n_convoys", 10**20, "n_convoys must be at most 1000000"),
     ],
-    ids=["ring-n_stations", "ring-n_vehicles", "ring-checkpoints",
+    ids=["ring-n_stations", "ring-n_vehicles", "ring-checkpoints", "ring-records",
          "highway-n_stations", "highway-n_convoys"],
 )
 def test_experiment_sizes_are_bounded(tmp_path, capsys, monkeypatch, base, key, value,
@@ -493,8 +508,11 @@ def test_experiment_sizes_are_bounded(tmp_path, capsys, monkeypatch, base, key, 
 
 
 def test_experiment_sizes_at_the_bound_are_accepted():
+    # the record count, target_mean_participations * n_vehicles, is bounded
+    # too, so each factor reaches the bound with the other at 1
     RingRoadParams(n_stations=10**6, n_vehicles=10**6,
-                   target_mean_participations=10**6, curve_step=1)
+                   target_mean_participations=1, curve_step=1)
+    RingRoadParams(n_vehicles=1, target_mean_participations=10**6, curve_step=1)
     HighwayParams(n_stations=10**6, n_convoys=10**6)
 
 
