@@ -587,13 +587,13 @@ def _parse_mechanisms(selection: str | None, default: Sequence[MechanismKind]
         name = name.strip()
         try:
             kinds.append(MechanismKind(name))
-        except ValueError:
+        except ValueError:  # "" too, so the list is never empty
             raise CliError(
                 f"unknown mechanism {name!r}; choose from "
                 + ",".join(k.value for k in MechanismKind)
             ) from None
-    if not kinds:
-        raise CliError("no mechanisms selected")
+        if kinds[-1] in kinds[:-1]:  # it would write its records and summary again
+            raise CliError(f"mechanism {name!r} is selected twice")
     return kinds
 
 

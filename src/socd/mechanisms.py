@@ -71,10 +71,6 @@ class MechanismKind(str, Enum):
     SINGLE_GAME = "sg"
     SINGLE_GAME_DYNAMIC = "sg-da"
 
-    @property
-    def dynamic_adjust(self) -> bool:
-        return self is MechanismKind.SINGLE_GAME_DYNAMIC
-
 
 @dataclass(frozen=True)
 class Transfer:
@@ -101,7 +97,7 @@ class _Run(NamedTuple):
     `switches` (time, outgoing, incoming, kind, n_r), `led` each member's
     leading time and `rotated` the sum of n_r over its rotations, so a
     member rotated iff its entry is not 0.  For pt, `payments` holds
-    (segment, payee, payers, pay) per realized segment, each payer paying
+    (payee, payers, pay) per realized segment, in order, each payer paying
     `pay`, and `paid` each member's net; both are in units of
     1/(scale * u.denominator), and None for the other mechanisms.
     """
@@ -110,7 +106,7 @@ class _Run(NamedTuple):
     switches: list[tuple[int, int, int, SwitchKind, int]]
     led: list[int]
     rotated: list[int]
-    payments: list[tuple[Segment, int, list[int], int]] | None = None
+    payments: list[tuple[int, list[int], int]] | None = None
     paid: list[int] | None = None
 
 
@@ -274,22 +270,18 @@ def _drive(shares: StreamShares, policy: _Policy) -> _Run:
 def _settle(shares: StreamShares, run: _Run, u: Fraction) -> _Run:
     """pt's ledger on the run: in every realized segment each follower
     pays the leader |seg| * u / n_seg, in units of 1/(scale * u.denominator).
-    Payers are listed in arrival order."""
-    ticks = shares._ticks
-    position = {a.id: k for k, a in enumerate(shares.stream)}
-    paid = [0] * len(shares.stream)
+    Payers are listed in arrival order.  So a member's net is u times its
+    lead less its ex-post sum: it is paid |seg| * u for each segment it
+    leads and pays its share of each segment it is in."""
     payments = []
     periods = iter(run.periods)
     leader, _, stop = next(periods)
-    for seg, (begin, end) in zip(shares.segments, ticks.bounds):
+    for (begin, end), members in zip(shares._ticks.bounds, shares._members):
         while stop <= begin:  # the leader changes only at a segment start
             leader, _, stop = next(periods)
-        pay = _div((end - begin) * u.numerator, len(seg.members))
-        payers = [k for k in sorted(position[m] for m in seg.members) if k != leader]
-        for k in payers:
-            paid[k] -= pay
-        paid[leader] += pay * len(payers)
-        payments.append((seg, leader, payers, pay))
+        pay = _div((end - begin) * u.numerator, len(members))
+        payments.append((leader, [k for k in members if k != leader], pay))
+    paid = [u.numerator * (led - ex) for led, ex in zip(run.led, shares._ticks.ex_post)]
     return run._replace(payments=payments, paid=paid)
 
 
@@ -320,7 +312,7 @@ def _outcome(
     if run.paid is not None:
         money = ticks.scale * params.u.denominator
         transfers = []
-        for seg, payee, payers, pay in run.payments:
+        for seg, (payee, payers, pay) in zip(shares.segments, run.payments):
             amount = Fraction(pay, money)
             transfers += (Transfer(seg, ids[k], ids[payee], amount) for k in payers)
         net = {ids[k]: Fraction(p, money) for k, p in enumerate(run.paid)}
@@ -330,15 +322,6 @@ def _outcome(
     return MechanismOutcome(
         kind, schedule, ledger, rotation_costs, shares, params, lead_shares, run
     )
-
-
-def _mechanism(
-    kind: MechanismKind,
-    agents: Iterable[AgentSpec] | StreamShares,
-    params: GameParams,
-) -> MechanismOutcome:
-    shares = stream_shares(agents)
-    return _outcome(kind, shares, params, _core(kind, shares, params.u))
 
 
 def pt_run(
@@ -352,7 +335,7 @@ def pt_run(
     sooner-departing agent arrives, so the schedule contains no rotations
     and switching is free.
     """
-    return _mechanism(MechanismKind.PAYMENT_TRANSFER, agents, params)
+    return run_mechanism(MechanismKind.PAYMENT_TRANSFER, agents, params)
 
 
 def rg_run(
@@ -365,7 +348,7 @@ def rg_run(
     shares within one game are accepted and settle over repeated games, so
     no agent ever rotates and no payments change hands.
     """
-    return _mechanism(MechanismKind.REPEATED_GAME, agents, params)
+    return run_mechanism(MechanismKind.REPEATED_GAME, agents, params)
 
 
 def _relieve(
@@ -425,8 +408,7 @@ def sg_run(
     agents never pay and an arrival in front of an exhausted leader
     pre-empts its rotation.
     """
-    kind = MechanismKind("sg-da" if dynamic_adjust else "sg")
-    return _mechanism(kind, agents, params)
+    return run_mechanism("sg-da" if dynamic_adjust else "sg", agents, params)
 
 
 def run_mechanism(
@@ -434,8 +416,9 @@ def run_mechanism(
     agents: Iterable[AgentSpec] | StreamShares,
     params: GameParams = GameParams(),
 ) -> MechanismOutcome:
-    """Dispatch by mechanism kind (accepts the CLI spellings)."""
-    return _mechanism(MechanismKind(kind), agents, params)
+    """Run mechanism `kind` (accepts the CLI spellings) on a stream or its sweep."""
+    kind, shares = MechanismKind(kind), stream_shares(agents)
+    return _outcome(kind, shares, params, _core(kind, shares, params.u))
 
 
 def _nets(shares: StreamShares, run: _Run, params: GameParams) -> tuple[list[int], int]:

@@ -11,7 +11,8 @@ Every public time and share is an exact `fractions.Fraction`; floats
 belong to the metrics and reporting layers.  Inside, the sweep and the
 mechanisms run on integer ticks: `stream_shares` picks one tick scale per
 stream under which every time and every division the core makes is a
-whole number of ticks, and Fractions are built once, at the outputs.  All
+whole number of ticks, and stores only those ticks.  Fractions are built
+once, at the outputs: a sweep's segments and sums on first read.  All
 intervals are half-open ``[start, end)`` so adjacent segments and active
 periods tile without overlap.  When a departure and an arrival coincide,
 the departure is processed first.
@@ -24,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import pairwise
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -292,15 +294,43 @@ class StreamShares:
     `stream` is the validated stream in arrival order and `segments` its
     realized segmentation.  `ex_ante` and `ex_post` map every agent to its
     proportional segment sum, the sum of |seg|/n_seg over its ex-ante or
-    ex-post segments, without the c/u allowance.  The sweep's integer view,
-    which the mechanisms run on, rides along privately.
+    ex-post segments, without the c/u allowance.  The sweep stores only its
+    integer view, which the mechanisms run on; `segments`, `ex_ante` and
+    `ex_post` are built from it on first read.  Two sweeps are equal when
+    their streams are, since the sweep is a function of the stream.
     """
 
     stream: tuple[AgentSpec, ...]
-    segments: tuple[Segment, ...]
-    ex_ante: Mapping[AgentId, Fraction]
-    ex_post: Mapping[AgentId, Fraction]
-    _ticks: _Ticks | None = field(default=None, repr=False, compare=False)
+    _ticks: _Ticks = field(repr=False, compare=False)
+
+    @cached_property
+    def _members(self) -> list[list[int]]:
+        """Each realized segment's members: stream positions, in arrival order."""
+        starts = [start for start, _ in self._ticks.bounds]
+        members: list[list[int]] = [[] for _ in starts]
+        for k, (arrive, leave) in enumerate(zip(self._ticks.arrive, self._ticks.leave)):
+            # every instant cuts: k is in the segments that start in [arrive, leave)
+            for s in range(bisect.bisect_left(starts, arrive),
+                           bisect.bisect_left(starts, leave)):
+                members[s].append(k)
+        return members
+
+    @cached_property
+    def segments(self) -> tuple[Segment, ...]:
+        ids, time = [a.id for a in self.stream], self._ticks.time
+        return tuple(Segment(time(b), time(e), frozenset(ids[k] for k in members))
+                     for (b, e), members in zip(self._ticks.bounds, self._members))
+
+    @cached_property
+    def ex_ante(self) -> Mapping[AgentId, Fraction]:
+        scale, sums = self._ticks.scale, self._ticks.ex_ante
+        return {a.id: Fraction(t, scale) for a, t in zip(self.stream, sums)}
+
+    @cached_property
+    def ex_post(self) -> Mapping[AgentId, Fraction]:
+        ticks = self._ticks  # in departure order, as the sweep meets them
+        return {self.stream[k].id: Fraction(ticks.ex_post[k], ticks.scale)
+                for k in ticks.by_leave}
 
 
 @dataclass(frozen=True)
@@ -408,14 +438,11 @@ def stream_shares(agents: Iterable[AgentSpec] | StreamShares) -> StreamShares:
     `mechanisms._relieve`).
 
     A `StreamShares` is returned as it is, neither re-validated nor swept
-    again; one built by hand, without the tick view, is swept again from
-    its stream.  Every function that takes an agent stream resolves it
-    through here, so a caller that sweeps once can pass the sweep everywhere.
+    again.  Every function that takes an agent stream resolves it through
+    here, so a caller that sweeps once can pass the sweep everywhere.
     """
     if isinstance(agents, StreamShares):
-        if agents._ticks is not None:
-            return agents
-        agents = agents.stream
+        return agents
     stream = validate_stream(agents)
     n = len(stream)
     base = math.lcm(*(t.denominator for a in stream for t in (a.t_arrive, a.t_leave)))
@@ -436,43 +463,34 @@ def stream_shares(agents: Iterable[AgentSpec] | StreamShares) -> StreamShares:
         instants[t_arrive] = a.t_arrive
         instants[t_leave] = a.t_leave
 
-    present: set[AgentId] = set()
     leaves: list[int] = []  # departures of the present agents, ascending
-    segments: list[Segment] = []
     bounds: list[tuple[int, int]] = []
     ante, post = [0] * n, [0] * n
-    ex_ante: dict[AgentId, Fraction] = {}
-    ex_post: dict[AgentId, Fraction] = {}
     cum = 0  # sum of |seg|/n_seg over the segments ended so far
     cum_at_arrival = [0] * n
     arriving = departing = 0  # next indices into stream and by_leave
     prev = 0
     for t in sorted(instants):
-        if present:
-            segments.append(Segment(instants[prev], instants[t], frozenset(present)))
+        if arriving > departing:  # someone is present
             bounds.append((prev, t))
-            cum += _div(t - prev, len(present))
+            cum += _div(t - prev, arriving - departing)
         gone = departing
         while departing < n and leave[by_leave[departing]] == t:
             k = by_leave[departing]
-            present.remove(stream[k].id)
             post[k] = cum - cum_at_arrival[k]
-            ex_post[stream[k].id] = Fraction(post[k], scale)
             departing += 1
         del leaves[: departing - gone]  # they are the earliest departures
         if arriving < n and arrive[arriving] == t:
             k = arriving
-            present.add(stream[k].id)
             cum_at_arrival[k] = cum
             bisect.insort(leaves, leave[k])
             m = len(leaves)
             cuts = _ante_cut(t, leave[k], leaves)
             ante[k] = sum(_div(e - s, m - i) for s, e, i in cuts)
-            ex_ante[stream[k].id] = Fraction(ante[k], scale)
             arriving += 1
         prev = t
     ticks = _Ticks(scale, arrive, leave, by_leave, ante, post, bounds, instants)
-    return StreamShares(tuple(stream), tuple(segments), ex_ante, ex_post, ticks)
+    return StreamShares(tuple(stream), ticks)
 
 
 def stream_segments(agents: Sequence[AgentSpec]) -> list[Segment]:

@@ -54,28 +54,20 @@ HIGHWAY_MECHANISMS = (
 )
 
 
-def _require_ints(params: object, *names: str) -> None:
-    """Reject counts and seeds that are not integers (bools included), which
-    would otherwise fail later, as a TypeError, inside `range`."""
+def _require(params: object, kind: type, what: str, *names: str) -> None:
+    """Reject counts and seeds that are not integers and lengths and rates
+    that are not real numbers (bools included): they would fail later, as a
+    TypeError, inside `range` or in a comparison."""
     for name in names:
         value = getattr(params, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, not {value!r}")
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{name} must be {what}, not {value!r}")
 
 
-def _require_reals(params: object, *names: str) -> None:
-    """Reject lengths and rates that are not real numbers (bools included),
-    which would otherwise fail later, as a TypeError, in a comparison."""
-    for name in names:
-        value = getattr(params, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a real number, not {value!r}")
-
-
-# Upper bound on an experiment's station, vehicle and convoy counts and on
-# the ring road's checkpoint and record counts.  Past it a run would
-# exhaust memory, overflow numpy or never finish before writing a record,
-# so the params classes refuse it at construction.
+# Upper bound on an experiment's station, vehicle and convoy counts, on
+# the ring road's checkpoint count and on both experiments' record counts.
+# Past it a run would exhaust memory, overflow numpy or never finish before
+# writing a record, so the params classes refuse it at construction.
 _MAX_SIZE = 10**6
 
 
@@ -112,9 +104,9 @@ class RingRoadParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _require_ints(self, "n_stations", "n_vehicles", "seed")
-        _require_reals(self, "road_length", "join_probability",
-                       "target_mean_participations", "curve_step")
+        _require(self, numbers.Integral, "an integer", "n_stations", "n_vehicles", "seed")
+        _require(self, numbers.Real, "a real number", "road_length", "join_probability",
+                 "target_mean_participations", "curve_step")
         _require_seed(self.seed)
         if self.n_stations < 1 or self.n_vehicles < 1:
             raise ValueError("n_stations and n_vehicles must be positive")
@@ -156,7 +148,8 @@ class HighwayParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _require_ints(self, "n_stations", "n_convoys", "agents_per_convoy", "seed")
+        _require(self, numbers.Integral, "an integer",
+                 "n_stations", "n_convoys", "agents_per_convoy", "seed")
         _require_seed(self.seed)
         cost = self.switch_cost
         if isinstance(cost, bool) or not isinstance(cost, numbers.Rational):
@@ -172,6 +165,9 @@ class HighwayParams:
         _require_at_most(self, "n_stations", "n_convoys")
         if self.agents_per_convoy > self.n_stations - 1:
             raise ValueError("agents_per_convoy must be below n_stations")
+        if self.n_convoys * self.agents_per_convoy > _MAX_SIZE:
+            raise ValueError("n_convoys * agents_per_convoy (the record count "
+                             f"per mechanism) must be at most {_MAX_SIZE}")
 
 
 @dataclass(frozen=True)
@@ -257,7 +253,7 @@ def highway_experiment(
     output Fraction is built.  Each float is one int divided by another,
     which is correctly rounded, so it equals float() of the exact Fraction
     that `run_mechanism` and `net_utilities` would give.  Fractions are
-    built only for the streams and their sweeps.
+    built only for the streams; their sweeps build none.
     """
     kinds = [MechanismKind(m) for m in mechanisms]
     game_params = GameParams(u=Fraction(1), c=Fraction(params.switch_cost))

@@ -6,7 +6,8 @@ convoy loop, the sg-da adjustment, the pt payments and the net utilities in
 Fractions too.  `socd.model.stream_shares` and `socd.mechanisms` now run
 the same rules on integer ticks and build Fractions only for their outputs.
 This copy is kept only as the test oracle they are checked against.  Its
-sweeps carry no tick view, so they are for this module's functions only.
+sweeps are `Sweep`s, which carry no tick view, so they are for this
+module's functions only.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from socd import (
     ActivePeriod,
@@ -25,7 +26,6 @@ from socd import (
     MechanismOutcome,
     Schedule,
     Segment,
-    StreamShares,
     SwitchEvent,
     SwitchKind,
     Transfer,
@@ -34,7 +34,16 @@ from socd import (
 from socd.model import AgentId, Time, _ante_cut
 
 
-def stream_shares(agents: Iterable[AgentSpec] | StreamShares) -> StreamShares:
+class Sweep(NamedTuple):
+    """A Fraction sweep: the fields `socd.StreamShares` reads off its ticks."""
+
+    stream: tuple[AgentSpec, ...]
+    segments: tuple[Segment, ...]
+    ex_ante: Mapping[AgentId, Fraction]
+    ex_post: Mapping[AgentId, Fraction]
+
+
+def stream_shares(agents: Iterable[AgentSpec] | Sweep) -> Sweep:
     """One event sweep: realized segments, ex-ante and ex-post segment sums.
 
     Validates the stream once and walks its arrival and departure instants
@@ -43,11 +52,11 @@ def stream_shares(agents: Iterable[AgentSpec] | StreamShares) -> StreamShares:
     cum(t_leave) - cum(t_arrive).  The departures of the present agents are
     kept sorted, so each ex-ante sum is one walk over them at the arrival.
 
-    A `StreamShares` is returned as it is, neither re-validated nor swept
+    A `Sweep` is returned as it is, neither re-validated nor swept
     again.  Every function that takes an agent stream resolves it through
     here, so a caller that sweeps once can pass the sweep everywhere.
     """
-    if isinstance(agents, StreamShares):
+    if isinstance(agents, Sweep):
         return agents
     stream = validate_stream(agents)
     by_leave = sorted(stream, key=lambda a: a.t_leave)
@@ -85,7 +94,7 @@ def stream_shares(agents: Iterable[AgentSpec] | StreamShares) -> StreamShares:
             )
             arriving += 1
         prev = t
-    return StreamShares(tuple(stream), tuple(segments), ex_ante, ex_post)
+    return Sweep(tuple(stream), tuple(segments), ex_ante, ex_post)
 
 
 @dataclass(frozen=True)
@@ -109,7 +118,7 @@ _DEPART, _ARRIVE, _ROTATE = range(3)  # priority at equal instants
 
 
 def _drive(
-    shares: StreamShares, params: GameParams, policy: _Policy
+    shares: Sweep, params: GameParams, policy: _Policy
 ) -> MechanismOutcome:
     """Run the convoy over the stream's events; the outcome has no ledger.
 
@@ -214,7 +223,7 @@ def _drive(
 
 
 def pt_run(
-    agents: Iterable[AgentSpec] | StreamShares, params: GameParams = GameParams()
+    agents: Iterable[AgentSpec] | Sweep, params: GameParams = GameParams()
 ) -> MechanismOutcome:
     """Payment-transfer mechanism.
 
@@ -245,7 +254,7 @@ def pt_run(
 
 
 def rg_run(
-    agents: Iterable[AgentSpec] | StreamShares, params: GameParams = GameParams()
+    agents: Iterable[AgentSpec] | Sweep, params: GameParams = GameParams()
 ) -> MechanismOutcome:
     """Repeated-game load balancing.
 
@@ -291,7 +300,7 @@ def _relieve(
 
 
 def sg_run(
-    agents: Iterable[AgentSpec] | StreamShares,
+    agents: Iterable[AgentSpec] | Sweep,
     params: GameParams = GameParams(),
     dynamic_adjust: bool = False,
 ) -> MechanismOutcome:
@@ -321,7 +330,7 @@ def sg_run(
 
 def run_mechanism(
     kind: MechanismKind | str,
-    agents: Iterable[AgentSpec] | StreamShares,
+    agents: Iterable[AgentSpec] | Sweep,
     params: GameParams = GameParams(),
 ) -> MechanismOutcome:
     """Dispatch by mechanism kind (accepts the CLI spellings)."""
@@ -330,12 +339,13 @@ def run_mechanism(
         return pt_run(agents, params)
     if kind is MechanismKind.REPEATED_GAME:
         return rg_run(agents, params)
-    return sg_run(agents, params, dynamic_adjust=kind.dynamic_adjust)
+    return sg_run(agents, params,
+                  dynamic_adjust=kind is MechanismKind.SINGLE_GAME_DYNAMIC)
 
 
 def net_utilities(
     outcome: MechanismOutcome,
-    agents: Iterable[AgentSpec] | StreamShares,
+    agents: Iterable[AgentSpec] | Sweep,
     params: GameParams,
 ) -> dict[AgentId, Fraction]:
     """Per-agent net utility: u per unit of availability not spent leading,

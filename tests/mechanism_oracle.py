@@ -374,4 +374,5 @@ def run_mechanism(
         return pt_run(agents, params)
     if kind is MechanismKind.REPEATED_GAME:
         return rg_run(agents, params)
-    return sg_run(agents, params, dynamic_adjust=kind.dynamic_adjust)
+    return sg_run(agents, params,
+                  dynamic_adjust=kind is MechanismKind.SINGLE_GAME_DYNAMIC)

@@ -277,6 +277,17 @@ def test_unknown_mechanism_name(tmp_path, capsys):
     assert "unknown mechanism 'zz'" in err
 
 
+@pytest.mark.parametrize("selection", ["rg,rg", "sg, rg ,sg"])
+def test_repeated_mechanism_exit_1(capsys, monkeypatch, selection):
+    # each repeat wrote its records, summary and Gini row again
+    monkeypatch.setattr("socd.cli.highway_experiment",
+                        lambda *args: pytest.fail("the experiment ran"))
+    code = main(["--experiment", "highway", "--mechanism", selection])
+    name = selection.split(",")[0].strip()
+    assert (code, *capsys.readouterr()) == (
+        1, "", f"error: mechanism {name!r} is selected twice\n")
+
+
 def test_experiment_flags_rejected_for_games(tmp_path, capsys):
     scenario = write_scenario(tmp_path, S1_SCENARIO)
     assert main(["--scenario", scenario, "--seeds", "3"]) == 1
@@ -489,9 +500,11 @@ def test_ring_params_too_large_for_a_float_exit_1(tmp_path, capsys, key):
          "n_vehicles (the record count) must be at most 1000000"),
         (HIGHWAY_SCENARIO, "n_stations", 10**20, "n_stations must be at most 1000000"),
         (HIGHWAY_SCENARIO, "n_convoys", 10**20, "n_convoys must be at most 1000000"),
+        (HIGHWAY_SCENARIO, "n_convoys", 10**6, "n_convoys * agents_per_convoy (the "
+         "record count per mechanism) must be at most 1000000"),
     ],
     ids=["ring-n_stations", "ring-n_vehicles", "ring-checkpoints", "ring-records",
-         "highway-n_stations", "highway-n_convoys"],
+         "highway-n_stations", "highway-n_convoys", "highway-records"],
 )
 def test_experiment_sizes_are_bounded(tmp_path, capsys, monkeypatch, base, key, value,
                                       message):
@@ -508,12 +521,13 @@ def test_experiment_sizes_are_bounded(tmp_path, capsys, monkeypatch, base, key, 
 
 
 def test_experiment_sizes_at_the_bound_are_accepted():
-    # the record count, target_mean_participations * n_vehicles, is bounded
-    # too, so each factor reaches the bound with the other at 1
+    # the record counts, target_mean_participations * n_vehicles and
+    # n_convoys * agents_per_convoy, are bounded too, so each factor reaches
+    # the bound with the other at 1
     RingRoadParams(n_stations=10**6, n_vehicles=10**6,
                    target_mean_participations=1, curve_step=1)
     RingRoadParams(n_vehicles=1, target_mean_participations=10**6, curve_step=1)
-    HighwayParams(n_stations=10**6, n_convoys=10**6)
+    HighwayParams(n_stations=10**6, n_convoys=10**6, agents_per_convoy=1)
 
 
 def test_unknown_experiment_name(tmp_path, capsys):

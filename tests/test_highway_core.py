@@ -2,7 +2,8 @@
 
 `highway_experiment` builds no `MechanismOutcome`; these tests check that
 its records and Gini cells equal those of the loop that did
-(`highway_oracle.py`), and that it builds none of an outcome's parts.
+(`highway_oracle.py`), and that it builds none of an outcome's parts and
+no segment.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ import pytest
 
 import highway_oracle as oracle
 import socd.mechanisms
-from socd import HighwayParams, MechanismKind, highway_experiment, run_mechanism
+import socd.model
+from socd import (
+    HighwayParams,
+    MechanismKind,
+    Segment,
+    highway_experiment,
+    run_mechanism,
+)
 from socd.simulation import sample_stream
 
 ALL_KINDS = [k.value for k in MechanismKind]
@@ -84,6 +92,17 @@ def test_the_construction_count_sees_an_outcome(monkeypatch):
     run_mechanism("pt", stream)
     assert {"ActivePeriod", "Schedule", "Transfer", "Ledger", "MechanismOutcome",
             "Fraction"} <= set(built)
+
+
+def test_highway_builds_no_segment(monkeypatch):
+    built: Counter = Counter()
+    monkeypatch.setattr(socd.model, "Segment", _counting(built, "Segment", Segment))
+    params = HighwayParams(n_stations=12, n_convoys=2, agents_per_convoy=8, seed=3)
+    highway_experiment(params, ALL_KINDS)
+    assert built == {}
+    # the count sees the segments that a pt outcome's ledger reads
+    run_mechanism("pt", sample_stream("uniform", np.random.default_rng(3), 8, 12))
+    assert built["Segment"] > 0
 
 
 def test_repeated_and_reordered_kinds_equal_the_outcome_loop():

@@ -6,6 +6,8 @@ results equal those of the Fraction core kept in `fraction_oracle.py`: the
 sweep (stream, segments, ex-ante and ex-post sums), the schedule and its
 switches, the lead shares, the rotation charges, the pt ledger, the net
 utilities and the efficiency.  Every output value is still a `Fraction`.
+The sweep itself builds none: its segments and sums are built on first
+read, once.
 
 `PRIME_STREAM` has 100 agents whose times carry 200 distinct large-prime
 denominators, so its tick scale runs to about 1,900 digits.
@@ -14,22 +16,25 @@ denominators, so its tick scale runs to about 1,900 digits.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
+import socd.model
 from socd import (
     AgentSpec,
     GameParams,
     MechanismKind,
-    StreamShares,
+    Segment,
     efficiency,
     net_utilities,
     run_mechanism,
     stream_shares,
 )
+from test_highway_core import _counting
 from test_shares import HANDOVER, HOLE, LARGE_DENOMINATORS, SINGLE, streams
 
 params_st = st.builds(
@@ -80,9 +85,17 @@ def prime_stream(n: int = 100, seed: int = 0) -> list[AgentSpec]:
 PRIME_STREAM = prime_stream()
 
 
+def assert_same_sweep(new, old) -> None:
+    assert new.stream == old.stream
+    assert new.segments == old.segments
+    assert new.ex_ante == old.ex_ante
+    assert new.ex_post == old.ex_post
+    assert list(new.ex_post) == list(old.ex_post)  # both in departure order
+
+
 def assert_ticks_match_fractions(stream: list[AgentSpec], params: GameParams) -> None:
     new, old = stream_shares(stream), oracle.stream_shares(stream)
-    assert new == old
+    assert_same_sweep(new, old)
     assert all(type(v) is F for v in [*new.ex_ante.values(), *new.ex_post.values()])
     for kind in MechanismKind:
         fast = run_mechanism(kind, new, params)
@@ -92,7 +105,8 @@ def assert_ticks_match_fractions(stream: list[AgentSpec], params: GameParams) ->
         assert fast.lead_shares == slow.lead_shares, kind
         assert fast.rotation_costs == slow.rotation_costs, kind
         assert fast.ledger == slow.ledger, kind
-        assert fast == slow, kind
+        assert (fast.kind, fast.params) == (slow.kind, slow.params)
+        assert_same_sweep(fast.shares, slow.shares)
         nets = net_utilities(fast)
         assert nets == oracle.net_utilities(slow, old, params), kind
         assert efficiency(fast.schedule, new, params) == efficiency(
@@ -127,9 +141,19 @@ def test_prime_stream_has_a_huge_tick_scale():
     assert len(str(stream_shares(PRIME_STREAM)._ticks.scale)) > 1800
 
 
-def test_a_hand_built_sweep_is_swept_again():
-    sweep = stream_shares(HANDOVER)
-    by_hand = StreamShares(sweep.stream, sweep.segments, sweep.ex_ante, sweep.ex_post)
-    assert stream_shares(by_hand) == sweep
-    for kind in MechanismKind:
-        assert run_mechanism(kind, by_hand) == run_mechanism(kind, sweep)
+
+def test_the_sweep_builds_no_segment_or_fraction(monkeypatch):
+    built: Counter = Counter()
+    for name, cls in (("Segment", Segment), ("frozenset", frozenset), ("Fraction", F)):
+        monkeypatch.setattr(socd.model, name, _counting(built, name, cls), raising=False)
+    sweep = stream_shares(PRIME_STREAM)
+    assert built == {}
+    sweep.segments, sweep.ex_ante  # the count sees what a first read builds
+    assert set(built) == {"Segment", "frozenset", "Fraction"}
+
+
+def test_the_fraction_face_is_built_once():
+    sweep = stream_shares(PRIME_STREAM)
+    assert sweep.segments is sweep.segments
+    assert sweep.ex_ante is sweep.ex_ante
+    assert sweep.ex_post is sweep.ex_post
