@@ -12,6 +12,7 @@ from .mechanisms import (
     Ledger,
     MechanismKind,
     MechanismOutcome,
+    Payment,
     Transfer,
     net_utilities,
     pt_run,
@@ -103,6 +104,7 @@ __all__ = [
     "Ledger",
     "MechanismKind",
     "MechanismOutcome",
+    "Payment",
     "Transfer",
     "net_utilities",
     "pt_run",

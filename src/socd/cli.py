@@ -13,9 +13,12 @@ via str.  `_write` is the one JSON writer.  Its bytes are those of
 `json.dumps(..., sort_keys=True, indent=2)` on the same values: sorted keys,
 two-space indent, ASCII escapes, ints and floats by repr, and `NaN` and
 `Infinity` as `json` spells them.  It writes each table row as one string
-and a game's mechanisms one by one, as each finishes.  JSON records also
-carry `mechanism`, and only CSV share reports carry `rotations`.
-Experiment `params` are parsed by the fields of their dataclass.
+and a game's mechanisms one by one, as each finishes, and encodes a cell
+whose object is the one above it only once.  JSON records also carry
+`mechanism`, and only CSV share reports carry `rotations`.  A game's
+`efficiency` is the sum of its net utilities; pt's ledger rows are read
+from its per-segment entries.  Experiment `params` are parsed by the fields
+of their dataclass.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .mechanisms import MechanismKind, net_utilities, run_mechanism
 from .metrics import ParticipationRecord
-from .model import AgentSpec, GameParams, efficiency, stream_shares
+from .model import AgentSpec, GameParams, stream_shares
 from .simulation import (
+    _MAX_SIZE,
     HIGHWAY_MECHANISMS,
     HighwayParams,
     RingRoadParams,
@@ -170,7 +174,9 @@ def _write_members(pairs: Iterable[tuple[str, Any]], pad: str, out: list[str]) -
 def _write_table(table: _Table, pad: str, out: list[str]) -> None:
     """A table as an array of objects, each row one string from a format
     made once from the sorted header.  Rows may be longer than the header,
-    which cuts them, but not shorter."""
+    which cuts them, but not shorter.  A cell whose object is the one above
+    it (`is`, never `==`: 1, True and 1.0 are equal but spelled apart) reuses
+    that cell's text; the previous row is kept, so no id is reused."""
     header, rows = table
     column = {key: i for i, key in enumerate(header)}  # a repeated key: its last
     keys = sorted(column)
@@ -193,7 +199,14 @@ def _write_table(table: _Table, pad: str, out: list[str]) -> None:
         for key in keys
     ) + inner + "}" if keys else "{}")
     start = len(out)
-    out.extend(form % tuple(map(cell, pick(row))) for row in rows)
+    above: Sequence[Any] = (object(),) * len(keys)  # no cell's object
+    texts = [""] * len(keys)
+    for row in rows:
+        values = pick(row)
+        texts = [text if value is last else cell(value)
+                 for value, last, text in zip(values, above, texts)]
+        above = values
+        out.append(form % tuple(texts))
     if len(out) == start:
         out.append("[]")
     else:  # the first row's leading comma opens the array instead
@@ -411,7 +424,9 @@ def _run_game(
     for kind in mechanisms:
         outcome = run_mechanism(kind, sweep, params)
         nets = net_utilities(outcome)
-        eff = efficiency(outcome.schedule, sweep, params)
+        # equals `efficiency(outcome.schedule, sweep, params)`: transfers
+        # are zero-sum and the rotation charges are the costed switches
+        eff = sum(nets.values())
         shares = " ".join(f"{r.agent}={r.assigned}" for r in outcome.reports)
         lines.append(f"{kind.value}: shares {shares}; efficiency {eff}")
 
@@ -429,8 +444,8 @@ def _run_game(
         if outcome.ledger is not None:
             tables["ledger"] = _Table(
                 ("segment_start", "segment_end", "payer", "payee", "amount"),
-                ((t.segment.start, t.segment.end, t.payer, t.payee, t.amount)
-                 for t in outcome.ledger.transfers),
+                ((p.segment.start, p.segment.end, payer, p.payee, p.amount)
+                 for p in outcome.ledger.payments for payer in p.payers),
             )
         if fmt == "csv":
             for name, table in tables.items():
@@ -646,9 +661,11 @@ def run(args: argparse.Namespace) -> tuple[list[str], dict[str, str]]:
         n_seeds = _int(doc.get("seeds", 1), "seeds")
     if n_seeds < 1:
         raise CliError("seeds must be at least 1")
+    if n_seeds > _MAX_SIZE:  # every seed's result is kept until all have run
+        raise CliError(f"seeds must be at most {_MAX_SIZE}")
     if seed < 0:  # here, since errors from the params read "params: ..."
         raise CliError(f"seed must be non-negative, not {seed}")
-    seeds = list(range(seed, seed + n_seeds))
+    seeds = range(seed, seed + n_seeds)
 
     if experiment == "ring":
         if args.config is not None:

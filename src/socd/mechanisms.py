@@ -25,6 +25,12 @@ then builds the `MechanismOutcome` and its Fractions, once, from the core's
 numerators over one denominator, which `net_utilities` turns into Fractions.
 Callers that need no outcome, such as the highway experiment, read `_core`
 and `_nets` directly.
+
+pt's ledger is kept per realized segment: one `Payment` holds the segment,
+its leader (the payee), the followers who pay it and the one amount each
+pays.  `Ledger.transfers`, one `Transfer` per payer, is built from those
+entries on first read, so a game with n members in a segment stores one
+entry for it, not n - 1 transfers.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import (
@@ -55,6 +63,7 @@ from .model import (
 __all__ = [
     "MechanismKind",
     "Transfer",
+    "Payment",
     "Ledger",
     "MechanismOutcome",
     "pt_run",
@@ -82,12 +91,63 @@ class Transfer:
     amount: Fraction
 
 
-@dataclass(frozen=True)
-class Ledger:
-    """All transfers of a payment-transfer game plus the per-agent net."""
+class Payment(NamedTuple):
+    """One realized segment of a payment-transfer ledger: each of `payers`,
+    in arrival order, pays `payee` the same `amount` for leading `segment`."""
 
-    transfers: tuple[Transfer, ...]
-    net: Mapping[AgentId, Fraction]
+    segment: Segment
+    payee: AgentId
+    payers: tuple[AgentId, ...]
+    amount: Fraction
+
+
+class Ledger:
+    """All transfers of a payment-transfer game plus the per-agent net.
+
+    pt keeps its ledger per realized segment, in segment order (`payments`,
+    given as `Ledger(None, net, payments=...)`), and builds `transfers`, one
+    per payer of each entry, on first read.  A ledger made from its
+    transfers, `Ledger(transfers, net)`, groups each run of transfers with
+    one segment, payee and amount into an entry when `payments` is first
+    read.  Two ledgers are equal when their transfers, in order, and their
+    nets are.
+    """
+
+    def __init__(
+        self,
+        transfers: Iterable[Transfer] | None,
+        net: Mapping[AgentId, Fraction],
+        *,
+        payments: Iterable[Payment] | None = None,
+    ) -> None:
+        if (transfers is None) == (payments is None):
+            raise TypeError("a ledger takes either its transfers or its payments")
+        if payments is None:
+            self.transfers = tuple(transfers)
+        else:
+            self.payments = tuple(payments)
+        self.net = net
+
+    @cached_property
+    def transfers(self) -> tuple[Transfer, ...]:
+        return tuple(Transfer(p.segment, payer, p.payee, p.amount)
+                     for p in self.payments for payer in p.payers)
+
+    @cached_property
+    def payments(self) -> tuple[Payment, ...]:
+        runs = groupby(self.transfers, attrgetter("segment", "payee", "amount"))
+        return tuple(Payment(segment, payee, tuple(t.payer for t in run), amount)
+                     for (segment, payee, amount), run in runs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.transfers == other.transfers and self.net == other.net
+
+    __hash__ = None  # type: ignore[assignment]  # `net` is a mapping
+
+    def __repr__(self) -> str:
+        return f"Ledger(transfers={self.transfers!r}, net={self.net!r})"
 
 
 class _Run(NamedTuple):
@@ -296,8 +356,9 @@ def _outcome(
     kind: MechanismKind, shares: StreamShares, params: GameParams, run: _Run
 ) -> MechanismOutcome:
     """The exact outcome of a tick run: the only place a mechanism builds
-    periods, switches, transfers and their Fractions.  A rotation costs
-    c * n_r; arrival and departure instants reuse the stream's Fractions."""
+    periods, switches, pt's per-segment ledger entries and their Fractions.
+    A rotation costs c * n_r; arrival and departure instants reuse the
+    stream's Fractions."""
     ticks, c = shares._ticks, params.c
     ids, time = [a.id for a in shares.stream], ticks.time
     schedule = Schedule(
@@ -311,12 +372,12 @@ def _outcome(
     ledger = None
     if run.paid is not None:
         money = ticks.scale * params.u.denominator
-        transfers = []
-        for seg, (payee, payers, pay) in zip(shares.segments, run.payments):
-            amount = Fraction(pay, money)
-            transfers += (Transfer(seg, ids[k], ids[payee], amount) for k in payers)
+        payments = tuple(
+            Payment(seg, ids[payee], tuple(ids[k] for k in payers), Fraction(pay, money))
+            for seg, (payee, payers, pay) in zip(shares.segments, run.payments)
+        )
         net = {ids[k]: Fraction(p, money) for k, p in enumerate(run.paid)}
-        ledger = Ledger(tuple(transfers), net)
+        ledger = Ledger(None, net, payments=payments)
     lead_shares = {ids[k]: Fraction(led, ticks.scale) for k, led in enumerate(run.led)}
     rotation_costs = {ids[k]: c * r for k, r in enumerate(run.rotated) if r}
     return MechanismOutcome(

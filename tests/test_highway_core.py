@@ -89,7 +89,7 @@ def test_the_construction_count_sees_an_outcome(monkeypatch):
     # the guard above counts what a full outcome builds
     stream = sample_stream("uniform", np.random.default_rng(3), 8, 12)
     built = _count_constructions(monkeypatch)
-    run_mechanism("pt", stream)
+    run_mechanism("pt", stream).ledger.transfers  # built on first read
     assert {"ActivePeriod", "Schedule", "Transfer", "Ledger", "MechanismOutcome",
             "Fraction"} <= set(built)
 
