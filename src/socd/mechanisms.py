@@ -144,8 +144,6 @@ class Ledger:
             return NotImplemented
         return self.transfers == other.transfers and self.net == other.net
 
-    __hash__ = None  # type: ignore[assignment]  # `net` is a mapping
-
     def __repr__(self) -> str:
         return f"Ledger(transfers={self.transfers!r}, net={self.net!r})"
 
