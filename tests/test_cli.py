@@ -381,6 +381,38 @@ def test_nonpositive_seeds_rejected(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: seeds must be at least 1\n")
 
 
+@pytest.mark.parametrize("experiment", ["highway", "ring"])
+@pytest.mark.parametrize("n_seeds", [10**6 + 1, 10**10, 10**20])
+@pytest.mark.parametrize("source", ["flag", "scenario"])
+def test_seeds_are_bounded(tmp_path, capsys, monkeypatch, experiment, n_seeds, source):
+    # the seed list was built first: 10**10 seeds ended in a MemoryError and
+    # 10**20 in an OverflowError, both tracebacks
+    def never(*args, **kwargs):
+        pytest.fail("a seed ran")
+
+    monkeypatch.setattr("socd.cli.ring_road_experiment", never)
+    monkeypatch.setattr("socd.cli.highway_experiment", never)
+    doc = HIGHWAY_SCENARIO if experiment == "highway" else RING_SCENARIO
+    if source == "flag":
+        argv = ["--scenario", write_scenario(tmp_path, doc), "--seeds", str(n_seeds)]
+    else:
+        argv = ["--scenario", write_scenario(tmp_path, dict(doc, seeds=n_seeds))]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: seeds must be at most 1000000\n")
+
+
+def test_seeds_at_the_bound_are_accepted(monkeypatch):
+    ran = []
+
+    def run_ring(params, seeds, fmt):
+        ran.append(seeds)
+        return [], {}
+
+    monkeypatch.setattr("socd.cli._run_ring", run_ring)
+    assert main(["--experiment", "ring", "--seed", "5", "--seeds", "1000000"]) == 0
+    assert ran == [range(5, 5 + 10**6)]
+
+
 # --------------------------------------------------------------- experiments
 
 

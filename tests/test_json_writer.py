@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import artifact_oracle as oracle
+import socd.cli
 from socd.cli import _Table, _result_json
 from socd.mechanisms import MechanismKind
 from socd.metrics import ParticipationRecord
@@ -60,10 +61,21 @@ values = st.recursive(
 def tables(draw):
     header = draw(st.lists(st.text(max_size=4), max_size=5))
     rows = draw(st.lists(
-        st.lists(scalars, min_size=len(header), max_size=len(header) + 2).map(tuple),
+        st.lists(scalars, min_size=len(header), max_size=len(header) + 2),
         max_size=5,
     ))
-    return _Table(tuple(header), rows)
+    # some cells hold the very object of the cell above, which the writer
+    # encodes once
+    for above, row in zip(rows, rows[1:]):
+        for i in range(len(header)):
+            if draw(st.booleans()):
+                row[i] = above[i]
+    return _Table(tuple(header), list(map(tuple, rows)))
+
+
+# Cells the writer must tell apart by identity, not by `==`.
+_THIRD = F(1, 3)
+_HALVES = F(1, 2), F(2, 4)  # equal, not the same object
 
 
 def _want(value):
@@ -103,6 +115,10 @@ def test_writer_matches_oracle_on_values(value):
 @example(_Table(("z",), [(math.nan,), (SwitchKind.FRONT_JOIN, "extra")]))
 @example(_Table((), [(), (1,)]))
 @example(_Table(("a",), []))
+@example(_Table(("r", "n"), [(_THIRD, 1), (_THIRD, 2), (_THIRD, 3)]))
+@example(_Table(("h",), [(_HALVES[k % 2],) for k in range(5)]))
+@example(_Table(("v", "w"), [(1, 1), (True, 1), (1.0, 1), (1, True), (F(1), 1.0),
+                             (True, True), (1.0, 1.0), (F(1), F(1))]))
 def test_writer_matches_oracle_on_tables(table):
     assert _result_json(table) == _want(table)
 
@@ -113,3 +129,16 @@ def test_writer_matches_oracle_on_tables(table):
 def test_writer_matches_oracle_on_tables_inside_values(doc, listed):
     value = {"doc": doc, "listed": listed}
     assert _result_json(value) == _want(value)
+
+
+def test_a_repeated_cell_is_encoded_once(monkeypatch):
+    encoded = []
+
+    def encode(value):
+        encoded.append(value)
+        return f'"{value}"'
+
+    monkeypatch.setitem(socd.cli._SCALARS, F, encode)
+    table = _Table(("r",), [(_THIRD,), (_THIRD,), (F(1, 3),), (_THIRD,)])
+    assert _result_json(table) == _want(table)
+    assert encoded == [_THIRD] * 3  # again after an equal but distinct object
