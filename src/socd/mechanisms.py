@@ -23,8 +23,9 @@ ticks and builds no Fraction, `ActivePeriod` or `SwitchEvent`; `_outcome`
 then builds the `MechanismOutcome` and its Fractions, once, from the core's
 `_Run`.  Net utilities come from one tick formula (`_nets`): integer
 numerators over one denominator, which `net_utilities` turns into Fractions.
-Callers that need no outcome, such as the highway experiment, read `_core`
-and `_nets` directly.
+The core and `_nets` read only a sweep's ticks (`model._Ticks`) and the ids
+of its stream positions, so callers that need no outcome, such as the
+highway experiment, call them directly, with no `StreamShares`.
 
 pt's ledger is kept per realized segment: one `Payment` holds the segment,
 its leader (the payee), the followers who pay it and the one amount each
@@ -41,6 +42,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
+from numbers import Rational
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -57,6 +59,7 @@ from .model import (
     SwitchKind,
     _ante_cut,
     _div,
+    _Ticks,
     stream_shares,
 )
 
@@ -230,8 +233,8 @@ _POLICIES = {
 _DEPART, _ARRIVE, _ROTATE = range(3)  # priority at equal instants
 
 
-def _drive(shares: StreamShares, policy: _Policy) -> _Run:
-    """Run the convoy over the stream's events; the run has no ledger.
+def _drive(ticks: _Ticks, ids: Sequence[AgentId], policy: _Policy) -> _Run:
+    """Run the convoy over a sweep's events; the run has no ledger.
 
     At one instant the departures go first, then the arrival, then any due
     rotation.  The queue's front member leads; once every member has
@@ -239,9 +242,9 @@ def _drive(shares: StreamShares, policy: _Policy) -> _Run:
     n_r, the queued and finished members; other switches are free.  The
     next departure is a pointer into the stream sorted by departure: an
     agent that has not arrived yet is never next, because its arrival comes
-    first.  Members are stream positions and times are ticks.
+    first.  Members are stream positions, named by `ids` in errors, and
+    times are ticks.
     """
-    ticks = shares._ticks
     arrive, leave, by_leave = ticks.arrive, ticks.leave, ticks.by_leave
     n = len(arrive)
     queue: list[int] = []  # unfinished members in the mechanism's order
@@ -265,7 +268,7 @@ def _drive(shares: StreamShares, policy: _Policy) -> _Run:
             remaining[front] -= t_next - t
             if remaining[front] < 0:
                 raise RuntimeError(
-                    f"leader {shares.stream[front].id!r} led past its remaining share"
+                    f"leader {ids[front]!r} led past its remaining share"
                 )
 
         pre = queue[0] if queue else finished[0] if finished else None
@@ -297,7 +300,7 @@ def _drive(shares: StreamShares, policy: _Policy) -> _Run:
             rotator = queue.pop(0)
             if remaining[rotator] != 0:
                 raise RuntimeError(
-                    f"{shares.stream[rotator].id!r} rotated with "
+                    f"{ids[rotator]!r} rotated with "
                     f"{Fraction(remaining[rotator], ticks.scale)} still to lead"
                 )
             finished.append(rotator)
@@ -325,7 +328,7 @@ def _drive(shares: StreamShares, policy: _Policy) -> _Run:
     return _Run(periods, switches, led, rotated)
 
 
-def _settle(shares: StreamShares, run: _Run, u: Fraction) -> _Run:
+def _settle(ticks: _Ticks, run: _Run, u: Rational) -> _Run:
     """pt's ledger on the run: in every realized segment each follower
     pays the leader |seg| * u / n_seg, in units of 1/(scale * u.denominator).
     Payers are listed in arrival order.  So a member's net is u times its
@@ -334,20 +337,22 @@ def _settle(shares: StreamShares, run: _Run, u: Fraction) -> _Run:
     payments = []
     periods = iter(run.periods)
     leader, _, stop = next(periods)
-    for (begin, end), members in zip(shares._ticks.bounds, shares._members):
+    for (begin, end), members in zip(ticks.bounds, ticks.members):
         while stop <= begin:  # the leader changes only at a segment start
             leader, _, stop = next(periods)
         pay = _div((end - begin) * u.numerator, len(members))
         payments.append((leader, [k for k in members if k != leader], pay))
-    paid = [u.numerator * (led - ex) for led, ex in zip(run.led, shares._ticks.ex_post)]
+    paid = [u.numerator * (led - ex) for led, ex in zip(run.led, ticks.ex_post)]
     return run._replace(payments=payments, paid=paid)
 
 
-def _core(kind: MechanismKind, shares: StreamShares, u: Fraction) -> _Run:
-    """The tick core of mechanism `kind` on a sweep: its convoy run, with
-    the ledger for pt."""
-    run = _drive(shares, _POLICIES[kind])
-    return _settle(shares, run, u) if kind is MechanismKind.PAYMENT_TRANSFER else run
+def _core(
+    kind: MechanismKind, ticks: _Ticks, ids: Sequence[AgentId], u: Rational
+) -> _Run:
+    """The tick core of mechanism `kind` on a sweep's ticks: its convoy run,
+    with the ledger for pt.  `ids` names the stream positions in errors."""
+    run = _drive(ticks, ids, _POLICIES[kind])
+    return _settle(ticks, run, u) if kind is MechanismKind.PAYMENT_TRANSFER else run
 
 
 def _outcome(
@@ -358,7 +363,7 @@ def _outcome(
     A rotation costs c * n_r; arrival and departure instants reuse the
     stream's Fractions."""
     ticks, c = shares._ticks, params.c
-    ids, time = [a.id for a in shares.stream], ticks.time
+    ids, time = [a.id for a in shares.stream], shares._time
     schedule = Schedule(
         tuple(ActivePeriod(ids[k], time(b), time(e)) for k, b, e in run.periods),
         tuple(
@@ -477,14 +482,14 @@ def run_mechanism(
 ) -> MechanismOutcome:
     """Run mechanism `kind` (accepts the CLI spellings) on a stream or its sweep."""
     kind, shares = MechanismKind(kind), stream_shares(agents)
-    return _outcome(kind, shares, params, _core(kind, shares, params.u))
+    run = _core(kind, shares._ticks, [a.id for a in shares.stream], params.u)
+    return _outcome(kind, shares, params, run)
 
 
-def _nets(shares: StreamShares, run: _Run, params: GameParams) -> tuple[list[int], int]:
+def _nets(ticks: _Ticks, run: _Run, u: Rational, c: Rational) -> tuple[list[int], int]:
     """Each member's net utility as an integer numerator over one common
     denominator, returned with it: the tick scale times the denominators of
     u and of c.  Members are stream positions."""
-    ticks, u, c = shares._ticks, params.u, params.c
     den = ticks.scale * u.denominator * c.denominator
     lead_w = u.numerator * c.denominator  # per tick not spent leading
     paid_w = c.denominator  # per ledger unit, 1/(scale * u.denominator)
@@ -505,5 +510,6 @@ def net_utilities(outcome: MechanismOutcome) -> dict[AgentId, Fraction]:
     Reads the outcome's own stream (`outcome.shares`) and `outcome.params`,
     and sums each utility in integers over one common denominator (`_nets`).
     """
-    nets, den = _nets(outcome.shares, outcome._run, outcome.params)
+    params = outcome.params
+    nets, den = _nets(outcome.shares._ticks, outcome._run, params.u, params.c)
     return {a.id: Fraction(net, den) for a, net in zip(outcome.shares.stream, nets)}

@@ -11,8 +11,10 @@ Every public time and share is an exact `fractions.Fraction`; floats
 belong to the metrics and reporting layers.  Inside, the sweep and the
 mechanisms run on integer ticks: `stream_shares` picks one tick scale per
 stream under which every time and every division the core makes is a
-whole number of ticks, and stores only those ticks.  Fractions are built
-once, at the outputs: a sweep's segments and sums on first read.  All
+whole number of ticks, and stores only those ticks.  Its integer half,
+`_sweep`, also takes ticks straight from the highway's draw, with no
+`AgentSpec` in between.  Fractions are built once, at the outputs: a
+sweep's segments and sums on first read.  All
 intervals are half-open ``[start, end)`` so adjacent segments and active
 periods tile without overlap.  When a departure and an arrival coincide,
 the departure is processed first.
@@ -27,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import pairwise
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "AgentId",
@@ -254,14 +256,14 @@ class ShareReport:
     ex_post: Fraction
 
 
-class _Ticks(NamedTuple):
+@dataclass(frozen=True)
+class _Ticks:
     """A stream's instants and segment sums as whole numbers of ticks.
 
     A tick is 1/`scale` of a time unit.  The lists are indexed by position
     in the stream (arrival order) and are never mutated.  `by_leave` lists
     those positions by departure, ties in arrival order; `bounds` holds each
-    realized segment's (start, end); `instants` maps every arrival and
-    departure tick back to the stream's own Fraction.
+    realized segment's (start, end).
     """
 
     scale: int
@@ -271,12 +273,18 @@ class _Ticks(NamedTuple):
     ex_ante: list[int]
     ex_post: list[int]
     bounds: list[tuple[int, int]]
-    instants: dict[int, Fraction]
 
-    def time(self, tick: int) -> Fraction:
-        """The exact time at `tick`."""
-        known = self.instants.get(tick)
-        return Fraction(tick, self.scale) if known is None else known
+    @cached_property
+    def members(self) -> list[list[int]]:
+        """Each realized segment's members: stream positions, in arrival order."""
+        starts = [start for start, _ in self.bounds]
+        members: list[list[int]] = [[] for _ in starts]
+        for k, (arrive, leave) in enumerate(zip(self.arrive, self.leave)):
+            # every instant cuts: k is in the segments that start in [arrive, leave)
+            for s in range(bisect.bisect_left(starts, arrive),
+                           bisect.bisect_left(starts, leave)):
+                members[s].append(k)
+        return members
 
 
 def _div(numerator: int, divisor: int) -> int:
@@ -304,22 +312,24 @@ class StreamShares:
     _ticks: _Ticks = field(repr=False, compare=False)
 
     @cached_property
-    def _members(self) -> list[list[int]]:
-        """Each realized segment's members: stream positions, in arrival order."""
-        starts = [start for start, _ in self._ticks.bounds]
-        members: list[list[int]] = [[] for _ in starts]
-        for k, (arrive, leave) in enumerate(zip(self._ticks.arrive, self._ticks.leave)):
-            # every instant cuts: k is in the segments that start in [arrive, leave)
-            for s in range(bisect.bisect_left(starts, arrive),
-                           bisect.bisect_left(starts, leave)):
-                members[s].append(k)
-        return members
+    def _instants(self) -> dict[int, Fraction]:
+        """Every arrival and departure tick, mapped to the stream's own Fraction."""
+        ticks, instants = self._ticks, {}
+        for a, t_arrive, t_leave in zip(self.stream, ticks.arrive, ticks.leave):
+            instants[t_arrive] = a.t_arrive
+            instants[t_leave] = a.t_leave
+        return instants
+
+    def _time(self, tick: int) -> Fraction:
+        """The exact time at `tick`, reusing the stream's Fraction there."""
+        known = self._instants.get(tick)
+        return Fraction(tick, self._ticks.scale) if known is None else known
 
     @cached_property
     def segments(self) -> tuple[Segment, ...]:
-        ids, time = [a.id for a in self.stream], self._ticks.time
+        ids, time = [a.id for a in self.stream], self._time
         return tuple(Segment(time(b), time(e), frozenset(ids[k] for k in members))
-                     for (b, e), members in zip(self._ticks.bounds, self._members))
+                     for (b, e), members in zip(self._ticks.bounds, self._ticks.members))
 
     @cached_property
     def ex_ante(self) -> Mapping[AgentId, Fraction]:
@@ -425,17 +435,9 @@ def _ante_cut(
 def stream_shares(agents: Iterable[AgentSpec] | StreamShares) -> StreamShares:
     """One event sweep: realized segments, ex-ante and ex-post segment sums.
 
-    Validates the stream once and walks its arrival and departure instants
-    in time order, departures first at equal instants.  A running prefix
-    cum(t) of |seg|/n_seg gives each ex-post sum as
-    cum(t_leave) - cum(t_arrive).  The departures of the present agents are
-    kept sorted, so each ex-ante sum is one walk over them at the arrival.
-
-    The sweep runs on integer ticks.  The scale is the lcm of the stream's
-    time denominators times lcm(1..N)**2, N the peak number of agents
-    present: every segment length is then divisible by any member count
-    (the shares) and by any product of two of them (sg-da's cuts, see
-    `mechanisms._relieve`).
+    Validates the stream once, puts every time on the grid of 1/B, B the
+    lcm of the stream's time denominators, and sweeps those integers
+    (`_sweep`).
 
     A `StreamShares` is returned as it is, neither re-validated nor swept
     again.  Every function that takes an agent stream resolves it through
@@ -444,10 +446,29 @@ def stream_shares(agents: Iterable[AgentSpec] | StreamShares) -> StreamShares:
     if isinstance(agents, StreamShares):
         return agents
     stream = validate_stream(agents)
-    n = len(stream)
     base = math.lcm(*(t.denominator for a in stream for t in (a.t_arrive, a.t_leave)))
     arrive = [a.t_arrive.numerator * _div(base, a.t_arrive.denominator) for a in stream]
     leave = [a.t_leave.numerator * _div(base, a.t_leave.denominator) for a in stream]
+    return StreamShares(tuple(stream), _sweep(arrive, leave, base))
+
+
+def _sweep(arrive: list[int], leave: list[int], base: int) -> _Ticks:
+    """The event sweep of a stream given in units of 1/`base`.
+
+    `arrive` and `leave` hold each agent's arrival and departure, in
+    arrival order; arrivals are distinct and every agent leaves after it
+    arrives.  The sweep walks the instants in time order, departures first
+    at equal instants.  A running prefix cum(t) of |seg|/n_seg gives each
+    ex-post sum as cum(t_leave) - cum(t_arrive).  The departures of the
+    present agents are kept sorted, so each ex-ante sum is one walk over
+    them at the arrival.
+
+    The tick scale is `base` times lcm(1..N)**2, N the peak number of agents
+    present: every segment length is then divisible by any member count
+    (the shares) and by any product of two of them (sg-da's cuts, see
+    `mechanisms._relieve`).
+    """
+    n = len(arrive)
     by_leave = sorted(range(n), key=leave.__getitem__)
     peak = gone = 0
     for k, t in enumerate(arrive):  # departures go first at equal instants
@@ -455,22 +476,17 @@ def stream_shares(agents: Iterable[AgentSpec] | StreamShares) -> StreamShares:
             gone += 1
         peak = max(peak, k + 1 - gone)
     wide = math.lcm(*range(1, peak + 1)) ** 2
-    scale = base * wide
     arrive = [t * wide for t in arrive]
     leave = [t * wide for t in leave]
-    instants: dict[int, Fraction] = {}
-    for a, t_arrive, t_leave in zip(stream, arrive, leave):
-        instants[t_arrive] = a.t_arrive
-        instants[t_leave] = a.t_leave
 
     leaves: list[int] = []  # departures of the present agents, ascending
     bounds: list[tuple[int, int]] = []
     ante, post = [0] * n, [0] * n
     cum = 0  # sum of |seg|/n_seg over the segments ended so far
     cum_at_arrival = [0] * n
-    arriving = departing = 0  # next indices into stream and by_leave
+    arriving = departing = 0  # next indices into arrive and by_leave
     prev = 0
-    for t in sorted(instants):
+    for t in sorted({*arrive, *leave}):
         if arriving > departing:  # someone is present
             bounds.append((prev, t))
             cum += _div(t - prev, arriving - departing)
@@ -489,8 +505,7 @@ def stream_shares(agents: Iterable[AgentSpec] | StreamShares) -> StreamShares:
             ante[k] = sum(_div(e - s, m - i) for s, e, i in cuts)
             arriving += 1
         prev = t
-    ticks = _Ticks(scale, arrive, leave, by_leave, ante, post, bounds, instants)
-    return StreamShares(tuple(stream), ticks)
+    return _Ticks(base * wide, arrive, leave, by_leave, ante, post, bounds)
 
 
 def stream_segments(agents: Sequence[AgentSpec]) -> list[Segment]:

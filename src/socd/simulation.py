@@ -34,7 +34,7 @@ from .metrics import (
     gini,
     unsatisfied_fraction,
 )
-from .model import AgentSpec, GameParams, stream_shares
+from .model import AgentSpec, _sweep
 
 __all__ = [
     "RingRoadParams",
@@ -69,6 +69,12 @@ def _require(params: object, kind: type, what: str, *names: str) -> None:
 # Past it a run would exhaust memory, overflow numpy or never finish before
 # writing a record, so the params classes refuse it at construction.
 _MAX_SIZE = 10**6
+
+
+# Upper bound on the ring road's estimated section count: a vehicle waits
+# about 1/join_probability laps of n_stations sections per participation.
+# The loop takes about 15-20 s at the bound on a 2-core Xeon.
+_MAX_SECTIONS = 10**8
 
 
 def _require_at_most(params: object, *names: str) -> None:
@@ -126,6 +132,11 @@ class RingRoadParams:
         if self.target_mean_participations * self.n_vehicles > _MAX_SIZE:
             raise ValueError("target_mean_participations * n_vehicles (the "
                              f"record count) must be at most {_MAX_SIZE}")
+        sections = self.target_mean_participations * self.n_stations
+        if self.join_probability > 0 and sections / self.join_probability > _MAX_SECTIONS:
+            raise ValueError("target_mean_participations * n_stations / join_probability"
+                             " (the estimated section count) must be at most "
+                             f"{_MAX_SECTIONS}")
 
 
 @dataclass(frozen=True)
@@ -185,9 +196,57 @@ class ExperimentResult:
         object.__setattr__(self, "records", tuple(self.records))
 
 
-# Sub-station spacing for same-station joiners; must stay below one station
-# so the offsets never reach the next station or any exit time.
-ENTRY_OFFSET = Fraction(1, 1000)
+# Ticks per station on the highway.  Same-station joiners arrive one tick
+# apart, so a station takes at most this many of them: one more would
+# arrive on the next station's tick, the first tick any exit can fall on.
+_STATION_TICKS = 1000
+# the spacing of same-station joiners, in stations
+ENTRY_OFFSET = Fraction(1, _STATION_TICKS)
+
+
+def _sample_ticks(
+    configuration: str, rng: np.random.Generator, n_agents: int, n_stations: int
+) -> tuple[list[int], list[int], list[int]]:
+    """One convoy's stream as ids, arrivals and departures in ticks, in
+    arrival order: the arrival of the rank-r joiner at station s is
+    s * 1000 + r, its departure its exit station times 1000.  Raises a
+    ValueError if more than 1000 agents enter at one station.
+    (`sample_stream` gives the same draw as `AgentSpec`s.)
+    """
+    hub = max(1, n_stations // 10)
+    by_station: dict[int, list[tuple[int, int]]] = {}
+    for i in range(n_agents):
+        for _ in range(1000):
+            if configuration == "bimodal" and rng.random() < 0.8:
+                entry = int(rng.integers(1, hub + 1))
+                exit_ = int(rng.integers(n_stations - hub + 1, n_stations + 1))
+            else:
+                entry = int(rng.integers(1, n_stations + 1))
+                exit_ = int(rng.integers(1, n_stations + 1))
+                if exit_ <= entry:
+                    continue
+            by_station.setdefault(entry, []).append((exit_, i))
+            break
+        else:
+            raise RuntimeError("could not sample an ordered entry/exit pair")
+
+    ids: list[int] = []
+    arrive: list[int] = []
+    leave: list[int] = []
+    for entry in sorted(by_station):
+        group = by_station[entry]
+        if len(group) > 1:
+            if len(group) > _STATION_TICKS:
+                raise ValueError(f"{len(group)} agents enter at station {entry}; "
+                                 f"at most {_STATION_TICKS} fit between two stations")
+            group = [group[j] for j in rng.permutation(len(group))]
+        tick = entry * _STATION_TICKS
+        for exit_, i in group:
+            ids.append(i)
+            arrive.append(tick)
+            leave.append(exit_ * _STATION_TICKS)
+            tick += 1
+    return ids, arrive, leave
 
 
 def sample_stream(
@@ -204,37 +263,18 @@ def sample_stream(
     hub-to-hub, entering in the first 10% of stations and exiting in the
     last 10%; otherwise the uniform scheme applies.  Several agents may
     enter at the same station; their order is randomized and they are
-    spaced by sub-station offsets so that arrival times stay distinct,
-    with the last one in arriving latest.  Ids are 0..n_agents-1.
-    """
-    hub = max(1, n_stations // 10)
-    drawn: list[tuple[int, int, int]] = []
-    for i in range(n_agents):
-        for _ in range(1000):
-            if configuration == "bimodal" and rng.random() < 0.8:
-                entry = int(rng.integers(1, hub + 1))
-                exit_ = int(rng.integers(n_stations - hub + 1, n_stations + 1))
-            else:
-                entry = int(rng.integers(1, n_stations + 1))
-                exit_ = int(rng.integers(1, n_stations + 1))
-                if exit_ <= entry:
-                    continue
-            drawn.append((entry, exit_, i))
-            break
-        else:
-            raise RuntimeError("could not sample an ordered entry/exit pair")
+    spaced by `ENTRY_OFFSET` (1/1000 of a station) so that arrival times
+    stay distinct, with the last one in arriving latest.  At most 1000
+    agents may enter at one station (a ValueError otherwise).  Ids are
+    0..n_agents-1, listed in arrival order.
 
-    by_station: dict[int, list[tuple[int, int, int]]] = {}
-    for entry, exit_, i in drawn:
-        by_station.setdefault(entry, []).append((entry, exit_, i))
-    agents: list[AgentSpec] = []
-    for entry in sorted(by_station):
-        group = by_station[entry]
-        if len(group) > 1:
-            group = [group[j] for j in rng.permutation(len(group))]
-        for rank, (_, exit_, i) in enumerate(group):
-            agents.append(AgentSpec(i, Fraction(entry) + rank * ENTRY_OFFSET, exit_))
-    return agents
+    This is the highway's own draw (the same generator calls in the same
+    order), with each time as an exact `Fraction`; the highway itself
+    keeps the times as integer ticks.
+    """
+    ids, arrive, leave = _sample_ticks(configuration, rng, n_agents, n_stations)
+    return [AgentSpec(i, Fraction(t_arrive, _STATION_TICKS), t_leave // _STATION_TICKS)
+            for i, t_arrive, t_leave in zip(ids, arrive, leave)]
 
 
 def highway_experiment(
@@ -248,37 +288,41 @@ def highway_experiment(
     mechanism would charge for.  Gini cells with fewer than two records are
     omitted.
 
-    The records come from each mechanism's tick core (`mechanisms._core`
-    and `_nets`), not from a `MechanismOutcome`: no schedule, ledger or
-    output Fraction is built.  Each float is one int divided by another,
-    which is correctly rounded, so it equals float() of the exact Fraction
-    that `run_mechanism` and `net_utilities` would give.  Fractions are
-    built only for the streams; their sweeps build none.
+    The highway runs on integer ticks from the draw to the record: each
+    convoy's stream is drawn as ticks (`_sample_ticks`, the draw of
+    `sample_stream`), swept as ticks (`model._sweep`, the sweep of
+    `stream_shares`), and run through each mechanism's tick core
+    (`mechanisms._core` and `_nets`).  No `AgentSpec`, `MechanismOutcome`
+    or `Fraction` is built, and the stream is not validated again: the
+    draw gives distinct arrivals in order, each before its departure.  Each
+    float is one int divided by another, which is correctly rounded, so it
+    equals float() of the exact Fraction that `run_mechanism` and
+    `net_utilities` give on the `sample_stream` stream, whatever the tick
+    scale.
     """
     kinds = [MechanismKind(m) for m in mechanisms]
-    game_params = GameParams(u=Fraction(1), c=Fraction(params.switch_cost))
+    c = params.switch_cost  # u is 1
     children = np.random.SeedSequence(params.seed).spawn(params.n_convoys)
 
     records: list[ParticipationRecord] = []
     ratios: dict[str, list[float]] = {kind.value: [] for kind in kinds}
     for ci, child in enumerate(children):
         rng = np.random.default_rng(child)
-        shares = stream_shares(
-            sample_stream(
-                params.configuration, rng, params.agents_per_convoy, params.n_stations
-            )
+        ids, arrive, leave = _sample_ticks(
+            params.configuration, rng, params.agents_per_convoy, params.n_stations
         )
-        scale, epps = shares._ticks.scale, shares._ticks.ex_post
+        ticks = _sweep(arrive, leave, _STATION_TICKS)
+        scale, epps = ticks.scale, ticks.ex_post
         for kind in kinds:
             mechanism = kind.value
-            run = _core(kind, shares, game_params.u)
-            nets, den = _nets(shares, run, game_params)
+            run = _core(kind, ticks, ids, 1)
+            nets, den = _nets(ticks, run, 1, c)
             led = run.led
-            for k, a in enumerate(shares.stream):
+            for k, i in enumerate(ids):
                 ratio = led[k] / epps[k]
                 records.append(
                     ParticipationRecord(
-                        agent=a.id,
+                        agent=i,
                         convoy=ci,
                         actual_lead=led[k] / scale,
                         epps=epps[k] / scale,
