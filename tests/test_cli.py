@@ -518,6 +518,14 @@ def test_ring_params_too_large_for_a_float_exit_1(tmp_path, capsys, key):
         1, "", f"error: params.{key}: too large for a float\n")
 
 
+# one vehicle riding 10**6 participations, the most the record bound allows
+LONG_RING = dict(RING_SCENARIO, params={**RING_SCENARIO["params"], "n_vehicles": 1,
+                                        "target_mean_participations": 10**6,
+                                        "curve_step": 1000})
+SECTIONS = ("target_mean_participations * n_stations / join_probability (the "
+            "estimated section count) must be at most 100000000")
+
+
 @pytest.mark.parametrize(
     "base, key, value, message",
     [
@@ -530,12 +538,20 @@ def test_ring_params_too_large_for_a_float_exit_1(tmp_path, capsys, key):
                                      "curve_step": 1e7}),
          "target_mean_participations", 1e12, "target_mean_participations * "
          "n_vehicles (the record count) must be at most 1000000"),
+        # these two ran past a 20-s timeout
+        ({"experiment": "ring", "params": {}}, "join_probability", 1e-9, SECTIONS),
+        (LONG_RING, "n_stations", 10**6, SECTIONS),
+        # one station past the bound: 10**6 * 51 / 0.5
+        (dict(LONG_RING, params={**LONG_RING["params"], "curve_step": 1,
+                                 "join_probability": 0.5}),
+         "n_stations", 51, SECTIONS),
         (HIGHWAY_SCENARIO, "n_stations", 10**20, "n_stations must be at most 1000000"),
         (HIGHWAY_SCENARIO, "n_convoys", 10**20, "n_convoys must be at most 1000000"),
         (HIGHWAY_SCENARIO, "n_convoys", 10**6, "n_convoys * agents_per_convoy (the "
          "record count per mechanism) must be at most 1000000"),
     ],
     ids=["ring-n_stations", "ring-n_vehicles", "ring-checkpoints", "ring-records",
+         "ring-rare-joins", "ring-long-road", "ring-sections",
          "highway-n_stations", "highway-n_convoys", "highway-records"],
 )
 def test_experiment_sizes_are_bounded(tmp_path, capsys, monkeypatch, base, key, value,
@@ -555,11 +571,44 @@ def test_experiment_sizes_are_bounded(tmp_path, capsys, monkeypatch, base, key, 
 def test_experiment_sizes_at_the_bound_are_accepted():
     # the record counts, target_mean_participations * n_vehicles and
     # n_convoys * agents_per_convoy, are bounded too, so each factor reaches
-    # the bound with the other at 1
+    # the bound with the other at 1 (and every join probability at 1, so the
+    # estimated section count stays at its own bound)
     RingRoadParams(n_stations=10**6, n_vehicles=10**6,
                    target_mean_participations=1, curve_step=1)
-    RingRoadParams(n_vehicles=1, target_mean_participations=10**6, curve_step=1)
+    RingRoadParams(n_vehicles=1, target_mean_participations=10**6, curve_step=1,
+                   join_probability=1.0)
     HighwayParams(n_stations=10**6, n_convoys=10**6, agents_per_convoy=1)
+
+
+class _LoopStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"join_probability": 1e-3},  # 1000 * 100 / 1e-3, about 20 s
+        {"n_vehicles": 1, "target_mean_participations": 10**6, "curve_step": 1,
+         "n_stations": 50, "join_probability": 0.5},
+        # no join draws, so no loop however long the road
+        {"n_vehicles": 1, "target_mean_participations": 10**6, "curve_step": 1,
+         "n_stations": 10**6, "join_probability": 0},
+    ],
+    ids=["rare-joins", "long-road", "no-joins"],
+)
+def test_ring_sections_at_the_bound_are_accepted(tmp_path, monkeypatch, params):
+    def start(*args, **kwargs):
+        raise _LoopStarted
+
+    monkeypatch.setattr("socd.simulation._fresh", start)
+    argv = ["--scenario", write_scenario(tmp_path, {"experiment": "ring",
+                                                    "params": params}),
+            "--out", str(tmp_path / "out")]
+    if params["join_probability"]:
+        with pytest.raises(_LoopStarted):
+            main(argv)
+    else:
+        assert main(argv) == 0
 
 
 def test_unknown_experiment_name(tmp_path, capsys):

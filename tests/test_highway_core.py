@@ -1,9 +1,11 @@
-"""The highway reads its records off the mechanisms' tick core.
+"""The highway runs on integer ticks from the draw to the record.
 
-`highway_experiment` builds no `MechanismOutcome`; these tests check that
-its records and Gini cells equal those of the loop that did
-(`highway_oracle.py`), and that it builds none of an outcome's parts and
-no segment.
+`highway_experiment` draws ticks, sweeps them and reads its records off the
+mechanisms' tick core.  These tests check that its records and Gini cells
+equal those of the loop that built `AgentSpec`s and `MechanismOutcome`s
+(`highway_oracle.py`), that its draw and sweep equal that loop's Fraction
+sampler and `stream_shares`, and that it builds no stream, none of an
+outcome's parts and no segment.
 """
 
 from __future__ import annotations
@@ -17,14 +19,17 @@ import pytest
 import highway_oracle as oracle
 import socd.mechanisms
 import socd.model
+import socd.simulation
 from socd import (
     HighwayParams,
     MechanismKind,
     Segment,
     highway_experiment,
     run_mechanism,
+    stream_shares,
 )
-from socd.simulation import sample_stream
+from socd.model import _sweep
+from socd.simulation import _sample_ticks, sample_stream
 
 ALL_KINDS = [k.value for k in MechanismKind]
 
@@ -77,12 +82,36 @@ def _count_constructions(monkeypatch) -> Counter:
     return built
 
 
+def _count_streams(monkeypatch, built: Counter) -> Counter:
+    """Count the `AgentSpec`s and Fractions that `socd.model` and
+    `socd.simulation` build, by the names they look up, and the streams
+    that `socd.model` validates."""
+    for module in (socd.model, socd.simulation):
+        for name in ("AgentSpec", "Fraction"):
+            cls = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                _counting(built, f"{module.__name__}.{name}", cls))
+    validate = socd.model.validate_stream
+    monkeypatch.setattr(socd.model, "validate_stream",
+                        _counting(built, "validate_stream", validate))
+    return built
+
+
 def test_highway_builds_no_outcome(monkeypatch):
-    built = _count_constructions(monkeypatch)
     params = HighwayParams(n_stations=12, n_convoys=2, agents_per_convoy=8,
                            switch_cost=Fraction(5, 3), seed=3)
+    built = _count_streams(monkeypatch, _count_constructions(monkeypatch))
     assert len(highway_experiment(params, ALL_KINDS).records) == 2 * 8 * 4
     assert built == {}
+
+
+def test_the_construction_count_sees_a_stream(monkeypatch):
+    # the guard above counts what `sample_stream` and `stream_shares` build
+    built = _count_streams(monkeypatch, Counter())
+    stream_shares(sample_stream("uniform", np.random.default_rng(3), 8, 12))
+    assert built["socd.simulation.AgentSpec"] == built["socd.simulation.Fraction"] == 8
+    assert built["socd.model.Fraction"] > 0  # AgentSpec coerces the int exits
+    assert built["validate_stream"] == 1
 
 
 def test_the_construction_count_sees_an_outcome(monkeypatch):
@@ -110,3 +139,32 @@ def test_repeated_and_reordered_kinds_equal_the_outcome_loop():
                            switch_cost=1, seed=9)
     kinds = ["sg", "rg", "sg"]
     assert highway_experiment(params, kinds) == oracle.highway_experiment(params, kinds)
+
+
+@pytest.mark.parametrize("n_stations", [2, 3, 12, 100])
+@pytest.mark.parametrize("configuration", ["uniform", "bimodal"])
+def test_tick_draw_and_sweep_equal_the_fraction_sampler(configuration, n_stations):
+    for seed in range(200):
+        n_agents = 1 + seed % (n_stations - 1)
+        rngs = [np.random.default_rng(seed) for _ in range(3)]
+        ids, arrive, leave = _sample_ticks(configuration, rngs[0], n_agents, n_stations)
+        stream = oracle.sample_stream(configuration, rngs[1], n_agents, n_stations)
+        assert sample_stream(configuration, rngs[2], n_agents, n_stations) == stream
+        states = [rng.bit_generator.state for rng in rngs]
+        assert states[0] == states[1] == states[2]
+
+        want = stream_shares(stream)._ticks
+        assert ids == [a.id for a in stream]
+        # the draw is on a base of 1000 ticks per station, the oracle's sweep
+        # on its own scale: compare x / 1000 with y / scale
+        assert [t * want.scale for t in arrive] == [t * 1000 for t in want.arrive]
+        assert [t * want.scale for t in leave] == [t * 1000 for t in want.leave]
+
+        got = _sweep(arrive, leave, 1000)
+        for name in ("arrive", "leave", "ex_ante", "ex_post"):
+            assert ([t * want.scale for t in getattr(got, name)]
+                    == [t * got.scale for t in getattr(want, name)]), name
+        assert ([(b * want.scale, e * want.scale) for b, e in got.bounds]
+                == [(b * got.scale, e * got.scale) for b, e in want.bounds])
+        assert got.by_leave == want.by_leave
+        assert got.members == want.members

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -169,6 +170,30 @@ def test_bimodal_sampling_routes_most_agents_hub_to_hub():
     assert hub_trips < 400
     for a in stream:
         assert a.t_arrive < a.t_leave
+
+
+class _OneStation:
+    """A generator stub that sends every agent from station 1 to station 2."""
+
+    def __init__(self):
+        self._draws = itertools.cycle([1, 2])  # entry, then exit
+
+    def integers(self, low, high):
+        return next(self._draws)
+
+    def permutation(self, n):
+        return np.arange(n)
+
+
+def test_a_station_takes_at_most_1000_joiners():
+    # one station is 1000 ticks: the 1001st joiner would arrive on the tick
+    # of station 2, which is every agent's exit
+    stream = sample_stream("uniform", _OneStation(), n_agents=1000, n_stations=2)
+    assert stream[-1].t_arrive == 1 + 999 * ENTRY_OFFSET < stream[-1].t_leave == 2
+    with pytest.raises(ValueError, match="1001 agents enter at station 1"):
+        sample_stream("uniform", _OneStation(), n_agents=1001, n_stations=2)
+    with pytest.raises(ValueError, match="1001 agents enter at station 1"):
+        simulation._sample_ticks("uniform", _OneStation(), 1001, 2)
 
 
 def test_sampling_is_reproducible():
