@@ -73,7 +73,7 @@ _MAX_SIZE = 10**6
 
 # Upper bound on the ring road's estimated section count: a vehicle waits
 # about 1/join_probability laps of n_stations sections per participation.
-# The loop takes about 15-20 s at the bound on a 2-core Xeon.
+# A run at the bound took 13-22 s on a 2-core Xeon.
 _MAX_SECTIONS = 10**8
 
 
