@@ -3,9 +3,10 @@
 A convoy of agents shares one recurring chore (leading the convoy) while
 membership changes over time. This package provides the timing model with
 exact rational arithmetic, three allocation mechanisms (payment transfer,
-repeated-game load balancing, and single-game load balancing with an
-optional dynamic adjustment), fairness and efficiency metrics, and two
-reproducible simulation experiments with a command-line front end.
+repeated-game load balancing, and single-game load balancing, also with
+dynamic adjustment), each run by `run_mechanism`, fairness and efficiency
+metrics, and two reproducible simulation experiments with a command-line
+front end.
 """
 
 from .mechanisms import (
@@ -15,10 +16,7 @@ from .mechanisms import (
     Payment,
     Transfer,
     net_utilities,
-    pt_run,
-    rg_run,
     run_mechanism,
-    sg_run,
 )
 from .metrics import (
     UNSATISFIED_THRESHOLD,
@@ -107,10 +105,7 @@ __all__ = [
     "Payment",
     "Transfer",
     "net_utilities",
-    "pt_run",
-    "rg_run",
     "run_mechanism",
-    "sg_run",
     # metrics
     "UNSATISFIED_THRESHOLD",
     "AllZeroSample",

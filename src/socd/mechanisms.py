@@ -4,12 +4,14 @@ Every mechanism is one convoy rule, run by one event loop (`_drive`):
 members queue and the front one performs the shared chore.  Only the queue
 order and the claim after which a member leaves the front differ:
 
-* payment transfer (`pt_run`): the first to depart leads and followers pay
-  it per segment, so nobody ever rotates;
-* repeated game (`rg_run`): the newest arrival takes the front and leads;
-* single game (`sg_run`): every arrival claims a leading share and rotates
-  to the back once it has led that long, optionally with the unfinished
-  members' claims cut as newcomers arrive (`_relieve`).
+* payment transfer (`pt`): the first to depart leads and followers pay it
+  per segment, so nobody ever rotates;
+* repeated game (`rg`): the newest arrival takes the front and leads;
+* single game (`sg`): every arrival claims a leading share and rotates to
+  the back once it has led that long; `sg-da` also cuts the unfinished
+  members' claims as newcomers arrive (`_relieve`).
+
+`run_mechanism(kind, stream, params)` runs each of them.
 
 The convoy's queue, finished members and remaining claims live only inside
 `_drive`.  Mechanisms without a claim (pt, rg) take the departures and the
@@ -31,7 +33,8 @@ pt's ledger is kept per realized segment: one `Payment` holds the segment,
 its leader (the payee), the followers who pay it and the one amount each
 pays.  `Ledger.transfers`, one `Transfer` per payer, is built from those
 entries on first read, so a game with n members in a segment stores one
-entry for it, not n - 1 transfers.
+entry for it, not n - 1 transfers.  A segment whose leader is alone has an
+entry with no payers.
 """
 
 from __future__ import annotations
@@ -41,9 +44,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
 from numbers import Rational
-from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import (
@@ -69,15 +70,28 @@ __all__ = [
     "Payment",
     "Ledger",
     "MechanismOutcome",
-    "pt_run",
-    "rg_run",
-    "sg_run",
     "run_mechanism",
     "net_utilities",
 ]
 
 
 class MechanismKind(str, Enum):
+    """The four mechanisms, by their CLI spelling; `run_mechanism` runs each.
+
+    * `pt`: of two members departing together the earlier arrival leads; the
+      leader changes only when it departs or a sooner-departing agent
+      arrives, so switching is free.
+    * `rg`: uneven shares within one game settle over repeated games, so
+      nobody rotates and no payments change hands.
+    * `sg`: each arrival claims its ex-ante sum (the agents present at an
+      arrival are exactly those available then), and finished members ride
+      behind unfinished ones.  At one instant the departures go first, then
+      the arrival, then a rotation, so leavers never pay and an arrival in
+      front of an exhausted leader pre-empts its rotation.
+    * `sg-da`: as `sg`, and every arrival also cuts the unfinished members'
+      remaining claims (`_relieve`).
+    """
+
     PAYMENT_TRANSFER = "pt"
     REPEATED_GAME = "rg"
     SINGLE_GAME = "sg"
@@ -104,51 +118,19 @@ class Payment(NamedTuple):
     amount: Fraction
 
 
+@dataclass(frozen=True)
 class Ledger:
-    """All transfers of a payment-transfer game plus the per-agent net.
+    """A payment-transfer game's ledger: one `Payment` per realized segment,
+    in segment order, plus the per-agent net.  `transfers`, one per payer of
+    each entry, is built on first read."""
 
-    pt keeps its ledger per realized segment, in segment order (`payments`,
-    given as `Ledger(None, net, payments=...)`), and builds `transfers`, one
-    per payer of each entry, on first read.  A ledger made from its
-    transfers, `Ledger(transfers, net)`, groups each run of transfers with
-    one segment, payee and amount into an entry when `payments` is first
-    read.  Two ledgers are equal when their transfers, in order, and their
-    nets are.
-    """
-
-    def __init__(
-        self,
-        transfers: Iterable[Transfer] | None,
-        net: Mapping[AgentId, Fraction],
-        *,
-        payments: Iterable[Payment] | None = None,
-    ) -> None:
-        if (transfers is None) == (payments is None):
-            raise TypeError("a ledger takes either its transfers or its payments")
-        if payments is None:
-            self.transfers = tuple(transfers)
-        else:
-            self.payments = tuple(payments)
-        self.net = net
+    payments: tuple[Payment, ...]
+    net: Mapping[AgentId, Fraction]
 
     @cached_property
     def transfers(self) -> tuple[Transfer, ...]:
         return tuple(Transfer(p.segment, payer, p.payee, p.amount)
                      for p in self.payments for payer in p.payers)
-
-    @cached_property
-    def payments(self) -> tuple[Payment, ...]:
-        runs = groupby(self.transfers, attrgetter("segment", "payee", "amount"))
-        return tuple(Payment(segment, payee, tuple(t.payer for t in run), amount)
-                     for (segment, payee, amount), run in runs)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.transfers == other.transfers and self.net == other.net
-
-    def __repr__(self) -> str:
-        return f"Ledger(transfers={self.transfers!r}, net={self.net!r})"
 
 
 class _Run(NamedTuple):
@@ -380,39 +362,12 @@ def _outcome(
             for seg, (payee, payers, pay) in zip(shares.segments, run.payments)
         )
         net = {ids[k]: Fraction(p, money) for k, p in enumerate(run.paid)}
-        ledger = Ledger(None, net, payments=payments)
+        ledger = Ledger(payments, net)
     lead_shares = {ids[k]: Fraction(led, ticks.scale) for k, led in enumerate(run.led)}
     rotation_costs = {ids[k]: c * r for k, r in enumerate(run.rotated) if r}
     return MechanismOutcome(
         kind, schedule, ledger, rotation_costs, shares, params, lead_shares, run
     )
-
-
-def pt_run(
-    agents: Iterable[AgentSpec] | StreamShares, params: GameParams = GameParams()
-) -> MechanismOutcome:
-    """Payment-transfer mechanism.
-
-    The available agent with the earliest departure time leads (ties broken
-    by earlier arrival), and in every segment each follower pays the leader
-    |seg| * u / n_seg.  The leader only changes when it departs or when a
-    sooner-departing agent arrives, so the schedule contains no rotations
-    and switching is free.
-    """
-    return run_mechanism(MechanismKind.PAYMENT_TRANSFER, agents, params)
-
-
-def rg_run(
-    agents: Iterable[AgentSpec] | StreamShares, params: GameParams = GameParams()
-) -> MechanismOutcome:
-    """Repeated-game load balancing.
-
-    Every arrival joins at the front of the convoy and leads immediately;
-    when the leader departs, the previous front agent resumes.  Uneven
-    shares within one game are accepted and settle over repeated games, so
-    no agent ever rotates and no payments change hands.
-    """
-    return run_mechanism(MechanismKind.REPEATED_GAME, agents, params)
 
 
 def _relieve(
@@ -452,29 +407,6 @@ def _relieve(
             remaining[m] = max(0, remaining[m] - cut)
 
 
-def sg_run(
-    agents: Iterable[AgentSpec] | StreamShares,
-    params: GameParams = GameParams(),
-    dynamic_adjust: bool = False,
-) -> MechanismOutcome:
-    """Single-game load balancing, optionally with dynamic adjustment.
-
-    Each arrival claims a remaining leading share equal to its ex-ante
-    proportional segment sum over the agents present, which are exactly
-    those available then, so the claim is the sweep's ex-ante sum.
-    Unfinished members ride in front of finished ones, ordered by departure
-    time, and the front agent leads until it departs, until a
-    sooner-departing agent arrives in front of it, or until its remaining
-    share reaches zero, at which point it rotates to the back and pays
-    c * n_r.  With `dynamic_adjust`, every arrival also cuts the unfinished
-    members' remaining shares (`_relieve`).  Departures, an arrival and a
-    rotation at one instant are three steps in that order, so leaving
-    agents never pay and an arrival in front of an exhausted leader
-    pre-empts its rotation.
-    """
-    return run_mechanism("sg-da" if dynamic_adjust else "sg", agents, params)
-
-
 def run_mechanism(
     kind: MechanismKind | str,
     agents: Iterable[AgentSpec] | StreamShares,
@@ -510,6 +442,8 @@ def net_utilities(outcome: MechanismOutcome) -> dict[AgentId, Fraction]:
     Reads the outcome's own stream (`outcome.shares`) and `outcome.params`,
     and sums each utility in integers over one common denominator (`_nets`).
     """
+    if outcome._run is None:
+        raise ValueError("the outcome must come from run_mechanism: it has no tick run")
     params = outcome.params
     nets, den = _nets(outcome.shares._ticks, outcome._run, params.u, params.c)
     return {a.id: Fraction(net, den) for a, net in zip(outcome.shares.stream, nets)}

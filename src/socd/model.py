@@ -29,6 +29,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import pairwise
+from numbers import Rational
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -71,15 +72,28 @@ def as_time(value: int | str | Fraction) -> Fraction:
 
     Accepts ints, Fractions and strings ("7", "0.25", "16/3").  Floats are
     rejected: their binary value is rarely the decimal the caller meant, and
-    the model is exact by contract.
+    the model is exact by contract.  The result's parts are Python ints,
+    also for a numpy integer (`_plain`).
     """
-    if type(value) is Fraction:
+    if type(value) is not Fraction:
+        if isinstance(value, bool) or isinstance(value, float):
+            raise TypeError(
+                f"times must be exact (int, str or Fraction), not {type(value).__name__}"
+            )
+        value = Fraction(value)
+    elif type(value.numerator) is int and type(value.denominator) is int:
+        return value  # the common case, without a call
+    return _plain(value)
+
+
+def _plain(value: Rational) -> Fraction:
+    """`value` as a Fraction of Python ints; a Fraction of ints is returned as
+    it is.  A numpy integer keeps its C-long type inside a Fraction, and its
+    products with a tick scale overflow."""
+    num, den = value.numerator, value.denominator
+    if type(value) is Fraction and type(num) is int and type(den) is int:
         return value
-    if isinstance(value, bool) or isinstance(value, float):
-        raise TypeError(
-            f"times must be exact (int, str or Fraction), not {type(value).__name__}"
-        )
-    return Fraction(value)
+    return Fraction(int(num), int(den))
 
 
 class EmptyStream(ValueError):
@@ -155,8 +169,8 @@ class GameParams:
     c: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "u", Fraction(self.u))
-        object.__setattr__(self, "c", Fraction(self.c))
+        object.__setattr__(self, "u", _plain(Fraction(self.u)))
+        object.__setattr__(self, "c", _plain(Fraction(self.c)))
         if self.u <= 0:
             raise ValueError("u must be positive")
         if self.c < 0:

@@ -34,7 +34,7 @@ from .metrics import (
     gini,
     unsatisfied_fraction,
 )
-from .model import AgentSpec, _sweep
+from .model import AgentSpec, _plain, _sweep
 
 __all__ = [
     "RingRoadParams",
@@ -167,6 +167,9 @@ class HighwayParams:
             raise ValueError(f"switch_cost must be an int or a Fraction, not {cost!r}")
         if cost < 0:
             raise ValueError(f"switch_cost must be non-negative, not {cost}")
+        # an int or a Fraction of ints stays as given; a numpy integer would overflow
+        object.__setattr__(self, "switch_cost",
+                           int(cost) if isinstance(cost, numbers.Integral) else _plain(cost))
         if self.configuration not in ("uniform", "bimodal"):
             raise ValueError("configuration must be 'uniform' or 'bimodal'")
         if self.n_stations < 2:

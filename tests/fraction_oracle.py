@@ -24,11 +24,11 @@ from socd import (
     Ledger,
     MechanismKind,
     MechanismOutcome,
+    Payment,
     Schedule,
     Segment,
     SwitchEvent,
     SwitchKind,
-    Transfer,
     validate_stream,
 )
 from socd.model import AgentId, Time, _ante_cut
@@ -237,7 +237,7 @@ def pt_run(
     policy = _Policy(MechanismKind.PAYMENT_TRANSFER)
     outcome = _drive(shares, params, policy)
     by_id = {a.id: a for a in shares.stream}
-    transfers: list[Transfer] = []
+    payments: list[Payment] = []
     net = {a.id: Fraction(0) for a in shares.stream}
     periods = iter(outcome.schedule.periods)
     period = next(periods)
@@ -246,11 +246,12 @@ def pt_run(
             period = next(periods)
         leader = period.agent
         pay = seg.length * params.u / len(seg.members)
-        for fid in sorted(seg.members - {leader}, key=lambda i: by_id[i].t_arrive):
-            transfers.append(Transfer(seg, fid, leader, pay))
+        followers = sorted(seg.members - {leader}, key=lambda i: by_id[i].t_arrive)
+        payments.append(Payment(seg, leader, tuple(followers), pay))
+        for fid in followers:
             net[fid] -= pay
             net[leader] += pay
-    return replace(outcome, ledger=Ledger(tuple(transfers), net))
+    return replace(outcome, ledger=Ledger(tuple(payments), net))
 
 
 def rg_run(

@@ -24,12 +24,12 @@ from socd import (
     Ledger,
     MechanismKind,
     MechanismOutcome,
+    Payment,
     Schedule,
     Segment,
     StreamShares,
     SwitchEvent,
     SwitchKind,
-    Transfer,
     eas_segments,
     stream_shares,
 )
@@ -97,7 +97,7 @@ def pt_run(
 
     periods: list[ActivePeriod] = []
     switches: list[SwitchEvent] = []
-    transfers: list[Transfer] = []
+    payments: list[Payment] = []
     net = {a.id: Fraction(0) for a in stream}
     assigned = {a.id: Fraction(0) for a in stream}
 
@@ -112,8 +112,8 @@ def pt_run(
         followers = sorted(
             (i for i in seg.members if i != leader), key=lambda i: by_id[i].t_arrive
         )
+        payments.append(Payment(seg, leader, tuple(followers), pay))
         for fid in followers:
-            transfers.append(Transfer(seg, fid, leader, pay))
             net[fid] -= pay
             net[leader] += pay
 
@@ -147,7 +147,7 @@ def pt_run(
     return MechanismOutcome(
         kind=MechanismKind.PAYMENT_TRANSFER,
         schedule=Schedule(tuple(periods), tuple(switches)),
-        ledger=Ledger(tuple(transfers), net),
+        ledger=Ledger(tuple(payments), net),
         rotation_costs={},
         shares=shares,
         params=params,

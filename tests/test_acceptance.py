@@ -31,8 +31,6 @@ from socd import (
     gini,
     highway_experiment,
     net_utilities,
-    pt_run,
-    rg_run,
     ring_road_experiment,
     run_mechanism,
     validate_stream,
@@ -73,7 +71,7 @@ def test_criterion_01_payment_transfer_equitability(corpus, capsys):
     bad = 0
     agents_checked = 0
     for stream in corpus:
-        outcome = pt_run(stream, params)
+        outcome = run_mechanism("pt", stream, params)
         nets = net_utilities(outcome)
         if sum(outcome.ledger.net.values(), F(0)) != 0:
             bad += 1
@@ -218,7 +216,7 @@ def test_criterion_06_reference_game_exact(capsys):
     params = GameParams()
     checks: list[bool] = []
 
-    rg = rg_run(stream, params)
+    rg = run_mechanism("rg", stream, params)
     checks.append(rg.assigned() == {"a1": F(4), "a2": F(4), "a3": F(12)})
     checks.append(
         [(p.agent, p.start, p.stop) for p in rg.schedule.periods]
@@ -239,7 +237,7 @@ def test_criterion_06_reference_game_exact(capsys):
     checks.append([(t, who) for t, who, _ in oracle_log]
                   == [(F(7), "a1"), (F(37, 3), "a2")])
 
-    pt = pt_run(stream, params)
+    pt = run_mechanism("pt", stream, params)
     checks.append(pt.assigned() == {"a1": F(10), "a2": F(6), "a3": F(4)})
     checks.append(pt.ledger.net == {"a1": F(10, 3), "a2": F(1, 3),
                                     "a3": F(-11, 3)})

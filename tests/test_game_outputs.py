@@ -4,7 +4,7 @@ pt keeps its ledger per realized segment and builds its `Transfer`s only
 when `Ledger.transfers` is first read; the CLI reads its ledger rows from
 the per-segment entries.  The CLI's `efficiency` is the sum of the net
 utilities it already has.  These tests check both against what they
-replace: the transfers of the pt loop kept in `mechanism_oracle.py`, and
+replace: the ledger of the pt loop kept in `mechanism_oracle.py`, and
 `model.efficiency` on the outcome's schedule.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction as F
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -95,18 +94,10 @@ def test_pt_payments_are_one_entry_per_segment():
         ("b", "a", F(3)), ("c", "b", F(2))]
 
 
-def test_a_ledger_built_from_transfers_groups_them_per_segment():
-    # a segment whose leader is alone has no transfer, so no entry here
-    for stream in (HOLE, HANDOVER, LARGE_DENOMINATORS):
-        ledger = run_mechanism("pt", stream, GameParams(u=F(3, 7))).ledger
-        by_hand = Ledger(ledger.transfers, ledger.net)
-        assert by_hand == ledger
-        assert by_hand.payments == tuple(p for p in ledger.payments if p.payers)
-
-
-def test_a_ledger_takes_transfers_or_payments_not_both():
-    ledger = run_mechanism("pt", HANDOVER).ledger
-    with pytest.raises(TypeError):
-        Ledger(None, ledger.net)
-    with pytest.raises(TypeError):
-        Ledger(ledger.transfers, ledger.net, payments=ledger.payments)
+def test_ledgers_compare_their_payments_and_net():
+    # a leader alone writes no transfer, but its entry is part of the ledger
+    ledger = run_mechanism("pt", HANDOVER, GameParams(u=2)).ledger
+    assert Ledger(ledger.payments, ledger.net) == ledger
+    payers_only = Ledger(tuple(p for p in ledger.payments if p.payers), ledger.net)
+    assert payers_only.transfers == ledger.transfers
+    assert payers_only != ledger

@@ -27,16 +27,14 @@ from socd import (
     AgentSpec,
     GameParams,
     MechanismKind,
+    MechanismOutcome,
     SwitchKind,
     eas_segments,
     efficiency,
     ex_post_share,
     game_duration,
     net_utilities,
-    pt_run,
-    rg_run,
     run_mechanism,
-    sg_run,
     validate_schedule,
 )
 from conftest import S1, random_stream
@@ -191,7 +189,7 @@ def test_rg_reference_shares(s1):
     #   t=10 a1 departs from mid-convoy, no change.
     #   t=16 a2 departs from behind the leader, no change.
     #   t=20 a3 departs having led [8,20) = 12.
-    out = rg_run(s1)
+    out = run_mechanism("rg", s1)
     assert out.assigned() == {"a1": F(4), "a2": F(4), "a3": F(12)}
     assert rg_oracle(s1) == out.assigned()
     assert rotation_events(out) == []
@@ -211,7 +209,7 @@ def test_sg_reference_shares(s1):
     #        processed first, so there is no rotation.  a2 leads.
     #   t=16 a2 departs having led [10,16) = 6 of its 9.  a3 leads.
     #   t=20 a3 departs having led [16,20) = 4 of its 23/3.
-    out = sg_run(s1)
+    out = run_mechanism("sg", s1)
     assert out.assigned() == {"a1": F(10), "a2": F(6), "a3": F(4)}
     assert rotation_events(out) == []
 
@@ -233,7 +231,7 @@ def test_sg_dynamic_reference_shares(s1):
     #        [16,20) has an empty pool.  a2: 8 - 2/3 - 3 = 13/3 left.
     #   t=37/3  a2 exhausts (led 1 + 13/3 = 16/3), rotates; a3 leads.
     #   t=20 a3 departs: led [37/3,20) = 23/3, its exact allocation.
-    out = sg_run(s1, dynamic_adjust=True)
+    out = run_mechanism("sg-da", s1)
     assert out.assigned() == {"a1": F(7), "a2": F(16, 3), "a3": F(23, 3)}
     assert [(s.time, s.outgoing) for s in rotation_events(out)] == [
         (F(7), "a1"), (F(37, 3), "a2")
@@ -256,7 +254,7 @@ def test_pt_reference_payments(s1):
     #   [10,16) a2 leads; a3 pays 6/2 = 3.
     #   [16,20) a3 alone.
     #   Balances: a1 = +2+4/3 = 10/3; a2 = -2-2/3+3 = 1/3; a3 = -2/3-3 = -11/3.
-    out = pt_run(s1)
+    out = run_mechanism("pt", s1)
     assert out.assigned() == {"a1": F(10), "a2": F(6), "a3": F(4)}
     assert dict(out.ledger.net) == {"a1": F(10, 3), "a2": F(1, 3), "a3": F(-11, 3)}
     assert rotation_events(out) == []
@@ -281,7 +279,7 @@ def test_reference_schedules_validate(s1):
 
 
 def test_share_reports_compare_both_benchmarks(s1):
-    reports = {r.agent: r for r in sg_run(s1, dynamic_adjust=True).reports}
+    reports = {r.agent: r for r in run_mechanism("sg-da", s1).reports}
     assert reports["a2"].assigned == F(16, 3)
     assert reports["a2"].ex_ante == F(9)
     assert reports["a2"].ex_post == F(17, 3)
@@ -292,7 +290,7 @@ def test_share_reports_compare_both_benchmarks(s1):
 
 def test_rg_leader_departure_restores_previous_leader():
     # b joins the front at 2 and leaves at 6, handing the lead back to a
-    out = rg_run([AgentSpec("a", 0, 10), AgentSpec("b", 2, 6)])
+    out = run_mechanism("rg", [AgentSpec("a", 0, 10), AgentSpec("b", 2, 6)])
     assert [(p.agent, p.start, p.stop) for p in out.schedule.periods] == [
         ("a", F(0), F(2)), ("b", F(2), F(6)), ("a", F(6), F(10))
     ]
@@ -302,7 +300,7 @@ def test_rg_leader_departure_restores_previous_leader():
 def test_sg_earlier_departure_takes_the_front():
     # b = [1,4) claims [1,4)/2 = 3/2, slots in front of a (departs first),
     # leads [1, 5/2), rotates, and a resumes
-    out = sg_run([AgentSpec("a", 0, 10), AgentSpec("b", 1, 4)])
+    out = run_mechanism("sg", [AgentSpec("a", 0, 10), AgentSpec("b", 1, 4)])
     assert out.assigned() == {"a": F(17, 2), "b": F(3, 2)}
     assert [(s.time, s.outgoing, s.n_r) for s in rotation_events(out)] == [
         (F(5, 2), "b", 2)
@@ -316,7 +314,7 @@ def test_sg_earlier_departure_takes_the_front():
 def test_sg_preemption_and_rotation(b_leave, b_share, rotate_at, a_total):
     # B claims half of the overlap [2, b_leave), leads it out, rotates
     stream = [AgentSpec("A", 0, 20), AgentSpec("B", 2, b_leave)]
-    out = sg_run(stream)
+    out = run_mechanism("sg", stream)
     assert out.assigned() == {"A": a_total, "B": b_share}
     assert [(s.time, s.outgoing) for s in rotation_events(out)] == [(rotate_at, "B")]
 
@@ -331,7 +329,7 @@ def test_sg_three_agents_rotate_in_departure_order():
     #   B claims [2,10)/2 = 4, led [2,3) = 1 already, leads [14/3, 23/3), rotates;
     #   A takes [23/3, 20) on top of its opening [0, 2).
     stream = [AgentSpec("A", 0, 20), AgentSpec("B", 2, 10), AgentSpec("C", 3, 8)]
-    out = sg_run(stream)
+    out = run_mechanism("sg", stream)
     assert out.assigned() == {"A": F(43, 3), "B": F(4), "C": F(5, 3)}
     assert [(s.time, s.outgoing, s.n_r) for s in rotation_events(out)] == [
         (F(14, 3), "C", 3), (F(23, 3), "B", 3)
@@ -350,7 +348,7 @@ def test_sg_arrival_preempts_due_rotation_then_rotations_chain():
     # rotation is deferred.  When C rotates at 13/3, B is in front with
     # nothing left and rotates immediately after, a zero-length lead.
     stream = [AgentSpec("A", 0, 10), AgentSpec("B", 2, 6), AgentSpec("C", 4, 5)]
-    out = sg_run(stream, GameParams(c=1))
+    out = run_mechanism("sg", stream, GameParams(c=1))
     assert out.assigned() == {"A": F(23, 3), "B": F(2), "C": F(1, 3)}
     assert [(s.time, s.outgoing, s.incoming, s.n_r) for s in rotation_events(out)] == [
         (F(13, 3), "C", "B", 3), (F(13, 3), "B", "A", 3)
@@ -374,7 +372,7 @@ def test_sg_dynamic_clamps_shares_at_zero():
     # a zero remainder, C leads its 5/6, rotates at 35/6, and A leads on,
     # departing at 10 with 1/6 of its claim unserved.
     stream = [AgentSpec("A", 0, 10), AgentSpec("B", 4, 6), AgentSpec("C", 5, 7)]
-    out = sg_run(stream, dynamic_adjust=True)
+    out = run_mechanism("sg-da", stream)
     assert out.assigned() == {"A": F(49, 6), "B": F(1), "C": F(5, 6)}
     assert [(s.time, s.outgoing, s.n_r) for s in rotation_events(out)] == [
         (F(5), "B", 3), (F(35, 6), "C", 3)
@@ -405,10 +403,10 @@ def test_unequal_shares_when_an_agent_arrives_late():
     # is impossible no matter the mechanism, since b can lead at most 2.
     stream = [AgentSpec("a", 0, 10), AgentSpec("b", 9, 11)]
 
-    plain = sg_run(stream).assigned()
+    plain = run_mechanism("sg", stream).assigned()
     assert plain == {"a": F(10), "b": F(1)}
 
-    adjusted = sg_run(stream, dynamic_adjust=True).assigned()
+    adjusted = run_mechanism("sg-da", stream).assigned()
     assert adjusted == {"a": F(19, 2), "b": F(3, 2)}
 
     assert plain["a"] != plain["b"]
@@ -420,14 +418,16 @@ def test_unequal_shares_when_an_agent_arrives_late():
 
 def test_convoy_switch_cost_cases():
     # rg: every arrival joins in front, each leaving leader hands back
-    out = rg_run([AgentSpec(f"a{k}", k, 100 - k) for k in range(7)], GameParams(c=3))
+    stream = [AgentSpec(f"a{k}", k, 100 - k) for k in range(7)]
+    out = run_mechanism("rg", stream, GameParams(c=3))
     costs = {(ev.kind, ev.n_r): ev.cost for ev in out.schedule.switches}
     assert costs[SwitchKind.FRONT_JOIN, 7] == F(0)
     assert costs[SwitchKind.LEADER_LEAVE, 2] == F(0)
     assert set(costs.values()) == {F(0)}
 
     # sg: each exhausted leader rotates behind the other four, paying c * n_r
-    out = sg_run([AgentSpec(f"a{k}", k, 100 - k) for k in range(5)], GameParams(c=2))
+    stream = [AgentSpec(f"a{k}", k, 100 - k) for k in range(5)]
+    out = run_mechanism("sg", stream, GameParams(c=2))
     rotations = [ev for ev in out.schedule.switches if ev.kind is SwitchKind.ROTATION]
     assert [(ev.n_r, ev.cost) for ev in rotations] == [(5, F(10))] * 3
     assert out.rotation_costs == {"a2": F(10), "a3": F(10), "a4": F(10)}
@@ -435,17 +435,18 @@ def test_convoy_switch_cost_cases():
 
 def test_pt_segment_payment_cases():
     # each follower pays the leader |seg| * u / n_seg per segment
-    out = pt_run([AgentSpec(x, -k, 10) for k, x in enumerate("abcd")])
+    out = run_mechanism("pt", [AgentSpec(x, -k, 10) for k, x in enumerate("abcd")])
     paid = [(t.payer, t.amount) for t in out.ledger.transfers if t.segment.start == 0]
     assert paid == [("c", F(5, 2)), ("b", F(5, 2)), ("a", F(5, 2))]  # [0, 10), n = 4
 
-    out = pt_run([AgentSpec(x, -k, 6) for k, x in enumerate("abc")], GameParams(u=2))
+    stream = [AgentSpec(x, -k, 6) for k, x in enumerate("abc")]
+    out = run_mechanism("pt", stream, GameParams(u=2))
     paid = [(t.payer, t.amount) for t in out.ledger.transfers if t.segment.start == 0]
     assert paid == [("b", F(4)), ("a", F(4))]  # [0, 6), n = 3
 
 
 def test_pt_single_agent_has_empty_ledger():
-    out = pt_run([AgentSpec("solo", 3, 9)])
+    out = run_mechanism("pt", [AgentSpec("solo", 3, 9)])
     assert out.ledger.transfers == ()
     assert out.ledger.net == {"solo": F(0)}
     assert out.assigned() == {"solo": F(6)}
@@ -464,6 +465,15 @@ def test_run_mechanism_accepts_cli_spellings(s1):
         run_mechanism("nope", s1)
 
 
+def test_net_utilities_refuses_a_hand_built_outcome(s1):
+    # the public fields alone carry no tick run to sum the utilities from
+    out = run_mechanism("pt", s1)
+    by_hand = MechanismOutcome(out.kind, out.schedule, out.ledger, out.rotation_costs,
+                               out.shares, out.params, out.lead_shares)
+    with pytest.raises(ValueError, match="must come from run_mechanism"):
+        net_utilities(by_hand)
+
+
 # ------------------------------------------------- engine-vs-oracle sweeps
 
 
@@ -474,7 +484,7 @@ def test_sg_engine_matches_grid_oracle():
             rng, n_agents=int(rng.integers(2, 5)), integer_times=True, horizon=12
         )
         dynamic = bool(trial % 2)
-        out = sg_run(stream, dynamic_adjust=dynamic)
+        out = run_mechanism("sg-da" if dynamic else "sg", stream)
         led, rotations, log = sg_oracle(stream, dynamic_adjust=dynamic)
 
         assert out.assigned() == led
@@ -487,7 +497,7 @@ def test_rg_engine_matches_interval_oracle():
     rng = np.random.default_rng(43)
     for _ in range(150):
         stream = random_stream(rng)
-        out = rg_run(stream)
+        out = run_mechanism("rg", stream)
         assert out.assigned() == rg_oracle(stream)
         assert rotation_events(out) == []
         assert validate_schedule(out.schedule, stream) == []
@@ -498,7 +508,7 @@ def test_pt_engine_matches_interval_oracle():
     for _ in range(150):
         stream = random_stream(rng)
         params = GameParams(u=F(int(rng.integers(1, 4))))
-        out = pt_run(stream, params)
+        out = run_mechanism("pt", stream, params)
         led, net = pt_oracle(stream, params)
         assert out.assigned() == led
         assert dict(out.ledger.net) == net
@@ -514,7 +524,7 @@ def test_pt_balances_settle_everyone_to_the_same_utility():
     params = GameParams()
     for _ in range(150):
         stream = random_stream(rng)
-        out = pt_run(stream, params)
+        out = run_mechanism("pt", stream, params)
         utilities = net_utilities(out)
         for a in stream:
             expected = params.u * (a.window - ex_post_share(a, stream, params))
@@ -528,7 +538,7 @@ def test_sg_rotation_and_lead_bounds():
     for trial in range(100):
         stream = random_stream(rng)
         dynamic = bool(trial % 2)
-        out = sg_run(stream, dynamic_adjust=dynamic)
+        out = run_mechanism("sg-da" if dynamic else "sg", stream)
 
         rotated = [s.outgoing for s in rotation_events(out)]
         assert len(rotated) == len(set(rotated)), "an agent rotated twice"

@@ -19,7 +19,7 @@ from socd import (
     ZeroEpps,
     ex_post_share,
     gini,
-    rg_run,
+    run_mechanism,
     unsatisfied_fraction,
 )
 from conftest import S1
@@ -128,7 +128,7 @@ def test_gini_scale_invariance():
 
 def test_lead_ratio_of_reference_game(s1):
     # shares (4, 4, 12) against realized proportional (20/3, 17/3, 23/3)
-    out = rg_run(s1)
+    out = run_mechanism("rg", s1)
     ratios = []
     for a in s1:
         rec = ParticipationRecord(

@@ -16,6 +16,7 @@ from socd import (
     EmptyWindow,
     GameParams,
     InvalidPresentSet,
+    MechanismKind,
     Schedule,
     Segment,
     SwitchEvent,
@@ -28,6 +29,8 @@ from socd import (
     ex_ante_share,
     ex_post_share,
     game_duration,
+    net_utilities,
+    run_mechanism,
     stream_segments,
     validate_schedule,
     validate_stream,
@@ -55,6 +58,30 @@ def test_as_time_accepts_exact_forms():
 def test_as_time_rejects_floats_and_bools(bad):
     with pytest.raises(TypeError):
         as_time(bad)
+
+
+@pytest.mark.parametrize("np_int", [np.int64, np.int32])
+def test_as_time_and_game_params_hold_python_ints(np_int):
+    for value in (np_int(3), F(np_int(3), 2)):
+        for exact in (as_time(value), GameParams(u=value, c=value).u):
+            assert exact == value
+            assert type(exact.numerator) is int and type(exact.denominator) is int
+    exact = F(5, 2)
+    assert as_time(exact) is exact
+
+
+@pytest.mark.parametrize("np_int", [np.int64, np.int32])
+def test_numpy_integer_games_run_like_python_ints(np_int):
+    # 30 agents overlap, so the tick scale is far beyond a C long
+    plain = [AgentSpec(i, i, 40 + i) for i in range(30)]
+    numpy = [AgentSpec(i, np_int(i), np_int(40 + i)) for i in range(30)]
+    params = GameParams(u=2, c=1)
+    for kind in MechanismKind:
+        want = run_mechanism(kind, plain, params)
+        for got in (run_mechanism(kind, numpy, params),
+                    run_mechanism(kind, plain, GameParams(u=np_int(2), c=np_int(1)))):
+            assert got == want, kind
+            assert net_utilities(got) == net_utilities(want), kind
 
 
 def test_agent_spec_window_is_half_open():

@@ -1,0 +1,43 @@
+"""The README's library example runs and prints what its comments state."""
+
+from __future__ import annotations
+
+from collections.abc import Mapping
+from fractions import Fraction as F
+from pathlib import Path
+
+from socd import ShareReport
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# the comment on each commented `print` line, and the value it states
+STATED = {
+    "a1 -> 10, a2 -> 9, a3 -> 23/3": {"a1": F(10), "a2": F(9), "a3": F(23, 3)},
+    "a1 -> 20/3, a2 -> 17/3, a3 -> 23/3":
+        {"a1": F(20, 3), "a2": F(17, 3), "a3": F(23, 3)},
+    "5 realized segments": 5,
+    "Fraction(20, 3)": F(20, 3),
+    "a1 -> 7, a2 -> 16/3, a3 -> 23/3": {"a1": F(7), "a2": F(16, 3), "a3": F(23, 3)},
+    "a1: assigned 7, ex_ante 10, ex_post 20/3":
+        ShareReport("a1", F(7), F(10), F(20, 3)),
+}
+
+
+def _library_example() -> str:
+    section = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_prints_what_its_comments_state():
+    block = _library_example()
+    printed: list[object] = []
+    exec(block, {"print": printed.append})
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(prints)
+    stated = {
+        line.split("#", 1)[1].strip():
+            dict(value) if isinstance(value, Mapping) else value
+        for line, value in zip(prints, printed)
+        if "#" in line
+    }
+    assert stated == STATED

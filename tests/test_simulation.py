@@ -129,6 +129,22 @@ def test_params_accept_numpy_integers():
     assert RingRoadParams(n_vehicles=np.int32(4)).n_vehicles == 4
 
 
+@pytest.mark.parametrize("value", [0, 10**30, F(1, 3)])
+def test_highway_switch_cost_keeps_an_int_or_fraction_as_given(value):
+    # the JSON params write an int as a number and a Fraction as a string
+    assert HighwayParams(switch_cost=value).switch_cost is value
+
+
+@pytest.mark.parametrize("np_int", [np.int64, np.int32])
+def test_a_numpy_switch_cost_runs_like_a_python_int(np_int):
+    # 60 agents over 1000 stations: the tick scale is far beyond a C long
+    size = dict(n_stations=1000, n_convoys=2, agents_per_convoy=60)
+    params = HighwayParams(switch_cost=np_int(3), **size)
+    assert type(params.switch_cost) is int
+    assert highway_experiment(params) == highway_experiment(
+        HighwayParams(switch_cost=3, **size))
+
+
 # ------------------------------------------------------------------ sampling
 
 

@@ -80,3 +80,27 @@ def test_every_exported_name_resolves(path):
     module = importlib.import_module(name)
     missing = [n for n in _exported(_tree(path)) if not hasattr(module, n)]
     assert missing == [], f"{name}.__all__ names undefined {missing}"
+
+
+def _public_functions(tree: ast.Module):
+    """Top-level functions and the methods of top-level classes, public by name."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            yield from ((f"{node.name}.{f.name}", f) for f in node.body
+                        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not f.name.startswith("_"))
+        elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not node.name.startswith("_")):
+            yield node.name, node
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_public_function_takes_a_bool_mode_switch(path):
+    # a mode is a `MechanismKind` (or another enum), not a True/False flag
+    flagged = [
+        name
+        for name, func in _public_functions(_tree(path))
+        for default in func.args.defaults + func.args.kw_defaults
+        if isinstance(default, ast.Constant) and isinstance(default.value, bool)
+    ]
+    assert flagged == [], f"{path.name}: bool defaults in {flagged}"

@@ -30,7 +30,6 @@ from socd import (
     efficiency,
     net_utilities,
     run_mechanism,
-    sg_run,
     stream_shares,
 )
 from test_shares import HANDOVER, HOLE, LARGE_DENOMINATORS, SINGLE, streams
@@ -202,7 +201,7 @@ def _relieve_by_oracle(newcomer, queue, remaining, cuts):
 @example(LARGE_DENOMINATORS)
 def test_sg_da_runs_match_with_the_per_segment_oracle(stream):
     params = GameParams(c=1)
-    fast = sg_run(stream, params, True)
+    fast = run_mechanism("sg-da", stream, params)
     with mock.patch.object(socd.mechanisms, "_relieve", on_ticks(_relieve_by_oracle)):
-        slow = sg_run(stream, params, True)
+        slow = run_mechanism("sg-da", stream, params)
     assert fast == slow
