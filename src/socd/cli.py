@@ -7,9 +7,9 @@ SOCD_SEED environment variable, else 0.  A game ignores SOCD_SEED.
 
 Each artifact is one table, a header and rows of raw values, written as a
 CSV file by `_csv` or as a list of objects in `result.json` by `_write`.
-Both share one value rule: exact rationals become fraction strings and
-enums their value; CSV then writes floats and ints via repr and the rest
-via str.  `_write` is the one JSON writer.  Its bytes are those of
+Each CSV cell is `str` of a plain value (Fractions print as fraction
+strings, floats as their repr); row builders give enums by their value.
+`_write` is the one JSON writer.  Its bytes are those of
 `json.dumps(..., sort_keys=True, indent=2)` on the same values: sorted keys,
 two-space indent, ASCII escapes, ints and floats by repr, and `NaN` and
 `Infinity` as `json` spells them.  It writes each table row as one string
@@ -60,39 +60,17 @@ class CliError(Exception):
     """A validation problem the user can fix; maps to exit code 1."""
 
 
-# The exact types most cells have, formatted without an isinstance chain;
-# other types and subclasses (bool, enums, numpy scalars) take the slow path
-# below, so every cell keeps its string.
-_CELL_FORMATS: dict[type, Callable[[Any], str]] = {
-    float: float.__repr__,
-    int: int.__repr__,
-    str: str.__str__,
-    Fraction: Fraction.__str__,
-}
-
-
-def _cell(value: Any) -> str:
-    """One CSV cell: fractions by `str`, enums by their value; then `repr`
-    for floats and ints, `str` else."""
-    fast = _CELL_FORMATS.get(type(value))
-    if fast is not None:
-        return fast(value)
-    if isinstance(value, Enum):
-        value = value.value
-    return repr(value) if isinstance(value, (float, int)) else str(value)
-
-
-def _csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    return ",".join(header) + "\n" + "".join(
-        ",".join(map(_cell, row)) + "\n" for row in rows
-    )
+def _csv(header: Sequence[str], rows: Iterable[tuple[Any, ...]]) -> str:
+    """A CSV table: each cell is `str` of its value, by one `%s` row format."""
+    form = ",".join(["%s"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join([form % row for row in rows])
 
 
 class _Table(NamedTuple):
-    """An artifact: a header and lazily built rows of raw values."""
+    """An artifact: a header and lazily built rows, tuples of raw values."""
 
     header: Sequence[str]
-    rows: Iterable[Sequence[Any]]
+    rows: Iterable[tuple[Any, ...]]
 
 
 class _Encoded(list):
@@ -368,32 +346,6 @@ def _attrs(header: Sequence[str], objs: Iterable[Any]) -> _Table:
     return _Table(header, map(attrgetter(*header), objs))
 
 
-# Exact cell types whose f-string form is `_cell`'s: `str` of an id column,
-# `repr` of the other columns (where a str would gain quotes).
-_ID_TYPES = frozenset({str, int, float})
-_NUMBER_TYPES = frozenset({int, float})
-
-
-def _records_csv(records: Iterable[ParticipationRecord]) -> str:
-    """`_csv` of the record columns, with one f-string per row; a row with
-    any other type of value (bool, numpy scalar, Fraction, ...) is written
-    by `_cell`."""
-    ids, numbers = _ID_TYPES, _NUMBER_TYPES
-    lines = [",".join(_RECORD_COLUMNS) + "\n"]
-    for r in records:
-        convoy, agent, lead, epps = r.convoy, r.agent, r.actual_lead, r.epps
-        ratio, rotations, net = r.ratio, r.rotations, r.net_utility
-        if (type(convoy) in ids and type(agent) in ids and type(lead) in numbers
-                and type(epps) in numbers and type(ratio) in numbers
-                and type(rotations) in numbers and type(net) in numbers):
-            lines.append(f"{convoy},{agent},{lead!r},{epps!r},{ratio!r},"
-                         f"{rotations!r},{net!r}\n")
-        else:
-            row = (convoy, agent, lead, epps, ratio, rotations, net)
-            lines.append(",".join(map(_cell, row)) + "\n")
-    return "".join(lines)
-
-
 def _result_json(doc: Any) -> str:
     out: list[str] = []
     _write(doc, "\n", out)
@@ -433,8 +385,11 @@ def _run_game(
         schedule, rotated = outcome.schedule, outcome.rotation_costs
         tables = {
             "schedule": _attrs(("agent", "start", "stop"), schedule.periods),
-            "switches": _attrs(("time", "outgoing", "incoming", "kind", "n_r", "cost"),
-                               schedule.switches),
+            "switches": _Table(
+                ("time", "outgoing", "incoming", "kind", "n_r", "cost"),
+                ((ev.time, ev.outgoing, ev.incoming, ev.kind.value, ev.n_r, ev.cost)
+                 for ev in schedule.switches),
+            ),
             "share_reports": _Table(
                 ("agent", "assigned", "ex_ante", "ex_post", "net_utility", "rotations"),
                 ((r.agent, r.assigned, r.ex_ante, r.ex_post, nets[r.agent],
@@ -499,9 +454,9 @@ def _run_highway(
         for res in results:
             suffix = f"_seed{res.seed}" if len(results) > 1 else ""
             for kind in mechanisms:
-                artifacts[f"records_{kind.value}{suffix}.csv"] = _records_csv(
-                    r for r in res.records if r.mechanism == kind.value
-                )
+                artifacts[f"records_{kind.value}{suffix}.csv"] = _csv(*_attrs(
+                    _RECORD_COLUMNS, (r for r in res.records if r.mechanism == kind.value)
+                ))
     else:
         artifacts["result.json"] = _result_json({
             "experiment": "highway",
@@ -524,16 +479,20 @@ def _run_ring(
 
     curve = aggregate_curves([r.curve for r in results])
     lines: list[str] = []
-    crossing = next((x for x, y in curve.points if y < 0.10), None)
-    if crossing is not None:
-        lines.append(f"unsatisfied fraction first drops below 0.10 at mean "
-                     f"{crossing:g} participations")
-    else:
-        lines.append("unsatisfied fraction never dropped below 0.10")
     if curve.points:
+        crossing = next((x for x, y in curve.points if y < 0.10), None)
+        if crossing is not None:
+            lines.append(f"unsatisfied fraction first drops below 0.10 at mean "
+                         f"{crossing:g} participations")
+        else:
+            lines.append("unsatisfied fraction never dropped below 0.10")
         x_last, y_last = curve.points[-1]
         lines.append(f"unsatisfied fraction at mean {x_last:g} participations: "
                      f"{y_last:.3f}")
+    elif any(r.records for r in results):
+        lines.append(f"no curve checkpoint reached: curve_step "
+                     f"{params_base.curve_step:g} exceeds target_mean_participations "
+                     f"{params_base.target_mean_participations:g}")
     else:
         lines.append("no participations recorded")
 
@@ -545,7 +504,8 @@ def _run_ring(
         )
         for res in results:
             suffix = f"_seed{res.seed}" if len(results) > 1 else ""
-            artifacts[f"records{suffix}.csv"] = _records_csv(res.records)
+            artifacts[f"records{suffix}.csv"] = _csv(
+                *_attrs(_RECORD_COLUMNS, res.records))
     else:
         artifacts["result.json"] = _result_json({
             "experiment": "ring",

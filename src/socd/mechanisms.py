@@ -170,7 +170,9 @@ class MechanismOutcome:
     shares: StreamShares
     params: GameParams
     lead_shares: Mapping[AgentId, Fraction]
-    _run: _Run | None = field(default=None, repr=False, compare=False)
+    # the tick run behind the outcome, for `net_utilities`; not an init field,
+    # so `dataclasses.replace` leaves a copy without it
+    _run: _Run | None = field(default=None, init=False, repr=False, compare=False)
 
     def assigned(self) -> dict[AgentId, Fraction]:
         return dict(self.lead_shares)
@@ -365,9 +367,11 @@ def _outcome(
         ledger = Ledger(payments, net)
     lead_shares = {ids[k]: Fraction(led, ticks.scale) for k, led in enumerate(run.led)}
     rotation_costs = {ids[k]: c * r for k, r in enumerate(run.rotated) if r}
-    return MechanismOutcome(
-        kind, schedule, ledger, rotation_costs, shares, params, lead_shares, run
+    outcome = MechanismOutcome(
+        kind, schedule, ledger, rotation_costs, shares, params, lead_shares
     )
+    object.__setattr__(outcome, "_run", run)
+    return outcome
 
 
 def _relieve(

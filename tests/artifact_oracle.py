@@ -332,16 +332,20 @@ def _run_ring(
 
     curve = aggregate_curves([r.curve for r in results])
     lines: list[str] = []
-    crossing = next((x for x, y in curve.points if y < 0.10), None)
-    if crossing is not None:
-        lines.append(f"unsatisfied fraction first drops below 0.10 at mean "
-                     f"{crossing:g} participations")
-    else:
-        lines.append("unsatisfied fraction never dropped below 0.10")
     if curve.points:
+        crossing = next((x for x, y in curve.points if y < 0.10), None)
+        if crossing is not None:
+            lines.append(f"unsatisfied fraction first drops below 0.10 at mean "
+                         f"{crossing:g} participations")
+        else:
+            lines.append("unsatisfied fraction never dropped below 0.10")
         x_last, y_last = curve.points[-1]
         lines.append(f"unsatisfied fraction at mean {x_last:g} participations: "
                      f"{y_last:.3f}")
+    elif any(r.records for r in results):
+        lines.append(f"no curve checkpoint reached: curve_step "
+                     f"{params_base.curve_step:g} exceeds target_mean_participations "
+                     f"{params_base.target_mean_participations:g}")
     else:
         lines.append("no participations recorded")
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import artifact_oracle as oracle
 import socd
 from socd import (
     HighwayParams,
@@ -26,10 +27,8 @@ from socd.cli import (
     _RECORD_COLUMNS,
     CliError,
     _attrs,
-    _cell,
     _csv,
     _exact,
-    _records_csv,
     main,
 )
 
@@ -170,6 +169,49 @@ def test_bad_agent_ids_exit_1(tmp_path, capsys, first_id, second_id, fragment):
     assert code == 1
     assert err == f"error: {fragment}\n"
     assert out == ""
+
+
+_A = {"id": "a", "arrive": 0, "leave": 5}
+
+
+@pytest.mark.parametrize(
+    "doc, flags, message",
+    [
+        ({"agents": []}, [], "scenario field 'agents' must be a non-empty list"),
+        ({"agents": [1]}, [], "agents[0]: expected an object"),
+        ({"agents": [{"id": "a", "arrive": 0}]}, [],
+         "agents[0]: missing field 'leave'"),
+        ({"agents": [dict(_A, arrive=5)]}, [],
+         "agents[0]: agent 'a' has an empty availability window"),
+        ({"agents": [_A], "params": []}, [],
+         "scenario field 'params' must be an object"),
+        ({"experiment": "ring", "params": []}, [],
+         "scenario field 'params' must be an object"),
+        ([], [], "scenario must be a JSON object"),
+        (None, ["--experiment", "ring", "--config", "uniform"],
+         "--config only applies to the highway experiment"),
+        (None, ["--experiment", "ring", "--bogus"], "unrecognized arguments: --bogus"),
+    ],
+    ids=["no-agents", "agent-not-object", "missing-leave", "empty-window",
+         "game-params-list", "experiment-params-list", "scenario-list",
+         "ring-config", "unknown-flag"],
+)
+def test_validation_branches_exit_1_with_their_message(tmp_path, capsys, doc, flags,
+                                                        message):
+    argv = flags if doc is None else ["--scenario", write_scenario(tmp_path, doc)]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_highway_of_single_agent_convoys_has_too_few_records(tmp_path, capsys):
+    doc = {"experiment": "highway", "params": {"n_convoys": 1, "agents_per_convoy": 1}}
+    code = main(["--scenario", write_scenario(tmp_path, doc),
+                 "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"gini {kind}/uniform: too few records"
+                                for kind in ("rg", "sg", "sg-da")]
 
 
 def test_missing_scenario_file_exits_2(tmp_path, capsys):
@@ -472,6 +514,25 @@ def test_ring_experiment_outputs(tmp_path, capsys):
     assert records[0] == RECORD_HEADER
 
 
+@pytest.mark.parametrize(
+    "params, rows, summary",
+    [
+        ({"target_mean_participations": 5, "curve_step": 10}, 500,
+         ["no curve checkpoint reached: curve_step 10 exceeds "
+          "target_mean_participations 5"]),
+        ({"join_probability": 0}, 0, ["no participations recorded"]),
+    ],
+    ids=["step-past-target", "no-joins"],
+)
+def test_ring_summary_without_curve_points(tmp_path, capsys, params, rows, summary):
+    doc = {"experiment": "ring", "params": params}
+    out_dir = tmp_path / "out"
+    assert main(["--scenario", write_scenario(tmp_path, doc), "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().out.splitlines() == summary
+    assert len((out_dir / "records.csv").read_text().splitlines()) == 1 + rows
+    assert (out_dir / "curve.csv").read_text().count("\n") == 1
+
+
 def test_ring_scenario_accepts_long_experiment_name(tmp_path, capsys):
     doc = dict(RING_SCENARIO, experiment="ring_road")
     scenario = write_scenario(tmp_path, doc)
@@ -631,30 +692,34 @@ def _cases(*pairs):
     _cases(
         (True, "True"),
         (False, "False"),
-        *((kind, kind.value) for kind in MechanismKind),
-        (SwitchKind.FRONT_JOIN, "front_join"),
+        # an enum cell is `str` of the enum, which is why the row builders
+        # give an enum by its value
+        *((kind, str(kind)) for kind in MechanismKind),
+        (SwitchKind.FRONT_JOIN, str(SwitchKind.FRONT_JOIN)),
         (Fraction(-7, 3), "-7/3"),
+        (Fraction(5), "5"),
         (-0.0, "-0.0"),
         (1e-320, "1e-320"),
         (float("inf"), "inf"),
+        (float("nan"), "nan"),
         (3**100, "515377520732011331036461129765621272702107522001"),
         ("v7", "v7"),
+        (7, "7"),
         (None, "None"),
         (np.int64(3), "3"),
-        # a float subclass keeps its own repr ("np.float64(0.1)" on numpy 2)
-        (np.float64(0.1), repr(np.float64(0.1))),
+        # a numpy float prints by `str`: "0.1", not its repr "np.float64(0.1)"
+        (np.float64(0.1), "0.1"),
     ),
 )
 def test_cell_formatter_matches_fmt(value, text):
-    """Each CSV cell has its documented format: exact fractions, enum values,
-    repr for floats and ints, str for the rest."""
-    assert _cell(value) == text
+    """Each CSV cell is `str` of its value: exact fractions, floats and ints
+    by repr, str ids as they are."""
+    assert _csv(("x",), [(value,)]) == f"x\n{text}\n"
 
 
-def test_records_csv_matches_the_table_writer():
-    """The one-f-string row writer gives `_csv`'s bytes, and a row with any
-    other value type keeps `_cell`'s format (repr of numpy floats, str of
-    fractions and of str values)."""
+def test_record_csv_matches_the_oracle():
+    """Record files are the table writer's `_csv` of the record columns,
+    byte for byte the oracle's cells for every Python type a record holds."""
     nan, inf = float("nan"), float("inf")
     records = [
         ParticipationRecord(agent="a1", convoy="c1", actual_lead=1.0, epps=2.0),
@@ -662,24 +727,20 @@ def test_records_csv_matches_the_table_writer():
                             rotations=2, net_utility=-0.0),
         ParticipationRecord(agent=1.5, convoy=3**40, actual_lead=0.0, epps=inf,
                             net_utility=nan),
-        ParticipationRecord(agent=1, convoy=1, actual_lead=1.0, epps=4.0,
-                            rotations=True),
-        ParticipationRecord(agent=np.int64(2), convoy=np.int64(5),
-                            actual_lead=np.float64(1.5), epps=np.float64(0.1),
-                            rotations=np.int64(1)),
         ParticipationRecord(agent="a2", convoy=4, actual_lead=Fraction(1, 2),
                             epps=2.0, net_utility=Fraction(-1, 3)),
         ParticipationRecord(agent="a3", convoy=5, actual_lead=2.0, epps=2.0,
                             ratio=nan, net_utility="x"),
     ]
     for rows in [records, *([r] for r in records), []]:
-        assert _records_csv(rows) == _csv(*_attrs(_RECORD_COLUMNS, rows))
-    lines = _records_csv(records).splitlines()
+        want = oracle._csv(oracle._record_rows(rows))
+        assert _csv(*_attrs(_RECORD_COLUMNS, rows)) == want
+    lines = _csv(*_attrs(_RECORD_COLUMNS, records)).splitlines()
+    assert lines[0] == RECORD_HEADER
+    assert lines[2] == "0,7,3.0,1e-300,3e+300,2,-0.0"
     assert lines[3] == f"{3**40},1.5,0.0,inf,0.0,0,nan"
-    assert lines[4] == "1,1,1.0,4.0,0.25,True,0.0"
-    assert lines[5].startswith(f"5,2,{np.float64(1.5)!r},")
-    assert lines[6] == "4,a2,1/2,2.0,0.25,0,-1/3"
-    assert lines[7] == "5,a3,2.0,2.0,nan,0,x"
+    assert lines[4] == "4,a2,1/2,2.0,0.25,0,-1/3"
+    assert lines[5] == "5,a3,2.0,2.0,nan,0,x"
 
 
 def test_highway_negative_switch_cost_exits_1_naming_it(tmp_path, capsys):

@@ -8,9 +8,12 @@ oracle's text byte for byte.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction as F
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +29,24 @@ SETTINGS = dict(max_examples=150, deadline=None, derandomize=True, database=None
 
 ENUMS = list(MechanismKind) + list(SwitchKind)
 
+
+# Subclasses of the exact scalar types, which the writer reaches only through
+# its isinstance fallbacks.
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Fraction(F):
+    pass
+
+
+SUBCLASSED = [_Str("sub é"), _Int(-5), np.float64(0.1), np.float64("nan"),
+              _Fraction(-7, 3)]
+
 scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -34,6 +55,10 @@ scalars = st.one_of(
     st.text(),
     st.fractions(),
     st.sampled_from(ENUMS),
+    st.text().map(_Str),
+    st.integers().map(_Int),
+    st.floats().map(np.float64),
+    st.fractions().map(lambda f: _Fraction(f.numerator, f.denominator)),
 )
 
 params = st.one_of(
@@ -103,6 +128,7 @@ def _unfold(value):
 @example([True, False, None, F(-7, 3), F(4), F(-4), F(0)])
 @example(ENUMS)
 @example({"params": GameParams(u=F(3, 2), c=F(1, 3)), "kind": SwitchKind.ROTATION})
+@example(SUBCLASSED)
 def test_writer_matches_oracle_on_values(value):
     assert _result_json(value) == _want(value)
 
@@ -115,6 +141,7 @@ def test_writer_matches_oracle_on_values(value):
 @example(_Table(("z",), [(math.nan,), (SwitchKind.FRONT_JOIN, "extra")]))
 @example(_Table((), [(), (1,)]))
 @example(_Table(("a",), []))
+@example(_Table(("s", "i", "f", "n", "q"), [tuple(SUBCLASSED)] * 2))
 @example(_Table(("r", "n"), [(_THIRD, 1), (_THIRD, 2), (_THIRD, 3)]))
 @example(_Table(("h",), [(_HALVES[k % 2],) for k in range(5)]))
 @example(_Table(("v", "w"), [(1, 1), (True, 1), (1.0, 1), (1, True), (F(1), 1.0),
@@ -142,3 +169,15 @@ def test_a_repeated_cell_is_encoded_once(monkeypatch):
     table = _Table(("r",), [(_THIRD,), (_THIRD,), (F(1, 3),), (_THIRD,)])
     assert _result_json(table) == _want(table)
     assert encoded == [_THIRD] * 3  # again after an equal but distinct object
+
+
+@pytest.mark.parametrize(
+    "value", [object(), {"a": [1, {1j}]}, _Table(("x", "y"), [(1, 2), (3, 1j)])],
+    ids=["object", "nested-set", "table-cell"],
+)
+def test_an_unserializable_value_raises_jsons_type_error(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(_unfold(value))
+    with pytest.raises(TypeError, match="is not JSON serializable") as got:
+        _result_json(value)
+    assert str(got.value) == str(want.value)

@@ -17,6 +17,7 @@ rotation instant falls on a grid point.
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction as F
 from itertools import pairwise
 
@@ -472,6 +473,17 @@ def test_net_utilities_refuses_a_hand_built_outcome(s1):
                                out.shares, out.params, out.lead_shares)
     with pytest.raises(ValueError, match="must come from run_mechanism"):
         net_utilities(by_hand)
+
+
+def test_net_utilities_refuses_a_replaced_outcome(s1):
+    # a copy with other params must not sum the old run's ticks at them
+    out = run_mechanism("pt", s1, GameParams(1, 0))
+    assert net_utilities(out) == {"a1": F(10, 3), "a2": F(19, 3), "a3": F(13, 3)}
+    moved = dataclasses.replace(out, params=GameParams(2, 1))
+    with pytest.raises(ValueError, match="must come from run_mechanism"):
+        net_utilities(moved)
+    assert net_utilities(run_mechanism("pt", s1, GameParams(2, 1))) == {
+        "a1": F(20, 3), "a2": F(38, 3), "a3": F(26, 3)}
 
 
 # ------------------------------------------------- engine-vs-oracle sweeps
