@@ -2,7 +2,7 @@
 
 Every mechanism is one convoy rule, run by one event loop (`_drive`):
 members queue and the front one performs the shared chore.  Only the queue
-order and the claim after which a member leaves the front differ:
+order and the claim after which a member quits the front differ:
 
 * payment transfer (`pt`): the first to depart leads and followers pay it
   per segment, so nobody ever rotates;
@@ -16,6 +16,9 @@ order and the claim after which a member leaves the front differ:
 The convoy's queue, finished members and remaining claims live only inside
 `_drive`.  Mechanisms without a claim (pt, rg) take the departures and the
 arrival at one instant as one step with one switch; sg and sg-da take two.
+Nothing here segments the stream again: pt's ledger reads each realized
+segment's members, and sg-da each arrival's ex-ante cut, as the sweep
+recorded them.
 
 Mechanisms take an agent stream or its `StreamShares` sweep and produce a
 `MechanismOutcome`: schedule, share reports, any payment ledger and any
@@ -58,7 +61,6 @@ from .model import (
     StreamShares,
     SwitchEvent,
     SwitchKind,
-    _ante_cut,
     _div,
     _Ticks,
     stream_shares,
@@ -171,7 +173,7 @@ class MechanismOutcome:
     params: GameParams
     lead_shares: Mapping[AgentId, Fraction]
     # the tick run behind the outcome, for `net_utilities`; not an init field,
-    # so `dataclasses.replace` leaves a copy without it
+    # so a copy made by `dataclasses.replace` has none
     _run: _Run | None = field(default=None, init=False, repr=False, compare=False)
 
     def assigned(self) -> dict[AgentId, Fraction]:
@@ -234,7 +236,6 @@ def _drive(ticks: _Ticks, ids: Sequence[AgentId], policy: _Policy) -> _Run:
     queue: list[int] = []  # unfinished members in the mechanism's order
     finished: list[int] = []  # members that rotated, in rotation order
     remaining = list(ticks.ex_ante)  # leading time each member still owes
-    leaves: list[int] = []  # the members' departures, ascending; kept for `adjust`
     periods: list[tuple[int, int, int]] = []
     switches: list[tuple[int, int, int, SwitchKind, int]] = []
     led, rotated = [0] * n, [0] * n
@@ -263,7 +264,6 @@ def _drive(ticks: _Ticks, ids: Sequence[AgentId], policy: _Policy) -> _Run:
             gone = set(by_leave[first:j])
             queue[:] = [m for m in queue if m not in gone]
             finished[:] = [m for m in finished if m not in gone]
-            del leaves[: j - first]  # the earliest departures; a no-op unless `adjust`
             # an emptied convoy re-forming at once is one handover either way
             merge = not policy.claims or not (queue or finished)
             if merge and i < n and arrive[i] == t_next:
@@ -276,10 +276,7 @@ def _drive(ticks: _Ticks, ids: Sequence[AgentId], policy: _Policy) -> _Run:
             else:  # by departure, then arrival
                 bisect.insort(queue, joined, key=lambda m: (leave[m], m))
             if policy.adjust:
-                bisect.insort(leaves, leave[joined])
-                cuts = _ante_cut(t_next, leave[joined], leaves)
-                _relieve(joined, queue, leave, remaining,
-                         [(s, e, len(leaves) - k) for s, e, k in cuts])
+                _relieve(joined, queue, leave, remaining, ticks.cuts[joined])
         elif action == _ROTATE:
             rotator = queue.pop(0)
             if remaining[rotator] != 0:
@@ -384,8 +381,9 @@ def _relieve(
     """Dynamic adjustment: cut the unfinished members' `remaining` in place.
 
     Members are stream positions, `leave` their departures and `remaining`
-    their claims, all in ticks.  The share the newcomer absorbs in each
-    (start, end, n_seg) cut of its ex-ante decomposition,
+    their claims, all in ticks.  `cuts` is the newcomer's ex-ante cut as
+    the sweep recorded it at the arrival (`model._Ticks.cuts`).  The share
+    the newcomer absorbs in each (start, end, n_seg) segment of it,
     (end - start) / n_seg, is split evenly among the other `queue` members
     still available after `start`, clamped at zero.  The tick scale makes
     each split a whole number of ticks: n_seg and the pool size are both at
@@ -398,10 +396,10 @@ def _relieve(
     O(segments + pool) instead of O(segments * pool).
     """
     pool = [m for m in queue if m != newcomer]
-    leaves = [leave[m] for m in pool]
+    departures = [leave[m] for m in pool]
     steps = [0] * len(pool)  # cut that starts at each pool index
     for start, end, n_seg in cuts:
-        first = bisect.bisect_right(leaves, start)  # leaves after `start`
+        first = bisect.bisect_right(departures, start)  # departs after `start`
         if first < len(pool):
             steps[first] += _div(end - start, n_seg * (len(pool) - first))
     cut = 0

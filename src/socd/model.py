@@ -3,9 +3,11 @@
 A game is an online stream of agents, each available over one time window,
 with exactly one available agent performing a shared chore at any instant.
 This module holds the value types (agents, parameters, segments, schedules),
-the segment decompositions behind ex-ante and ex-post proportional shares
-(all of them read off one event sweep per stream, `stream_shares`), and the
-schedule validity and efficiency accounting shared by every mechanism.
+the segment decompositions behind ex-ante and ex-post proportional shares,
+and the schedule validity and efficiency accounting shared by every
+mechanism.  One event sweep per stream (`stream_shares`) reads off every
+decomposition: as it walks, it records each realized segment's members and
+each arrival's ex-ante cut, which `segments`, pt's ledger and sg-da read.
 
 Every public time and share is an exact `fractions.Fraction`; floats
 belong to the metrics and reporting layers.  Inside, the sweep and the
@@ -14,10 +16,10 @@ stream under which every time and every division the core makes is a
 whole number of ticks, and stores only those ticks.  Its integer half,
 `_sweep`, also takes ticks straight from the highway's draw, with no
 `AgentSpec` in between.  Fractions are built once, at the outputs: a
-sweep's segments and sums on first read.  All
-intervals are half-open ``[start, end)`` so adjacent segments and active
-periods tile without overlap.  When a departure and an arrival coincide,
-the departure is processed first.
+sweep's segments and sums on first read.  All intervals are half-open
+``[start, end)`` so adjacent segments and active periods tile without
+overlap.  When a departure and an arrival coincide, the departure is
+processed first.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import pairwise
-from numbers import Rational
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 __all__ = [
     "AgentId",
@@ -68,32 +69,22 @@ Time = Fraction
 
 
 def as_time(value: int | str | Fraction) -> Fraction:
-    """Coerce a time-like value to an exact Fraction.
+    """Coerce an exact value (a time, u, c or a switch cost) to a Fraction.
 
-    Accepts ints, Fractions and strings ("7", "0.25", "16/3").  Floats are
-    rejected: their binary value is rarely the decimal the caller meant, and
-    the model is exact by contract.  The result's parts are Python ints,
-    also for a numpy integer (`_plain`).
+    Accepts ints, Fractions and strings ("7", "0.25", "16/3").  Floats and
+    bools are rejected: a float's binary value is rarely the decimal the
+    caller meant, and the model is exact by contract.  The result's parts
+    are Python ints, also for a numpy integer, which keeps its C-long type
+    inside a Fraction, so its products with a tick scale would overflow.
     """
     if type(value) is not Fraction:
         if isinstance(value, bool) or isinstance(value, float):
-            raise TypeError(
-                f"times must be exact (int, str or Fraction), not {type(value).__name__}"
-            )
+            raise TypeError(f"exact values must be an int, str or Fraction, "
+                            f"not {type(value).__name__}")
         value = Fraction(value)
-    elif type(value.numerator) is int and type(value.denominator) is int:
+    if type(value.numerator) is int and type(value.denominator) is int:
         return value  # the common case, without a call
-    return _plain(value)
-
-
-def _plain(value: Rational) -> Fraction:
-    """`value` as a Fraction of Python ints; a Fraction of ints is returned as
-    it is.  A numpy integer keeps its C-long type inside a Fraction, and its
-    products with a tick scale overflow."""
-    num, den = value.numerator, value.denominator
-    if type(value) is Fraction and type(num) is int and type(den) is int:
-        return value
-    return Fraction(int(num), int(den))
+    return Fraction(int(value.numerator), int(value.denominator))
 
 
 class EmptyStream(ValueError):
@@ -169,8 +160,8 @@ class GameParams:
     c: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "u", _plain(Fraction(self.u)))
-        object.__setattr__(self, "c", _plain(Fraction(self.c)))
+        object.__setattr__(self, "u", as_time(self.u))
+        object.__setattr__(self, "c", as_time(self.c))
         if self.u <= 0:
             raise ValueError("u must be positive")
         if self.c < 0:
@@ -241,7 +232,7 @@ class SwitchEvent:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "time", as_time(self.time))
-        object.__setattr__(self, "cost", Fraction(self.cost))
+        object.__setattr__(self, "cost", as_time(self.cost))
         if self.n_r < 0:
             raise ValueError("n_r must be non-negative")
         if self.cost < 0:
@@ -270,14 +261,16 @@ class ShareReport:
     ex_post: Fraction
 
 
-@dataclass(frozen=True)
-class _Ticks:
+class _Ticks(NamedTuple):
     """A stream's instants and segment sums as whole numbers of ticks.
 
     A tick is 1/`scale` of a time unit.  The lists are indexed by position
     in the stream (arrival order) and are never mutated.  `by_leave` lists
-    those positions by departure, ties in arrival order; `bounds` holds each
-    realized segment's (start, end).
+    those positions by departure, ties in arrival order.  `bounds` holds
+    each realized segment's (start, end) and `members` its members, stream
+    positions in arrival order.  `cuts` holds each arrival's ex-ante cut,
+    one (start, end, n_seg) per segment of its window.  The sweep
+    (`_sweep`) records them all as it walks.
     """
 
     scale: int
@@ -287,18 +280,8 @@ class _Ticks:
     ex_ante: list[int]
     ex_post: list[int]
     bounds: list[tuple[int, int]]
-
-    @cached_property
-    def members(self) -> list[list[int]]:
-        """Each realized segment's members: stream positions, in arrival order."""
-        starts = [start for start, _ in self.bounds]
-        members: list[list[int]] = [[] for _ in starts]
-        for k, (arrive, leave) in enumerate(zip(self.arrive, self.leave)):
-            # every instant cuts: k is in the segments that start in [arrive, leave)
-            for s in range(bisect.bisect_left(starts, arrive),
-                           bisect.bisect_left(starts, leave)):
-                members[s].append(k)
-        return members
+    members: list[list[int]]
+    cuts: list[list[tuple[int, int, int]]]
 
 
 def _div(numerator: int, divisor: int) -> int:
@@ -473,9 +456,11 @@ def _sweep(arrive: list[int], leave: list[int], base: int) -> _Ticks:
     arrival order; arrivals are distinct and every agent leaves after it
     arrives.  The sweep walks the instants in time order, departures first
     at equal instants.  A running prefix cum(t) of |seg|/n_seg gives each
-    ex-post sum as cum(t_leave) - cum(t_arrive).  The departures of the
-    present agents are kept sorted, so each ex-ante sum is one walk over
-    them at the arrival.
+    ex-post sum as cum(t_leave) - cum(t_arrive).  The present agents are
+    kept in arrival order, so each segment's members are a copy of them.
+    Their departures are kept sorted, so each arrival's ex-ante cut is one
+    walk over them; the sweep stores the cut and sums the ex-ante sum from
+    it.
 
     The tick scale is `base` times lcm(1..N)**2, N the peak number of agents
     present: every segment length is then divisible by any member count
@@ -493,33 +478,39 @@ def _sweep(arrive: list[int], leave: list[int], base: int) -> _Ticks:
     arrive = [t * wide for t in arrive]
     leave = [t * wide for t in leave]
 
-    leaves: list[int] = []  # departures of the present agents, ascending
+    present: dict[int, None] = {}  # the present agents, in arrival order
+    leaves: list[int] = []  # their departures, ascending
     bounds: list[tuple[int, int]] = []
+    members: list[list[int]] = []
+    cuts: list[list[tuple[int, int, int]]] = []
     ante, post = [0] * n, [0] * n
     cum = 0  # sum of |seg|/n_seg over the segments ended so far
     cum_at_arrival = [0] * n
     arriving = departing = 0  # next indices into arrive and by_leave
     prev = 0
     for t in sorted({*arrive, *leave}):
-        if arriving > departing:  # someone is present
+        if present:
             bounds.append((prev, t))
-            cum += _div(t - prev, arriving - departing)
+            members.append(list(present))
+            cum += _div(t - prev, len(present))
         gone = departing
         while departing < n and leave[by_leave[departing]] == t:
             k = by_leave[departing]
             post[k] = cum - cum_at_arrival[k]
+            del present[k]
             departing += 1
         del leaves[: departing - gone]  # they are the earliest departures
         if arriving < n and arrive[arriving] == t:
             k = arriving
             cum_at_arrival[k] = cum
+            present[k] = None
             bisect.insort(leaves, leave[k])
-            m = len(leaves)
-            cuts = _ante_cut(t, leave[k], leaves)
-            ante[k] = sum(_div(e - s, m - i) for s, e, i in cuts)
+            cuts.append([(s, e, len(leaves) - i)
+                         for s, e, i in _ante_cut(t, leave[k], leaves)])
+            ante[k] = sum(_div(e - s, n_seg) for s, e, n_seg in cuts[k])
             arriving += 1
         prev = t
-    return _Ticks(base * wide, arrive, leave, by_leave, ante, post, bounds)
+    return _Ticks(base * wide, arrive, leave, by_leave, ante, post, bounds, members, cuts)
 
 
 def stream_segments(agents: Sequence[AgentSpec]) -> list[Segment]:

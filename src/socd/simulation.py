@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -34,7 +35,7 @@ from .metrics import (
     gini,
     unsatisfied_fraction,
 )
-from .model import AgentSpec, _plain, _sweep
+from .model import AgentSpec, _sweep, as_time
 
 __all__ = [
     "RingRoadParams",
@@ -83,6 +84,11 @@ def _require_at_most(params: object, *names: str) -> None:
             raise ValueError(f"{name} must be at most {_MAX_SIZE}")
 
 
+def _require_configuration(configuration: str) -> None:
+    if configuration not in ("uniform", "bimodal"):
+        raise ValueError("configuration must be 'uniform' or 'bimodal'")
+
+
 def _require_seed(seed: int) -> None:
     # numpy would reject it later without naming the seed
     if seed < 0:
@@ -126,6 +132,9 @@ class RingRoadParams:
         if self.target_mean_participations <= 0:
             raise ValueError("target_mean_participations must be positive")
         _require_at_most(self, "n_stations", "n_vehicles")
+        if self.road_length / self.n_stations < sys.float_info.min:
+            raise ValueError("road_length / n_stations (the section length) must be "
+                             f"at least {sys.float_info.min}")
         if self.target_mean_participations / self.curve_step > _MAX_SIZE:
             raise ValueError("target_mean_participations / curve_step (the "
                              f"checkpoint count) must be at most {_MAX_SIZE}")
@@ -169,9 +178,8 @@ class HighwayParams:
             raise ValueError(f"switch_cost must be non-negative, not {cost}")
         # an int or a Fraction of ints stays as given; a numpy integer would overflow
         object.__setattr__(self, "switch_cost",
-                           int(cost) if isinstance(cost, numbers.Integral) else _plain(cost))
-        if self.configuration not in ("uniform", "bimodal"):
-            raise ValueError("configuration must be 'uniform' or 'bimodal'")
+                           int(cost) if isinstance(cost, numbers.Integral) else as_time(cost))
+        _require_configuration(self.configuration)
         if self.n_stations < 2:
             raise ValueError("need at least two stations")
         if self.n_convoys < 1 or self.agents_per_convoy < 1:
@@ -273,8 +281,10 @@ def sample_stream(
 
     This is the highway's own draw (the same generator calls in the same
     order), with each time as an exact `Fraction`; the highway itself
-    keeps the times as integer ticks.
+    keeps the times as integer ticks.  `configuration` is 'uniform' or
+    'bimodal' (a ValueError otherwise).
     """
+    _require_configuration(configuration)
     ids, arrive, leave = _sample_ticks(configuration, rng, n_agents, n_stations)
     return [AgentSpec(i, Fraction(t_arrive, _STATION_TICKS), t_leave // _STATION_TICKS)
             for i, t_arrive, t_leave in zip(ids, arrive, leave)]

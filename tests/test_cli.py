@@ -191,10 +191,13 @@ _A = {"id": "a", "arrive": 0, "leave": 5}
         (None, ["--experiment", "ring", "--config", "uniform"],
          "--config only applies to the highway experiment"),
         (None, ["--experiment", "ring", "--bogus"], "unrecognized arguments: --bogus"),
+        ({"experiment": "ring", "params": {"road_length": 5e-324}}, [],
+         "params: road_length / n_stations (the section length) must be at least "
+         "2.2250738585072014e-308"),
     ],
     ids=["no-agents", "agent-not-object", "missing-leave", "empty-window",
          "game-params-list", "experiment-params-list", "scenario-list",
-         "ring-config", "unknown-flag"],
+         "ring-config", "unknown-flag", "ring-subnormal-section"],
 )
 def test_validation_branches_exit_1_with_their_message(tmp_path, capsys, doc, flags,
                                                         message):

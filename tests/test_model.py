@@ -60,6 +60,16 @@ def test_as_time_rejects_floats_and_bools(bad):
         as_time(bad)
 
 
+@pytest.mark.parametrize("bad", [0.1, 1.0, np.float64(0.5), True, False])
+def test_game_params_and_switch_costs_reject_floats_and_bools(bad):
+    # GameParams(u=0.1) kept 0.1's binary value and GameParams(u=True) made u 1
+    for make in (lambda: GameParams(u=bad), lambda: GameParams(c=bad),
+                 lambda: SwitchEvent(F(1), "a", "b", SwitchKind.ROTATION, 2, bad)):
+        with pytest.raises(TypeError, match="^exact values must be an int, str or "
+                                            f"Fraction, not {type(bad).__name__}$"):
+            make()
+
+
 @pytest.mark.parametrize("np_int", [np.int64, np.int32])
 def test_as_time_and_game_params_hold_python_ints(np_int):
     for value in (np_int(3), F(np_int(3), 2)):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -40,6 +41,19 @@ def test_ring_params_validation():
         RingRoadParams(curve_step=0.0)
     with pytest.raises(ValueError):
         RingRoadParams(target_mean_participations=-1.0)
+
+
+@pytest.mark.parametrize("road_length, n_stations", [(5e-324, 100), (1e-320, 1000),
+                                                    (sys.float_info.min, 2)])
+def test_ring_params_refuse_a_subnormal_section_length(road_length, n_stations):
+    # road_length / n_stations underflowed to 0.0 (a ZeroDivisionError in the
+    # run) or to a subnormal (trips of more than one lap)
+    with pytest.raises(ValueError, match=r"^road_length / n_stations \(the section "
+                                         r"length\) must be at least 2\.2250738585"):
+        RingRoadParams(road_length=road_length, n_stations=n_stations)
+    params = RingRoadParams(road_length=sys.float_info.min * n_stations,
+                            n_stations=n_stations)
+    assert params.road_length / n_stations == sys.float_info.min
 
 
 @pytest.mark.parametrize(
@@ -210,6 +224,15 @@ def test_a_station_takes_at_most_1000_joiners():
         sample_stream("uniform", _OneStation(), n_agents=1001, n_stations=2)
     with pytest.raises(ValueError, match="1001 agents enter at station 1"):
         simulation._sample_ticks("uniform", _OneStation(), 1001, 2)
+
+
+def test_sample_stream_refuses_an_unknown_configuration():
+    # "bimodl" drew uniform streams
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^configuration must be 'uniform' or 'bimodal'$"):
+        sample_stream("bimodl", rng)
+    assert rng.bit_generator.state == state
 
 
 def test_sampling_is_reproducible():
