@@ -14,7 +14,6 @@ from .mechanisms import (
     MechanismKind,
     MechanismOutcome,
     Payment,
-    Transfer,
     net_utilities,
     run_mechanism,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "MechanismKind",
     "MechanismOutcome",
     "Payment",
-    "Transfer",
     "net_utilities",
     "run_mechanism",
     # metrics

@@ -376,7 +376,7 @@ def _run_game(
     for kind in mechanisms:
         outcome = run_mechanism(kind, sweep, params)
         nets = net_utilities(outcome)
-        # equals `efficiency(outcome.schedule, sweep, params)`: transfers
+        # equals `efficiency(outcome.schedule, sweep, params)`: payments
         # are zero-sum and the rotation charges are the costed switches
         eff = sum(nets.values())
         shares = " ".join(f"{r.agent}={r.assigned}" for r in outcome.reports)

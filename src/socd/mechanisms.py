@@ -24,20 +24,20 @@ Mechanisms take an agent stream or its `StreamShares` sweep and produce a
 `MechanismOutcome`: schedule, share reports, any payment ledger and any
 rotation charges, all exact.  A run has two layers.  Its tick core
 (`_core`: the loop, the claims, pt's payments) works on the sweep's integer
-ticks and builds no Fraction, `ActivePeriod` or `SwitchEvent`; `_outcome`
-then builds the `MechanismOutcome` and its Fractions, once, from the core's
-`_Run`.  Net utilities come from one tick formula (`_nets`): integer
-numerators over one denominator, which `net_utilities` turns into Fractions.
-The core and `_nets` read only a sweep's ticks (`model._Ticks`) and the ids
-of its stream positions, so callers that need no outcome, such as the
-highway experiment, call them directly, with no `StreamShares`.
+ticks and builds no Fraction, `ActivePeriod` or `SwitchEvent`.
+`MechanismOutcome(kind, shares, params)` runs it once when it is built and
+keeps its `_Run`; each face (schedule, ledger, lead shares, rotation costs)
+is built from that run, with its Fractions, on first read.  Net utilities
+come from one tick formula (`_nets`): integer numerators over one
+denominator, which `net_utilities` turns into Fractions.  The core and
+`_nets` read only a sweep's ticks (`model._Ticks`) and the ids of its
+stream positions, so callers that need no outcome, such as the highway
+experiment, call them directly, with no `StreamShares`.
 
 pt's ledger is kept per realized segment: one `Payment` holds the segment,
 its leader (the payee), the followers who pay it and the one amount each
-pays.  `Ledger.transfers`, one `Transfer` per payer, is built from those
-entries on first read, so a game with n members in a segment stores one
-entry for it, not n - 1 transfers.  A segment whose leader is alone has an
-entry with no payers.
+pays, so a game with n members in a segment stores one entry for it, not
+n - 1.  A segment whose leader is alone has an entry with no payers.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ from .model import (
 
 __all__ = [
     "MechanismKind",
-    "Transfer",
     "Payment",
     "Ledger",
     "MechanismOutcome",
@@ -100,16 +99,6 @@ class MechanismKind(str, Enum):
     SINGLE_GAME_DYNAMIC = "sg-da"
 
 
-@dataclass(frozen=True)
-class Transfer:
-    """One side payment: `payer` compensates `payee` for leading `segment`."""
-
-    segment: Segment
-    payer: AgentId
-    payee: AgentId
-    amount: Fraction
-
-
 class Payment(NamedTuple):
     """One realized segment of a payment-transfer ledger: each of `payers`,
     in arrival order, pays `payee` the same `amount` for leading `segment`."""
@@ -123,16 +112,10 @@ class Payment(NamedTuple):
 @dataclass(frozen=True)
 class Ledger:
     """A payment-transfer game's ledger: one `Payment` per realized segment,
-    in segment order, plus the per-agent net.  `transfers`, one per payer of
-    each entry, is built on first read."""
+    in segment order, plus the per-agent net."""
 
     payments: tuple[Payment, ...]
     net: Mapping[AgentId, Fraction]
-
-    @cached_property
-    def transfers(self) -> tuple[Transfer, ...]:
-        return tuple(Transfer(p.segment, payer, p.payee, p.amount)
-                     for p in self.payments for payer in p.payers)
 
 
 class _Run(NamedTuple):
@@ -157,27 +140,65 @@ class _Run(NamedTuple):
 
 @dataclass(frozen=True)
 class MechanismOutcome:
-    """What a mechanism produced: schedule, payments, rotation charges.
+    """What mechanism `kind` (or its CLI spelling) produces on a stream or
+    its sweep (`shares`, resolved by `stream_shares`) at `params`.
 
-    `lead_shares` is the realized per-agent leading time; `reports` adds the
-    ex-ante/ex-post comparison from the stream's sweep `shares` and is
-    computed on first access, since the experiment pipelines only consume
-    the raw shares.
+    Building it runs the tick core once (`_core`).  Its faces are built
+    from that run on first read, once each: `schedule` (a rotation costs
+    c * n_r), pt's `ledger` (None otherwise), `lead_shares`, the realized
+    leading times, `rotation_costs`, and `reports`, which adds the sweep's
+    ex-ante/ex-post shares.  Two outcomes are equal when their kind, sweep
+    and params are, and `dataclasses.replace` runs the mechanism again.
     """
 
     kind: MechanismKind
-    schedule: Schedule
-    ledger: Ledger | None
-    rotation_costs: Mapping[AgentId, Fraction]
     shares: StreamShares
-    params: GameParams
-    lead_shares: Mapping[AgentId, Fraction]
-    # the tick run behind the outcome, for `net_utilities`; not an init field,
-    # so a copy made by `dataclasses.replace` has none
-    _run: _Run | None = field(default=None, init=False, repr=False, compare=False)
+    params: GameParams = GameParams()
+    _run: _Run = field(init=False, repr=False, compare=False)
 
-    def assigned(self) -> dict[AgentId, Fraction]:
-        return dict(self.lead_shares)
+    def __post_init__(self) -> None:
+        kind, shares = MechanismKind(self.kind), stream_shares(self.shares)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "shares", shares)
+        ids = [a.id for a in shares.stream]
+        object.__setattr__(self, "_run", _core(kind, shares._ticks, ids, self.params.u))
+
+    @cached_property
+    def schedule(self) -> Schedule:
+        # arrival and departure instants reuse the stream's Fractions
+        ids, time, c = [a.id for a in self.shares.stream], self.shares._time, self.params.c
+        return Schedule(
+            tuple(ActivePeriod(ids[k], time(b), time(e)) for k, b, e in self._run.periods),
+            tuple(
+                SwitchEvent(time(at), ids[out], ids[into], switch, n_r,
+                            c * n_r if switch is SwitchKind.ROTATION else 0)
+                for at, out, into, switch, n_r in self._run.switches
+            ),
+        )
+
+    @cached_property
+    def ledger(self) -> Ledger | None:
+        run, shares = self._run, self.shares
+        if run.paid is None:
+            return None
+        ids = [a.id for a in shares.stream]
+        money = shares._ticks.scale * self.params.u.denominator
+        payments = tuple(
+            Payment(seg, ids[payee], tuple(ids[k] for k in payers), Fraction(pay, money))
+            for seg, (payee, payers, pay) in zip(shares.segments, run.payments)
+        )
+        net = {ids[k]: Fraction(p, money) for k, p in enumerate(run.paid)}
+        return Ledger(payments, net)
+
+    @cached_property
+    def lead_shares(self) -> Mapping[AgentId, Fraction]:
+        scale, stream = self.shares._ticks.scale, self.shares.stream
+        return {a.id: Fraction(led, scale) for a, led in zip(stream, self._run.led)}
+
+    @cached_property
+    def rotation_costs(self) -> Mapping[AgentId, Fraction]:
+        c = self.params.c
+        return {a.id: c * r for a, r in zip(self.shares.stream, self._run.rotated) if r}
 
     @cached_property
     def reports(self) -> tuple[ShareReport, ...]:
@@ -336,41 +357,6 @@ def _core(
     return _settle(ticks, run, u) if kind is MechanismKind.PAYMENT_TRANSFER else run
 
 
-def _outcome(
-    kind: MechanismKind, shares: StreamShares, params: GameParams, run: _Run
-) -> MechanismOutcome:
-    """The exact outcome of a tick run: the only place a mechanism builds
-    periods, switches, pt's per-segment ledger entries and their Fractions.
-    A rotation costs c * n_r; arrival and departure instants reuse the
-    stream's Fractions."""
-    ticks, c = shares._ticks, params.c
-    ids, time = [a.id for a in shares.stream], shares._time
-    schedule = Schedule(
-        tuple(ActivePeriod(ids[k], time(b), time(e)) for k, b, e in run.periods),
-        tuple(
-            SwitchEvent(time(at), ids[out], ids[into], switch, n_r,
-                        c * n_r if switch is SwitchKind.ROTATION else 0)
-            for at, out, into, switch, n_r in run.switches
-        ),
-    )
-    ledger = None
-    if run.paid is not None:
-        money = ticks.scale * params.u.denominator
-        payments = tuple(
-            Payment(seg, ids[payee], tuple(ids[k] for k in payers), Fraction(pay, money))
-            for seg, (payee, payers, pay) in zip(shares.segments, run.payments)
-        )
-        net = {ids[k]: Fraction(p, money) for k, p in enumerate(run.paid)}
-        ledger = Ledger(payments, net)
-    lead_shares = {ids[k]: Fraction(led, ticks.scale) for k, led in enumerate(run.led)}
-    rotation_costs = {ids[k]: c * r for k, r in enumerate(run.rotated) if r}
-    outcome = MechanismOutcome(
-        kind, schedule, ledger, rotation_costs, shares, params, lead_shares
-    )
-    object.__setattr__(outcome, "_run", run)
-    return outcome
-
-
 def _relieve(
     newcomer: int,
     queue: Sequence[int],
@@ -414,10 +400,9 @@ def run_mechanism(
     agents: Iterable[AgentSpec] | StreamShares,
     params: GameParams = GameParams(),
 ) -> MechanismOutcome:
-    """Run mechanism `kind` (accepts the CLI spellings) on a stream or its sweep."""
-    kind, shares = MechanismKind(kind), stream_shares(agents)
-    run = _core(kind, shares._ticks, [a.id for a in shares.stream], params.u)
-    return _outcome(kind, shares, params, run)
+    """Run mechanism `kind` (accepts the CLI spellings) on a stream or its
+    sweep: `MechanismOutcome(kind, agents, params)`."""
+    return MechanismOutcome(kind, agents, params)
 
 
 def _nets(ticks: _Ticks, run: _Run, u: Rational, c: Rational) -> tuple[list[int], int]:
@@ -439,13 +424,11 @@ def _nets(ticks: _Ticks, run: _Run, u: Rational, c: Rational) -> tuple[list[int]
 
 def net_utilities(outcome: MechanismOutcome) -> dict[AgentId, Fraction]:
     """Per-agent net utility: u per unit of availability not spent leading,
-    plus net transfers received, minus rotation charges paid.
+    plus net payments received, minus rotation charges paid.
 
     Reads the outcome's own stream (`outcome.shares`) and `outcome.params`,
     and sums each utility in integers over one common denominator (`_nets`).
     """
-    if outcome._run is None:
-        raise ValueError("the outcome must come from run_mechanism: it has no tick run")
-    params = outcome.params
-    nets, den = _nets(outcome.shares._ticks, outcome._run, params.u, params.c)
-    return {a.id: Fraction(net, den) for a, net in zip(outcome.shares.stream, nets)}
+    params, shares = outcome.params, outcome.shares
+    nets, den = _nets(shares._ticks, outcome._run, params.u, params.c)
+    return {a.id: Fraction(net, den) for a, net in zip(shares.stream, nets)}

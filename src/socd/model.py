@@ -5,13 +5,14 @@ with exactly one available agent performing a shared chore at any instant.
 This module holds the value types (agents, parameters, segments, schedules),
 the segment decompositions behind ex-ante and ex-post proportional shares,
 and the schedule validity and efficiency accounting shared by every
-mechanism.  One event sweep per stream (`stream_shares`) reads off every
-decomposition: as it walks, it records each realized segment's members and
-each arrival's ex-ante cut, which `segments`, pt's ledger and sg-da read.
+mechanism.  One event sweep per stream (`StreamShares`, built from the
+stream alone) reads off every decomposition: as it walks, it records each
+realized segment's members and each arrival's ex-ante cut, which
+`segments`, pt's ledger and sg-da read.
 
 Every public time and share is an exact `fractions.Fraction`; floats
 belong to the metrics and reporting layers.  Inside, the sweep and the
-mechanisms run on integer ticks: `stream_shares` picks one tick scale per
+mechanisms run on integer ticks: `StreamShares` picks one tick scale per
 stream under which every time and every division the core makes is a
 whole number of ticks, and stores only those ticks.  Its integer half,
 `_sweep`, also takes ticks straight from the highway's draw, with no
@@ -294,19 +295,28 @@ def _div(numerator: int, divisor: int) -> int:
 
 @dataclass(frozen=True)
 class StreamShares:
-    """Everything one event sweep reads off a stream (see `stream_shares`).
+    """Everything one event sweep reads off a stream.
 
-    `stream` is the validated stream in arrival order and `segments` its
-    realized segmentation.  `ex_ante` and `ex_post` map every agent to its
-    proportional segment sum, the sum of |seg|/n_seg over its ex-ante or
-    ex-post segments, without the c/u allowance.  The sweep stores only its
-    integer view, which the mechanisms run on; `segments`, `ex_ante` and
-    `ex_post` are built from it on first read.  Two sweeps are equal when
-    their streams are, since the sweep is a function of the stream.
+    Building it validates the stream once, puts every time on the grid of
+    1/B, B the lcm of the stream's time denominators, and sweeps those
+    integers (`_sweep`).  `stream` is the validated stream in arrival order
+    and `segments` its realized segmentation.  `ex_ante` and `ex_post` map
+    every agent to the sum of |seg|/n_seg over its ex-ante or ex-post
+    segments, without the c/u allowance.  Only the integer view is stored;
+    the three are built from it on first read.  Two sweeps are equal when
+    their streams are, and `dataclasses.replace` sweeps the new stream.
     """
 
     stream: tuple[AgentSpec, ...]
-    _ticks: _Ticks = field(repr=False, compare=False)
+    _ticks: _Ticks = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        stream = validate_stream(self.stream)
+        base = math.lcm(*(t.denominator for a in stream for t in (a.t_arrive, a.t_leave)))
+        arrive = [a.t_arrive.numerator * _div(base, a.t_arrive.denominator) for a in stream]
+        leave = [a.t_leave.numerator * _div(base, a.t_leave.denominator) for a in stream]
+        object.__setattr__(self, "stream", tuple(stream))
+        object.__setattr__(self, "_ticks", _sweep(arrive, leave, base))
 
     @cached_property
     def _instants(self) -> dict[int, Fraction]:
@@ -402,8 +412,10 @@ def _availability_union(agents: Iterable[AgentSpec]) -> list[tuple[Time, Time]]:
     return merged
 
 
-def game_duration(agents: Iterable[AgentSpec]) -> Fraction:
+def game_duration(agents: Iterable[AgentSpec] | StreamShares) -> Fraction:
     """Total time with at least one available agent."""
+    if isinstance(agents, StreamShares):
+        agents = agents.stream
     return sum((end - start for start, end in _availability_union(agents)), Fraction(0))
 
 
@@ -430,23 +442,10 @@ def _ante_cut(
 
 
 def stream_shares(agents: Iterable[AgentSpec] | StreamShares) -> StreamShares:
-    """One event sweep: realized segments, ex-ante and ex-post segment sums.
-
-    Validates the stream once, puts every time on the grid of 1/B, B the
-    lcm of the stream's time denominators, and sweeps those integers
-    (`_sweep`).
-
-    A `StreamShares` is returned as it is, neither re-validated nor swept
-    again.  Every function that takes an agent stream resolves it through
-    here, so a caller that sweeps once can pass the sweep everywhere.
-    """
-    if isinstance(agents, StreamShares):
-        return agents
-    stream = validate_stream(agents)
-    base = math.lcm(*(t.denominator for a in stream for t in (a.t_arrive, a.t_leave)))
-    arrive = [a.t_arrive.numerator * _div(base, a.t_arrive.denominator) for a in stream]
-    leave = [a.t_leave.numerator * _div(base, a.t_leave.denominator) for a in stream]
-    return StreamShares(tuple(stream), _sweep(arrive, leave, base))
+    """`StreamShares(agents)`, or `agents` itself, neither re-validated nor
+    swept again, if it is a sweep.  Every function that takes an agent
+    stream resolves it here, so one sweep can be passed everywhere."""
+    return agents if isinstance(agents, StreamShares) else StreamShares(agents)
 
 
 def _sweep(arrive: list[int], leave: list[int], base: int) -> _Ticks:
@@ -550,9 +549,10 @@ def eps_segments(agent: AgentSpec, all_agents: Iterable[AgentSpec]) -> list[Segm
 
     Every arrival or departure that falls strictly inside the window starts
     a new segment, so unlike the ex-ante view the member count can grow.
+    `agent` must be in the stream, window and all (else `UnknownAgent`).
     """
     shares = stream_shares(all_agents)
-    if agent.id not in shares.ex_post:
+    if agent not in shares.stream:
         raise UnknownAgent(agent.id)
     return [
         seg for seg in shares.segments
@@ -578,11 +578,12 @@ def ex_post_share(
     all_agents: Iterable[AgentSpec],
     params: GameParams = GameParams(),
 ) -> Fraction:
-    """Proportional share judged on the realized stream: |seg|/n_seg plus c/u."""
-    ex_post = stream_shares(all_agents).ex_post
-    if agent.id not in ex_post:
+    """Proportional share judged on the realized stream: |seg|/n_seg plus
+    c/u.  `agent` must be in the stream, window and all (else `UnknownAgent`)."""
+    shares = stream_shares(all_agents)
+    if agent not in shares.stream:
         raise UnknownAgent(agent.id)
-    return ex_post[agent.id] + params.c / params.u
+    return shares.ex_post[agent.id] + params.c / params.u
 
 
 def efficiency(
@@ -622,7 +623,7 @@ def _chain_consistent(
 
 
 def validate_schedule(
-    schedule: Schedule, agents: Iterable[AgentSpec]
+    schedule: Schedule, agents: Iterable[AgentSpec] | StreamShares
 ) -> list[Violation]:
     """Audit a schedule against its stream; an empty list means valid.
 
@@ -631,7 +632,7 @@ def validate_schedule(
     available, and every boundary between different agents carries a
     consistent chain of switch events (exactly one in the common case).
     """
-    stream = validate_stream(agents)
+    stream = agents.stream if isinstance(agents, StreamShares) else validate_stream(agents)
     roster = {a.id: a for a in stream}
     violations: list[Violation] = []
 

@@ -24,7 +24,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -55,12 +55,12 @@ HIGHWAY_MECHANISMS = (
 )
 
 
-def _require(params: object, kind: type, what: str, *names: str) -> None:
+def _require(values: Mapping[str, object], kind: type, what: str, *names: str) -> None:
     """Reject counts and seeds that are not integers and lengths and rates
     that are not real numbers (bools included): they would fail later, as a
     TypeError, inside `range` or in a comparison."""
     for name in names:
-        value = getattr(params, name)
+        value = values[name]
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ValueError(f"{name} must be {what}, not {value!r}")
 
@@ -78,10 +78,20 @@ _MAX_SIZE = 10**6
 _MAX_SECTIONS = 10**8
 
 
-def _require_at_most(params: object, *names: str) -> None:
+def _require_at_most(values: Mapping[str, object], *names: str) -> None:
     for name in names:
-        if getattr(params, name) > _MAX_SIZE:
+        if values[name] > _MAX_SIZE:
             raise ValueError(f"{name} must be at most {_MAX_SIZE}")
+
+
+def _require_positive(values: Mapping[str, object], *names: str) -> None:
+    if any(values[name] < 1 for name in names):
+        raise ValueError(f"{' and '.join(names)} must be positive")
+
+
+def _require_stations(n_stations: int) -> None:
+    if n_stations < 2:
+        raise ValueError("need at least two stations")
 
 
 def _require_configuration(configuration: str) -> None:
@@ -116,12 +126,12 @@ class RingRoadParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _require(self, numbers.Integral, "an integer", "n_stations", "n_vehicles", "seed")
-        _require(self, numbers.Real, "a real number", "road_length", "join_probability",
-                 "target_mean_participations", "curve_step")
+        _require(vars(self), numbers.Integral, "an integer", "n_stations", "n_vehicles",
+                 "seed")
+        _require(vars(self), numbers.Real, "a real number", "road_length",
+                 "join_probability", "target_mean_participations", "curve_step")
         _require_seed(self.seed)
-        if self.n_stations < 1 or self.n_vehicles < 1:
-            raise ValueError("n_stations and n_vehicles must be positive")
+        _require_positive(vars(self), "n_stations", "n_vehicles")
         if not 0.0 <= self.join_probability <= 1.0:
             raise ValueError("join_probability must lie in [0, 1]")
         for name in ("road_length", "target_mean_participations", "curve_step"):
@@ -131,7 +141,7 @@ class RingRoadParams:
             raise ValueError("road_length and curve_step must be positive")
         if self.target_mean_participations <= 0:
             raise ValueError("target_mean_participations must be positive")
-        _require_at_most(self, "n_stations", "n_vehicles")
+        _require_at_most(vars(self), "n_stations", "n_vehicles")
         if self.road_length / self.n_stations < sys.float_info.min:
             raise ValueError("road_length / n_stations (the section length) must be "
                              f"at least {sys.float_info.min}")
@@ -168,7 +178,7 @@ class HighwayParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _require(self, numbers.Integral, "an integer",
+        _require(vars(self), numbers.Integral, "an integer",
                  "n_stations", "n_convoys", "agents_per_convoy", "seed")
         _require_seed(self.seed)
         cost = self.switch_cost
@@ -180,11 +190,9 @@ class HighwayParams:
         object.__setattr__(self, "switch_cost",
                            int(cost) if isinstance(cost, numbers.Integral) else as_time(cost))
         _require_configuration(self.configuration)
-        if self.n_stations < 2:
-            raise ValueError("need at least two stations")
-        if self.n_convoys < 1 or self.agents_per_convoy < 1:
-            raise ValueError("n_convoys and agents_per_convoy must be positive")
-        _require_at_most(self, "n_stations", "n_convoys")
+        _require_stations(self.n_stations)
+        _require_positive(vars(self), "n_convoys", "agents_per_convoy")
+        _require_at_most(vars(self), "n_stations", "n_convoys")
         if self.agents_per_convoy > self.n_stations - 1:
             raise ValueError("agents_per_convoy must be below n_stations")
         if self.n_convoys * self.agents_per_convoy > _MAX_SIZE:
@@ -282,9 +290,14 @@ def sample_stream(
     This is the highway's own draw (the same generator calls in the same
     order), with each time as an exact `Fraction`; the highway itself
     keeps the times as integer ticks.  `configuration` is 'uniform' or
-    'bimodal' (a ValueError otherwise).
+    'bimodal', `n_agents` a positive integer and `n_stations` an integer of
+    at least 2 (a ValueError otherwise, before anything is drawn).
     """
+    sizes = {"n_agents": n_agents, "n_stations": n_stations}
+    _require(sizes, numbers.Integral, "an integer", *sizes)
     _require_configuration(configuration)
+    _require_stations(n_stations)
+    _require_positive(sizes, "n_agents")
     ids, arrive, leave = _sample_ticks(configuration, rng, n_agents, n_stations)
     return [AgentSpec(i, Fraction(t_arrive, _STATION_TICKS), t_leave // _STATION_TICKS)
             for i, t_arrive, t_leave in zip(ids, arrive, leave)]

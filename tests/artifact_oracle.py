@@ -4,9 +4,11 @@ differential tests in `tests/test_artifacts.py` compare `socd.cli` against.
 At the end, the table model's JSON writer as it was before `socd.cli._write`
 replaced it: the oracle of `tests/test_json_writer.py`.
 
-Kept verbatim (only the imports changed, and the table model's JSON
-functions gained a `_table_` prefix), so the tests pin the old bytes, lines
-and error messages rather than the new code's own output.
+Kept verbatim (only the imports changed, the table model's JSON functions
+gained a `_table_` prefix, and the game builder flattens pt's per-segment
+ledger entries into one transfer per payer where it reads the outcome), so
+the tests pin the old bytes, lines and error messages rather than the new
+code's own output.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ import dataclasses
 import json
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from socd.cli import CliError, _exact, _expect_keys, _int, _number
 from socd.mechanisms import MechanismKind, net_utilities, run_mechanism
 from socd.metrics import ParticipationRecord
-from socd.model import AgentSpec, GameParams, efficiency, stream_shares
+from socd.model import AgentId, AgentSpec, GameParams, Segment, efficiency, stream_shares
 from socd.simulation import (
     ExperimentResult,
     HighwayParams,
@@ -29,6 +31,15 @@ from socd.simulation import (
     highway_experiment,
     ring_road_experiment,
 )
+
+
+class Transfer(NamedTuple):
+    """One ledger row: `payer` compensates `payee` for leading `segment`."""
+
+    segment: Segment
+    payer: AgentId
+    payee: AgentId
+    amount: Fraction
 
 
 def _fmt(value: Any) -> str:
@@ -175,6 +186,10 @@ def _run_game(
     sweep = stream_shares(agents)
     for kind in mechanisms:
         outcome = run_mechanism(kind, sweep, params)
+        transfers = None if outcome.ledger is None else [
+            Transfer(p.segment, payer, p.payee, p.amount)
+            for p in outcome.ledger.payments for payer in p.payers
+        ]
         nets = net_utilities(outcome)
         eff = efficiency(outcome.schedule, sweep, params)
         shares = " ".join(f"{r.agent}={r.assigned}" for r in outcome.reports)
@@ -207,12 +222,12 @@ def _run_game(
                     for r in outcome.reports
                 ]
             )
-            if outcome.ledger is not None:
+            if transfers is not None:
                 artifacts[f"ledger_{kind.value}.csv"] = _csv(
                     [("segment_start", "segment_end", "payer", "payee", "amount")]
                     + [
                         (t.segment.start, t.segment.end, t.payer, t.payee, t.amount)
-                        for t in outcome.ledger.transfers
+                        for t in transfers
                     ]
                 )
         else:
@@ -243,7 +258,7 @@ def _run_game(
                     for r in outcome.reports
                 ],
                 "ledger": None
-                if outcome.ledger is None
+                if transfers is None
                 else [
                     {
                         "segment_start": str(t.segment.start),
@@ -252,7 +267,7 @@ def _run_game(
                         "payee": t.payee,
                         "amount": str(t.amount),
                     }
-                    for t in outcome.ledger.transfers
+                    for t in transfers
                 ],
                 "efficiency": str(eff),
             }

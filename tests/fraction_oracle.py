@@ -7,13 +7,14 @@ Fractions too.  `socd.model.stream_shares` and `socd.mechanisms` now run
 the same rules on integer ticks and build Fractions only for their outputs.
 This copy is kept only as the test oracle they are checked against.  Its
 sweeps are `Sweep`s, which carry no tick view, so they are for this
-module's functions only.
+module's functions only.  Its mechanisms return `mechanism_oracle.Outcome`
+records, whose `shares` is such a `Sweep`.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -23,7 +24,6 @@ from socd import (
     GameParams,
     Ledger,
     MechanismKind,
-    MechanismOutcome,
     Payment,
     Schedule,
     Segment,
@@ -32,6 +32,7 @@ from socd import (
     validate_stream,
 )
 from socd.model import AgentId, Time, _ante_cut
+from mechanism_oracle import Outcome
 
 
 class Sweep(NamedTuple):
@@ -119,7 +120,7 @@ _DEPART, _ARRIVE, _ROTATE = range(3)  # priority at equal instants
 
 def _drive(
     shares: Sweep, params: GameParams, policy: _Policy
-) -> MechanismOutcome:
+) -> Outcome:
     """Run the convoy over the stream's events; the outcome has no ledger.
 
     At one instant the departures go first, then the arrival, then any due
@@ -217,14 +218,14 @@ def _drive(
             charged[ev.outgoing] = charged.get(ev.outgoing, Fraction(0)) + ev.cost
     rotation_costs = {a.id: charged[a.id] for a in stream if a.id in charged}
     schedule = Schedule(tuple(periods), tuple(switches))
-    return MechanismOutcome(
+    return Outcome(
         policy.kind, schedule, None, rotation_costs, shares, params, led
     )
 
 
 def pt_run(
     agents: Iterable[AgentSpec] | Sweep, params: GameParams = GameParams()
-) -> MechanismOutcome:
+) -> Outcome:
     """Payment-transfer mechanism.
 
     The available agent with the earliest departure time leads (ties broken
@@ -251,12 +252,12 @@ def pt_run(
         for fid in followers:
             net[fid] -= pay
             net[leader] += pay
-    return replace(outcome, ledger=Ledger(tuple(payments), net))
+    return outcome._replace(ledger=Ledger(tuple(payments), net))
 
 
 def rg_run(
     agents: Iterable[AgentSpec] | Sweep, params: GameParams = GameParams()
-) -> MechanismOutcome:
+) -> Outcome:
     """Repeated-game load balancing.
 
     Every arrival joins at the front of the convoy and leads immediately;
@@ -304,7 +305,7 @@ def sg_run(
     agents: Iterable[AgentSpec] | Sweep,
     params: GameParams = GameParams(),
     dynamic_adjust: bool = False,
-) -> MechanismOutcome:
+) -> Outcome:
     """Single-game load balancing, optionally with dynamic adjustment.
 
     Each arrival is allocated a remaining leading share equal to its
@@ -333,7 +334,7 @@ def run_mechanism(
     kind: MechanismKind | str,
     agents: Iterable[AgentSpec] | Sweep,
     params: GameParams = GameParams(),
-) -> MechanismOutcome:
+) -> Outcome:
     """Dispatch by mechanism kind (accepts the CLI spellings)."""
     kind = MechanismKind(kind)
     if kind is MechanismKind.PAYMENT_TRANSFER:
@@ -345,13 +346,13 @@ def run_mechanism(
 
 
 def net_utilities(
-    outcome: MechanismOutcome,
+    outcome: Outcome,
     agents: Iterable[AgentSpec] | Sweep,
     params: GameParams,
 ) -> dict[AgentId, Fraction]:
     """Per-agent net utility: u per unit of availability not spent leading,
     plus net transfers received, minus rotation charges paid."""
-    assigned = outcome.assigned()
+    assigned = outcome.lead_shares
     net: dict[AgentId, Fraction] = {}
     for a in stream_shares(agents).stream:
         value = params.u * (a.window - assigned[a.id])

@@ -7,6 +7,10 @@ events, finding the next departure by a `min` over the convoy.  They are
 kept only as a test oracle for the one event loop in `socd.mechanisms`,
 with the convoy state and pricing helpers they used.  The sg loop adjusts
 claims through the per-segment reference in `adjust_oracle.py`.
+
+Each loop returns an `Outcome`, its own record of the seven faces of a
+`MechanismOutcome`; `faces` reads the same record off a real outcome, so
+the two compare field by field.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Mapping, NamedTuple
 
 from adjust_oracle import sg_adjust_shares
 from socd import (
@@ -34,6 +38,23 @@ from socd import (
     stream_shares,
 )
 from socd.model import AgentId, Time
+
+
+class Outcome(NamedTuple):
+    """The seven faces of a `MechanismOutcome`, as a record."""
+
+    kind: MechanismKind
+    schedule: Schedule
+    ledger: Ledger | None
+    rotation_costs: Mapping[AgentId, Fraction]
+    shares: StreamShares
+    params: GameParams
+    lead_shares: Mapping[AgentId, Fraction]
+
+
+def faces(outcome: MechanismOutcome) -> Outcome:
+    """Read the seven faces off a `MechanismOutcome`."""
+    return Outcome(*(getattr(outcome, name) for name in Outcome._fields))
 
 
 def convoy_switch_cost(kind: SwitchKind, n_r: int, params: GameParams) -> Fraction:
@@ -82,7 +103,7 @@ class ConvoyState:
 
 def pt_run(
     agents: Iterable[AgentSpec] | StreamShares, params: GameParams = GameParams()
-) -> MechanismOutcome:
+) -> Outcome:
     """Payment-transfer mechanism.
 
     The available agent with the earliest departure time leads (ties broken
@@ -144,7 +165,7 @@ def pt_run(
     for p in periods:
         assigned[p.agent] += p.length
 
-    return MechanismOutcome(
+    return Outcome(
         kind=MechanismKind.PAYMENT_TRANSFER,
         schedule=Schedule(tuple(periods), tuple(switches)),
         ledger=Ledger(tuple(payments), net),
@@ -157,7 +178,7 @@ def pt_run(
 
 def rg_run(
     agents: Iterable[AgentSpec] | StreamShares, params: GameParams = GameParams()
-) -> MechanismOutcome:
+) -> Outcome:
     """Repeated-game load balancing.
 
     Every arrival joins at the front of the convoy and leads immediately;
@@ -204,7 +225,7 @@ def rg_run(
     for p in periods:
         assigned[p.agent] += p.length
 
-    return MechanismOutcome(
+    return Outcome(
         kind=MechanismKind.REPEATED_GAME,
         schedule=Schedule(tuple(periods), tuple(switches)),
         ledger=None,
@@ -219,7 +240,7 @@ def sg_run(
     agents: Iterable[AgentSpec] | StreamShares,
     params: GameParams = GameParams(),
     dynamic_adjust: bool = False,
-) -> MechanismOutcome:
+) -> Outcome:
     """Single-game load balancing, optionally with dynamic adjustment.
 
     Each arrival is allocated a remaining leading share equal to its
@@ -353,7 +374,7 @@ def sg_run(
     kind = (
         MechanismKind.SINGLE_GAME_DYNAMIC if dynamic_adjust else MechanismKind.SINGLE_GAME
     )
-    return MechanismOutcome(
+    return Outcome(
         kind=kind,
         schedule=Schedule(tuple(periods), tuple(switches)),
         ledger=None,
@@ -368,7 +389,7 @@ def run_mechanism(
     kind: MechanismKind | str,
     agents: Iterable[AgentSpec] | StreamShares,
     params: GameParams = GameParams(),
-) -> MechanismOutcome:
+) -> Outcome:
     kind = MechanismKind(kind)
     if kind is MechanismKind.PAYMENT_TRANSFER:
         return pt_run(agents, params)

@@ -143,7 +143,7 @@ def test_criterion_04_rotation_and_lead_bounds(corpus, capsys):
             )
             if per_agent and max(per_agent.values()) > 1:
                 repeat_rotations += 1
-            assigned = outcome.assigned()
+            assigned = outcome.lead_shares
             for a in stream:
                 if assigned[a.id] > _initial_allocation(a, stream, params):
                     lead_overruns += 1
@@ -172,8 +172,8 @@ def test_criterion_05_equal_division_witness(capsys):
     # (10, 1); the adjusting variant rotates a out at 19/2 for (19/2, 3/2).
     stream = [AgentSpec("a", 0, 10), AgentSpec("b", 9, 11)]
     equal_split = game_duration(stream) / 2
-    plain = run_mechanism(MechanismKind.SINGLE_GAME, stream).assigned()
-    adjusted = run_mechanism(MechanismKind.SINGLE_GAME_DYNAMIC, stream).assigned()
+    plain = run_mechanism(MechanismKind.SINGLE_GAME, stream).lead_shares
+    adjusted = run_mechanism(MechanismKind.SINGLE_GAME_DYNAMIC, stream).lead_shares
     ok = (
         plain == {"a": F(10), "b": F(1)}
         and adjusted == {"a": F(19, 2), "b": F(3, 2)}
@@ -217,28 +217,28 @@ def test_criterion_06_reference_game_exact(capsys):
     checks: list[bool] = []
 
     rg = run_mechanism("rg", stream, params)
-    checks.append(rg.assigned() == {"a1": F(4), "a2": F(4), "a3": F(12)})
+    checks.append(rg.lead_shares == {"a1": F(4), "a2": F(4), "a3": F(12)})
     checks.append(
         [(p.agent, p.start, p.stop) for p in rg.schedule.periods]
         == [("a1", 0, 4), ("a2", 4, 8), ("a3", 8, 20)]
     )
 
     sg = run_mechanism(MechanismKind.SINGLE_GAME, stream, params)
-    checks.append(sg.assigned() == {"a1": F(10), "a2": F(6), "a3": F(4)})
+    checks.append(sg.lead_shares == {"a1": F(10), "a2": F(6), "a3": F(4)})
     oracle_led, oracle_rots, _ = sg_oracle(stream)
-    checks.append(oracle_led == sg.assigned()
+    checks.append(oracle_led == sg.lead_shares
                   and sum(oracle_rots.values()) == 0)
 
     da = run_mechanism(MechanismKind.SINGLE_GAME_DYNAMIC, stream, params)
-    checks.append(da.assigned() == {"a1": F(7), "a2": F(16, 3), "a3": F(23, 3)})
+    checks.append(da.lead_shares == {"a1": F(7), "a2": F(16, 3), "a3": F(23, 3)})
     oracle_led, oracle_rots, oracle_log = sg_oracle(stream, dynamic_adjust=True)
-    checks.append(oracle_led == da.assigned()
+    checks.append(oracle_led == da.lead_shares
                   and sum(oracle_rots.values()) == 2)
     checks.append([(t, who) for t, who, _ in oracle_log]
                   == [(F(7), "a1"), (F(37, 3), "a2")])
 
     pt = run_mechanism("pt", stream, params)
-    checks.append(pt.assigned() == {"a1": F(10), "a2": F(6), "a3": F(4)})
+    checks.append(pt.lead_shares == {"a1": F(10), "a2": F(6), "a3": F(4)})
     checks.append(pt.ledger.net == {"a1": F(10, 3), "a2": F(1, 3),
                                     "a3": F(-11, 3)})
     nets = net_utilities(pt)

@@ -75,7 +75,7 @@ def test_event_loop_matches_the_per_mechanism_loops(stream, params):
         assert new.ledger == old.ledger, kind
         assert new.rotation_costs == old.rotation_costs, kind
         assert new.lead_shares == old.lead_shares, kind
-        assert new == old, kind
+        assert oracle.faces(new) == old, kind
 
 
 def test_fixed_examples_are_the_cases_they_name():

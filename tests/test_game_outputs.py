@@ -1,8 +1,8 @@
 """What a game run writes, built from per-segment and per-agent values.
 
-pt keeps its ledger per realized segment and builds its `Transfer`s only
-when `Ledger.transfers` is first read; the CLI reads its ledger rows from
-the per-segment entries.  The CLI's `efficiency` is the sum of the net
+pt keeps its ledger per realized segment and builds its `Payment`s only
+when `outcome.ledger` is first read; the CLI reads its ledger rows from
+the per-segment entries, one per payer.  The CLI's `efficiency` is the sum of the net
 utilities it already has.  These tests check both against what they
 replace: the ledger of the pt loop kept in `mechanism_oracle.py`, and
 `model.efficiency` on the outcome's schedule.
@@ -64,18 +64,23 @@ def test_cli_efficiency_is_the_schedule_efficiency(stream, params):
 def test_pt_transfers_equal_the_oracle(stream, params):
     ledger = run_mechanism("pt", stream, params).ledger
     want = oracle.pt_run(stream, params).ledger
-    assert ledger.transfers == want.transfers
+    assert ledger.payments == want.payments
     assert ledger.net == want.net
     assert ledger == want
 
 
 def test_pt_builds_no_transfer_before_the_first_read(monkeypatch):
     built = _count_constructions(monkeypatch)
-    ledger = run_mechanism("pt", HANDOVER, GameParams(u=F(1, 2))).ledger
-    assert "Transfer" not in built
-    transfers = ledger.transfers
-    assert built["Transfer"] == len(transfers) > 0
-    assert ledger.transfers is transfers  # built once
+    outcome = run_mechanism("pt", HANDOVER, GameParams(u=F(1, 2)))
+    assert "Payment" not in built and "Ledger" not in built
+    ledger = outcome.ledger
+    assert built["Payment"] == len(ledger.payments) > 0
+    assert outcome.ledger is ledger and built["Ledger"] == 1  # built once
+
+
+def _transfers(ledger: Ledger) -> list[tuple]:
+    """One (payer, payee, amount) row per payer of each entry, in order."""
+    return [(payer, p.payee, p.amount) for p in ledger.payments for payer in p.payers]
 
 
 def test_pt_payments_are_one_entry_per_segment():
@@ -90,8 +95,7 @@ def test_pt_payments_are_one_entry_per_segment():
         Payment(segments[2], "b", ("c",), F(2)),
         Payment(segments[3], "c", (), F(4)),
     )
-    assert [(t.payer, t.payee, t.amount) for t in ledger.transfers] == [
-        ("b", "a", F(3)), ("c", "b", F(2))]
+    assert _transfers(ledger) == [("b", "a", F(3)), ("c", "b", F(2))]
 
 
 def test_ledgers_compare_their_payments_and_net():
@@ -99,5 +103,5 @@ def test_ledgers_compare_their_payments_and_net():
     ledger = run_mechanism("pt", HANDOVER, GameParams(u=2)).ledger
     assert Ledger(ledger.payments, ledger.net) == ledger
     payers_only = Ledger(tuple(p for p in ledger.payments if p.payers), ledger.net)
-    assert payers_only.transfers == ledger.transfers
+    assert _transfers(payers_only) == _transfers(ledger)
     assert payers_only != ledger

@@ -75,7 +75,7 @@ def _counting(built: Counter, name: str, cls):
 def _count_constructions(monkeypatch) -> Counter:
     """Count what `socd.mechanisms` builds, by the names it looks up."""
     built: Counter = Counter()
-    for name in ("ActivePeriod", "SwitchEvent", "Schedule", "Transfer", "Ledger",
+    for name in ("ActivePeriod", "SwitchEvent", "Schedule", "Payment", "Ledger",
                  "MechanismOutcome", "Fraction"):
         cls = getattr(socd.mechanisms, name)
         monkeypatch.setattr(socd.mechanisms, name, _counting(built, name, cls))
@@ -118,9 +118,10 @@ def test_the_construction_count_sees_an_outcome(monkeypatch):
     # the guard above counts what a full outcome builds
     stream = sample_stream("uniform", np.random.default_rng(3), 8, 12)
     built = _count_constructions(monkeypatch)
-    run_mechanism("pt", stream).ledger.transfers  # built on first read
-    assert {"ActivePeriod", "Schedule", "Transfer", "Ledger", "MechanismOutcome",
-            "Fraction"} <= set(built)
+    outcome = run_mechanism("pt", stream)
+    outcome.schedule, outcome.ledger  # built on first read
+    assert {"ActivePeriod", "SwitchEvent", "Schedule", "Payment", "Ledger",
+            "MechanismOutcome", "Fraction"} <= set(built)
 
 
 def test_highway_builds_no_segment(monkeypatch):
@@ -130,7 +131,7 @@ def test_highway_builds_no_segment(monkeypatch):
     highway_experiment(params, ALL_KINDS)
     assert built == {}
     # the count sees the segments that a pt outcome's ledger reads
-    run_mechanism("pt", sample_stream("uniform", np.random.default_rng(3), 8, 12))
+    run_mechanism("pt", sample_stream("uniform", np.random.default_rng(3), 8, 12)).ledger
     assert built["Segment"] > 0
 
 

@@ -36,9 +36,12 @@ from socd import (
     game_duration,
     net_utilities,
     run_mechanism,
+    stream_shares,
     validate_schedule,
 )
 from conftest import S1, random_stream
+from mechanism_oracle import faces
+from test_highway_core import _count_constructions
 from tick_adapter import relieve as _relieve
 
 GRID = 72  # lcm of n_seg * pool_size for up to 4 agents; see module docstring
@@ -191,8 +194,8 @@ def test_rg_reference_shares(s1):
     #   t=16 a2 departs from behind the leader, no change.
     #   t=20 a3 departs having led [8,20) = 12.
     out = run_mechanism("rg", s1)
-    assert out.assigned() == {"a1": F(4), "a2": F(4), "a3": F(12)}
-    assert rg_oracle(s1) == out.assigned()
+    assert out.lead_shares == {"a1": F(4), "a2": F(4), "a3": F(12)}
+    assert rg_oracle(s1) == out.lead_shares
     assert rotation_events(out) == []
     assert [(p.agent, p.start, p.stop) for p in out.schedule.periods] == [
         ("a1", F(0), F(4)), ("a2", F(4), F(8)), ("a3", F(8), F(20))
@@ -211,11 +214,11 @@ def test_sg_reference_shares(s1):
     #   t=16 a2 departs having led [10,16) = 6 of its 9.  a3 leads.
     #   t=20 a3 departs having led [16,20) = 4 of its 23/3.
     out = run_mechanism("sg", s1)
-    assert out.assigned() == {"a1": F(10), "a2": F(6), "a3": F(4)}
+    assert out.lead_shares == {"a1": F(10), "a2": F(6), "a3": F(4)}
     assert rotation_events(out) == []
 
     led, rotations, log = sg_oracle(s1)
-    assert led == out.assigned()
+    assert led == out.lead_shares
     assert rotations == {"a1": 0, "a2": 0, "a3": 0}
     assert log == []
 
@@ -233,13 +236,13 @@ def test_sg_dynamic_reference_shares(s1):
     #   t=37/3  a2 exhausts (led 1 + 13/3 = 16/3), rotates; a3 leads.
     #   t=20 a3 departs: led [37/3,20) = 23/3, its exact allocation.
     out = run_mechanism("sg-da", s1)
-    assert out.assigned() == {"a1": F(7), "a2": F(16, 3), "a3": F(23, 3)}
+    assert out.lead_shares == {"a1": F(7), "a2": F(16, 3), "a3": F(23, 3)}
     assert [(s.time, s.outgoing) for s in rotation_events(out)] == [
         (F(7), "a1"), (F(37, 3), "a2")
     ]
 
     led, rotations, log = sg_oracle(s1, dynamic_adjust=True)
-    assert led == out.assigned()
+    assert led == out.lead_shares
     assert rotations == {"a1": 1, "a2": 1, "a3": 0}
     assert [(t, who) for t, who, _ in log] == [(F(7), "a1"), (F(37, 3), "a2")]
 
@@ -256,12 +259,12 @@ def test_pt_reference_payments(s1):
     #   [16,20) a3 alone.
     #   Balances: a1 = +2+4/3 = 10/3; a2 = -2-2/3+3 = 1/3; a3 = -2/3-3 = -11/3.
     out = run_mechanism("pt", s1)
-    assert out.assigned() == {"a1": F(10), "a2": F(6), "a3": F(4)}
+    assert out.lead_shares == {"a1": F(10), "a2": F(6), "a3": F(4)}
     assert dict(out.ledger.net) == {"a1": F(10, 3), "a2": F(1, 3), "a3": F(-11, 3)}
     assert rotation_events(out) == []
 
     led, net = pt_oracle(s1, GameParams())
-    assert led == out.assigned()
+    assert led == out.lead_shares
     assert net == dict(out.ledger.net)
 
     # lost lead time plus transfers: 10-10+10/3, 12-6+1/3, 12-4-11/3
@@ -276,7 +279,7 @@ def test_reference_schedules_validate(s1):
     for kind in MechanismKind:
         out = run_mechanism(kind, s1)
         assert validate_schedule(out.schedule, s1) == []
-        assert sum(out.assigned().values()) == game_duration(s1)
+        assert sum(out.lead_shares.values()) == game_duration(s1)
 
 
 def test_share_reports_compare_both_benchmarks(s1):
@@ -295,14 +298,14 @@ def test_rg_leader_departure_restores_previous_leader():
     assert [(p.agent, p.start, p.stop) for p in out.schedule.periods] == [
         ("a", F(0), F(2)), ("b", F(2), F(6)), ("a", F(6), F(10))
     ]
-    assert out.assigned() == {"a": F(6), "b": F(4)}
+    assert out.lead_shares == {"a": F(6), "b": F(4)}
 
 
 def test_sg_earlier_departure_takes_the_front():
     # b = [1,4) claims [1,4)/2 = 3/2, slots in front of a (departs first),
     # leads [1, 5/2), rotates, and a resumes
     out = run_mechanism("sg", [AgentSpec("a", 0, 10), AgentSpec("b", 1, 4)])
-    assert out.assigned() == {"a": F(17, 2), "b": F(3, 2)}
+    assert out.lead_shares == {"a": F(17, 2), "b": F(3, 2)}
     assert [(s.time, s.outgoing, s.n_r) for s in rotation_events(out)] == [
         (F(5, 2), "b", 2)
     ]
@@ -316,11 +319,11 @@ def test_sg_preemption_and_rotation(b_leave, b_share, rotate_at, a_total):
     # B claims half of the overlap [2, b_leave), leads it out, rotates
     stream = [AgentSpec("A", 0, 20), AgentSpec("B", 2, b_leave)]
     out = run_mechanism("sg", stream)
-    assert out.assigned() == {"A": a_total, "B": b_share}
+    assert out.lead_shares == {"A": a_total, "B": b_share}
     assert [(s.time, s.outgoing) for s in rotation_events(out)] == [(rotate_at, "B")]
 
     led, rotations, _ = sg_oracle(stream)
-    assert led == out.assigned()
+    assert led == out.lead_shares
     assert rotations == {"A": 0, "B": 1}
 
 
@@ -331,13 +334,13 @@ def test_sg_three_agents_rotate_in_departure_order():
     #   A takes [23/3, 20) on top of its opening [0, 2).
     stream = [AgentSpec("A", 0, 20), AgentSpec("B", 2, 10), AgentSpec("C", 3, 8)]
     out = run_mechanism("sg", stream)
-    assert out.assigned() == {"A": F(43, 3), "B": F(4), "C": F(5, 3)}
+    assert out.lead_shares == {"A": F(43, 3), "B": F(4), "C": F(5, 3)}
     assert [(s.time, s.outgoing, s.n_r) for s in rotation_events(out)] == [
         (F(14, 3), "C", 3), (F(23, 3), "B", 3)
     ]
 
     led, rotations, log = sg_oracle(stream)
-    assert led == out.assigned()
+    assert led == out.lead_shares
     assert [(t, who, n) for t, who, n in log] == [
         (F(14, 3), "C", 3), (F(23, 3), "B", 3)
     ]
@@ -350,7 +353,7 @@ def test_sg_arrival_preempts_due_rotation_then_rotations_chain():
     # nothing left and rotates immediately after, a zero-length lead.
     stream = [AgentSpec("A", 0, 10), AgentSpec("B", 2, 6), AgentSpec("C", 4, 5)]
     out = run_mechanism("sg", stream, GameParams(c=1))
-    assert out.assigned() == {"A": F(23, 3), "B": F(2), "C": F(1, 3)}
+    assert out.lead_shares == {"A": F(23, 3), "B": F(2), "C": F(1, 3)}
     assert [(s.time, s.outgoing, s.incoming, s.n_r) for s in rotation_events(out)] == [
         (F(13, 3), "C", "B", 3), (F(13, 3), "B", "A", 3)
     ]
@@ -359,7 +362,7 @@ def test_sg_arrival_preempts_due_rotation_then_rotations_chain():
     assert validate_schedule(out.schedule, stream) == []
 
     led, rotations, log = sg_oracle(stream)
-    assert led == out.assigned()
+    assert led == out.lead_shares
     assert [(t, who, n) for t, who, n in log] == [
         (F(13, 3), "C", 3), (F(13, 3), "B", 3)
     ]
@@ -374,13 +377,13 @@ def test_sg_dynamic_clamps_shares_at_zero():
     # departing at 10 with 1/6 of its claim unserved.
     stream = [AgentSpec("A", 0, 10), AgentSpec("B", 4, 6), AgentSpec("C", 5, 7)]
     out = run_mechanism("sg-da", stream)
-    assert out.assigned() == {"A": F(49, 6), "B": F(1), "C": F(5, 6)}
+    assert out.lead_shares == {"A": F(49, 6), "B": F(1), "C": F(5, 6)}
     assert [(s.time, s.outgoing, s.n_r) for s in rotation_events(out)] == [
         (F(5), "B", 3), (F(35, 6), "C", 3)
     ]
 
     led, rotations, log = sg_oracle(stream, dynamic_adjust=True)
-    assert led == out.assigned()
+    assert led == out.lead_shares
     assert [(t, who, n) for t, who, n in log] == [(F(5), "B", 3), (F(35, 6), "C", 3)]
 
 
@@ -404,10 +407,10 @@ def test_unequal_shares_when_an_agent_arrives_late():
     # is impossible no matter the mechanism, since b can lead at most 2.
     stream = [AgentSpec("a", 0, 10), AgentSpec("b", 9, 11)]
 
-    plain = run_mechanism("sg", stream).assigned()
+    plain = run_mechanism("sg", stream).lead_shares
     assert plain == {"a": F(10), "b": F(1)}
 
-    adjusted = run_mechanism("sg-da", stream).assigned()
+    adjusted = run_mechanism("sg-da", stream).lead_shares
     assert adjusted == {"a": F(19, 2), "b": F(3, 2)}
 
     assert plain["a"] != plain["b"]
@@ -437,26 +440,28 @@ def test_convoy_switch_cost_cases():
 def test_pt_segment_payment_cases():
     # each follower pays the leader |seg| * u / n_seg per segment
     out = run_mechanism("pt", [AgentSpec(x, -k, 10) for k, x in enumerate("abcd")])
-    paid = [(t.payer, t.amount) for t in out.ledger.transfers if t.segment.start == 0]
+    paid = [(payer, p.amount) for p in out.ledger.payments if p.segment.start == 0
+            for payer in p.payers]
     assert paid == [("c", F(5, 2)), ("b", F(5, 2)), ("a", F(5, 2))]  # [0, 10), n = 4
 
     stream = [AgentSpec(x, -k, 6) for k, x in enumerate("abc")]
     out = run_mechanism("pt", stream, GameParams(u=2))
-    paid = [(t.payer, t.amount) for t in out.ledger.transfers if t.segment.start == 0]
+    paid = [(payer, p.amount) for p in out.ledger.payments if p.segment.start == 0
+            for payer in p.payers]
     assert paid == [("b", F(4)), ("a", F(4))]  # [0, 6), n = 3
 
 
 def test_pt_single_agent_has_empty_ledger():
     out = run_mechanism("pt", [AgentSpec("solo", 3, 9)])
-    assert out.ledger.transfers == ()
+    assert [p.payers for p in out.ledger.payments] == [()]  # nobody pays
     assert out.ledger.net == {"solo": F(0)}
-    assert out.assigned() == {"solo": F(6)}
+    assert out.lead_shares == {"solo": F(6)}
 
 
 def test_single_agent_leads_its_whole_window_everywhere():
     solo = [AgentSpec("solo", 2, 11)]
     for kind in MechanismKind:
-        assert run_mechanism(kind, solo).assigned() == {"solo": F(9)}
+        assert run_mechanism(kind, solo).lead_shares == {"solo": F(9)}
 
 
 def test_run_mechanism_accepts_cli_spellings(s1):
@@ -466,24 +471,48 @@ def test_run_mechanism_accepts_cli_spellings(s1):
         run_mechanism("nope", s1)
 
 
-def test_net_utilities_refuses_a_hand_built_outcome(s1):
-    # the public fields alone carry no tick run to sum the utilities from
-    out = run_mechanism("pt", s1)
-    by_hand = MechanismOutcome(out.kind, out.schedule, out.ledger, out.rotation_costs,
-                               out.shares, out.params, out.lead_shares)
-    with pytest.raises(ValueError, match="must come from run_mechanism"):
-        net_utilities(by_hand)
-
-
-def test_net_utilities_refuses_a_replaced_outcome(s1):
-    # a copy with other params must not sum the old run's ticks at them
+def test_net_utilities_recomputes_a_replaced_outcome(s1):
+    # a copy with other params runs again at them, as a fresh run would
     out = run_mechanism("pt", s1, GameParams(1, 0))
     assert net_utilities(out) == {"a1": F(10, 3), "a2": F(19, 3), "a3": F(13, 3)}
     moved = dataclasses.replace(out, params=GameParams(2, 1))
-    with pytest.raises(ValueError, match="must come from run_mechanism"):
-        net_utilities(moved)
-    assert net_utilities(run_mechanism("pt", s1, GameParams(2, 1))) == {
-        "a1": F(20, 3), "a2": F(38, 3), "a3": F(26, 3)}
+    want = {"a1": F(20, 3), "a2": F(38, 3), "a3": F(26, 3)}
+    assert net_utilities(run_mechanism("pt", s1, GameParams(2, 1))) == want
+    assert net_utilities(moved) == want
+    assert moved.ledger == run_mechanism("pt", s1, GameParams(2, 1)).ledger
+
+
+def test_an_outcome_is_built_from_its_inputs(s1):
+    for kind in MechanismKind:
+        out = MechanismOutcome(kind.value, s1)
+        assert out == run_mechanism(kind, s1)
+        assert out.kind is kind and out.params == GameParams()
+        assert faces(out) == faces(run_mechanism(kind, stream_shares(s1)))
+    # a replaced stream is run again: a2 leaves at 12 instead of 16
+    out = run_mechanism("sg", s1, GameParams(c=1))
+    other = (s1[0], AgentSpec("a2", 4, 12), s1[2])
+    moved = dataclasses.replace(out, shares=other)
+    assert moved == run_mechanism("sg", other, GameParams(c=1)) != out
+    assert faces(moved) == faces(run_mechanism("sg", other, GameParams(c=1)))
+    assert moved.lead_shares != out.lead_shares
+
+
+
+FACES = ("schedule", "ledger", "lead_shares", "rotation_costs", "reports")
+
+
+@pytest.mark.parametrize("kind", ["pt", "sg"])
+def test_faces_are_built_on_first_read_and_once(monkeypatch, s1, kind):
+    built = _count_constructions(monkeypatch)
+    out = run_mechanism(kind, s1, GameParams(c=1))
+    assert built == {"MechanismOutcome": 1}  # the tick run only
+    first = {name: getattr(out, name) for name in FACES}
+    assert all(getattr(out, name) is face for name, face in first.items())
+    schedule, ledger = out.schedule, out.ledger
+    assert built["Schedule"] == 1 and built["Ledger"] == (kind == "pt")
+    assert built["ActivePeriod"] == len(schedule.periods) > 0
+    assert built["SwitchEvent"] == len(schedule.switches) > 0
+    assert built["Payment"] == (len(ledger.payments) if ledger else 0)
 
 
 # ------------------------------------------------- engine-vs-oracle sweeps
@@ -499,7 +528,7 @@ def test_sg_engine_matches_grid_oracle():
         out = run_mechanism("sg-da" if dynamic else "sg", stream)
         led, rotations, log = sg_oracle(stream, dynamic_adjust=dynamic)
 
-        assert out.assigned() == led
+        assert out.lead_shares == led
         engine_log = [(s.time, s.outgoing, s.n_r) for s in rotation_events(out)]
         assert engine_log == [(t, who, n) for t, who, n in log]
         assert validate_schedule(out.schedule, stream) == []
@@ -510,7 +539,7 @@ def test_rg_engine_matches_interval_oracle():
     for _ in range(150):
         stream = random_stream(rng)
         out = run_mechanism("rg", stream)
-        assert out.assigned() == rg_oracle(stream)
+        assert out.lead_shares == rg_oracle(stream)
         assert rotation_events(out) == []
         assert validate_schedule(out.schedule, stream) == []
 
@@ -522,7 +551,7 @@ def test_pt_engine_matches_interval_oracle():
         params = GameParams(u=F(int(rng.integers(1, 4))))
         out = run_mechanism("pt", stream, params)
         led, net = pt_oracle(stream, params)
-        assert out.assigned() == led
+        assert out.lead_shares == led
         assert dict(out.ledger.net) == net
         assert rotation_events(out) == []
 
@@ -561,9 +590,9 @@ def test_sg_rotation_and_lead_bounds():
                 (s.length / len(s.members) for s in eas_segments(a, present)),
                 F(0),
             )
-            assert out.assigned()[a.id] <= allocation
+            assert out.lead_shares[a.id] <= allocation
 
-        assert sum(out.assigned().values()) == game_duration(stream)
+        assert sum(out.lead_shares.values()) == game_duration(stream)
         assert validate_schedule(out.schedule, stream) == []
 
 
@@ -572,4 +601,4 @@ def test_outcomes_are_deterministic():
     for _ in range(20):
         stream = random_stream(rng)
         for kind in MechanismKind:
-            assert run_mechanism(kind, stream) == run_mechanism(kind, stream)
+            assert faces(run_mechanism(kind, stream)) == faces(run_mechanism(kind, stream))

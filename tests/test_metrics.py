@@ -134,7 +134,7 @@ def test_lead_ratio_of_reference_game(s1):
         rec = ParticipationRecord(
             agent=a.id,
             convoy=0,
-            actual_lead=float(out.assigned()[a.id]),
+            actual_lead=float(out.lead_shares[a.id]),
             epps=float(ex_post_share(a, s1)),
         )
         ratios.append(rec.ratio)

@@ -20,6 +20,7 @@ from socd import (
     Schedule,
     Segment,
     SwitchEvent,
+    StreamShares,
     SwitchKind,
     UnknownAgent,
     as_time,
@@ -32,6 +33,7 @@ from socd import (
     net_utilities,
     run_mechanism,
     stream_segments,
+    stream_shares,
     validate_schedule,
     validate_stream,
 )
@@ -255,6 +257,47 @@ def test_eps_segments_include_later_arrivals(s1):
 def test_eps_segments_reject_unknown_agent(s1):
     with pytest.raises(UnknownAgent):
         eps_segments(AgentSpec("zz", 1, 2), s1)
+
+
+@pytest.mark.parametrize("read", [eps_segments, ex_post_share])
+@pytest.mark.parametrize("window", [(0, 100), (5, 6), (0, 9), (1, 10)])
+def test_ex_post_readers_reject_a_known_id_with_another_window(s1, read, window):
+    # a1's id with a window the stream does not hold: [0, 100) once got all
+    # 5 segments, [5, 6) a1's share 20/3
+    with pytest.raises(UnknownAgent, match="'a1'"):
+        read(AgentSpec("a1", *window), s1)
+    assert read(AgentSpec("a1", 0, 10), s1) == read(s1[0], stream_shares(s1))
+
+
+def test_duration_and_schedule_audit_take_a_sweep(s1):
+    sweep = stream_shares(s1)
+    gap = [AgentSpec("a", 0, 4), AgentSpec("b", 6, 9)]
+    assert game_duration(sweep) == game_duration(s1) == F(20)
+    assert game_duration(stream_shares(gap)) == F(7)
+    schedule = run_mechanism("sg", s1).schedule
+    assert validate_schedule(schedule, sweep) == validate_schedule(schedule, s1) == []
+    idle = Schedule(schedule.periods[1:], ())
+    assert validate_schedule(idle, sweep) == validate_schedule(idle, s1) != []
+
+
+def test_a_sweep_is_built_from_its_stream(s1):
+    shares = StreamShares(reversed(s1))
+    assert shares.stream == tuple(s1) and shares == stream_shares(s1)
+    assert shares.ex_post == {"a1": F(20, 3), "a2": F(17, 3), "a3": F(23, 3)}
+    with pytest.raises(EmptyStream):
+        StreamShares(())
+
+
+def test_a_replaced_sweep_sweeps_its_new_stream(s1):
+    # the old tick view gave an IndexError for the shorter stream and a1's
+    # old shares for the one of the same length
+    shares = stream_shares(s1)
+    for other in (s1[:2], (s1[0], AgentSpec("a2", 4, 12), s1[2])):
+        moved = dataclasses.replace(shares, stream=other)
+        assert moved == stream_shares(other) != shares
+        assert moved.ex_post == stream_shares(other).ex_post
+        assert moved.ex_ante == stream_shares(other).ex_ante
+        assert moved.segments == stream_shares(other).segments
 
 
 # ------------------------------------------------------------------- shares

@@ -235,6 +235,23 @@ def test_sample_stream_refuses_an_unknown_configuration():
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("sizes, message", [
+    ({"n_stations": 1}, "^need at least two stations$"),
+    ({"n_agents": 0}, "^n_agents must be positive$"),
+    ({"n_agents": -1}, "^n_agents must be positive$"),
+    ({"n_agents": 2.5}, "^n_agents must be an integer, not 2.5$"),
+    ({"n_stations": 2.5}, "^n_stations must be an integer, not 2.5$"),
+])
+def test_sample_stream_refuses_bad_sizes_before_drawing(sizes, message):
+    # n_stations=1 redrew 1000 times, then raised a RuntimeError; n_agents
+    # 0 or -1 gave [], 2.5 a TypeError in `range`; n_stations=2.5 drew
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        sample_stream("uniform", rng, **sizes)
+    assert rng.bit_generator.state == state
+
+
 def test_sampling_is_reproducible():
     first = sample_stream("uniform", np.random.default_rng(42), 8, 50)
     second = sample_stream("uniform", np.random.default_rng(42), 8, 50)

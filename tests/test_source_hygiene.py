@@ -104,3 +104,22 @@ def test_no_public_function_takes_a_bool_mode_switch(path):
         if isinstance(default, ast.Constant) and isinstance(default.value, bool)
     ]
     assert flagged == [], f"{path.name}: bool defaults in {flagged}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_frozen_fields_are_set_only_in_post_init(path):
+    # a frozen dataclass is set only while it is built: an
+    # `object.__setattr__` anywhere else changes a value after the fact
+    def stray(node: ast.AST, inside: bool):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = node.name == "__post_init__"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__setattr__"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "object" and not inside):
+            yield node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from stray(child, inside)
+
+    lines = list(stray(_tree(path), False))
+    assert lines == [], f"{path.name}: object.__setattr__ outside __post_init__ at {lines}"

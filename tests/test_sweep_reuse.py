@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import adjust_oracle as oracle
 import socd.mechanisms
 import socd.model
-from mechanism_oracle import ConvoyState
+from mechanism_oracle import ConvoyState, faces
 from socd import (
     AgentSpec,
     GameParams,
@@ -204,4 +204,4 @@ def test_sg_da_runs_match_with_the_per_segment_oracle(stream):
     fast = run_mechanism("sg-da", stream, params)
     with mock.patch.object(socd.mechanisms, "_relieve", on_ticks(_relieve_by_oracle)):
         slow = run_mechanism("sg-da", stream, params)
-    assert fast == slow
+    assert faces(fast) == faces(slow)
