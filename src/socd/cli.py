@@ -249,6 +249,9 @@ def _number(value: Any, where: str) -> float:
         raise CliError(f"{where}: too large for a float") from None
 
 
+_CSV_METACHARACTERS = frozenset(",\"\r\n")  # refused in agent ids
+
+
 def _parse_game_scenario(doc: Mapping[str, Any]) -> tuple[list[AgentSpec], GameParams]:
     common = 1  # lcm of the denominators read so far
 
@@ -274,10 +277,15 @@ def _parse_game_scenario(doc: Mapping[str, Any]) -> tuple[list[AgentSpec], GameP
         for key in ("id", "arrive", "leave"):
             if key not in entry:
                 raise CliError(f"{where}: missing field {key!r}")
+        agent_id = entry["id"]
+        # CSV cells are written unquoted, and summary lines name agents by id
+        if isinstance(agent_id, str) and not _CSV_METACHARACTERS.isdisjoint(agent_id):
+            raise CliError(f"{where}: agent id {agent_id!r} holds a comma, a double "
+                           "quote, a CR or an LF")
         try:
             agents.append(
                 AgentSpec(
-                    entry["id"],
+                    agent_id,
                     exact(entry["arrive"], f"{where}.arrive"),
                     exact(entry["leave"], f"{where}.leave"),
                 )

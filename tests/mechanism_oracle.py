@@ -5,8 +5,10 @@ over its members, `rg_run` walks every arrival and departure instant with a
 newest-first stack, and `sg_run` walks departure, arrival and rotation
 events, finding the next departure by a `min` over the convoy.  They are
 kept only as a test oracle for the one event loop in `socd.mechanisms`,
-with the convoy state and pricing helpers they used.  The sg loop adjusts
-claims through the per-segment reference in `adjust_oracle.py`.
+with the convoy state and pricing helpers they used.  The sg loop cuts
+each arrival's window by the per-agent rescan in `share_oracle.py` and
+adjusts claims through the per-segment reference in `adjust_oracle.py`, so
+the sg-da reference shares no ex-ante walk with the code it checks.
 
 Each loop returns an `Outcome`, its own record of the seven faces of a
 `MechanismOutcome`; `faces` reads the same record off a real outcome, so
@@ -21,6 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from adjust_oracle import sg_adjust_shares
+from share_oracle import eas_segments
 from socd import (
     ActivePeriod,
     AgentSpec,
@@ -34,7 +37,6 @@ from socd import (
     StreamShares,
     SwitchEvent,
     SwitchKind,
-    eas_segments,
     stream_shares,
 )
 from socd.model import AgentId, Time

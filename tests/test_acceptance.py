@@ -306,7 +306,7 @@ def test_criterion_07_gini_comparison_table(capsys):
     detail = (f"gini table over {n_seeds} seeds, {elapsed:.0f}s (budget 60s)")
     if failing:
         detail += ("; failing cells: " + ", ".join(failing)
-                   + "; cause open, see ROADMAP.md item 4")
+                   + "; cause open, see docs/criterion7.md")
     else:
         detail += "; all six cells within tolerance, ordering strict"
     _report(capsys, 7, not failing, detail)

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-import artifact_oracle as oracle
 import socd
 from socd import (
     HighwayParams,
@@ -172,6 +177,7 @@ def test_bad_agent_ids_exit_1(tmp_path, capsys, first_id, second_id, fragment):
 
 
 _A = {"id": "a", "arrive": 0, "leave": 5}
+_CSV_REFUSAL = "holds a comma, a double quote, a CR or an LF"
 
 
 @pytest.mark.parametrize(
@@ -194,10 +200,17 @@ _A = {"id": "a", "arrive": 0, "leave": 5}
         ({"experiment": "ring", "params": {"road_length": 5e-324}}, [],
          "params: road_length / n_stations (the section length) must be at least "
          "2.2250738585072014e-308"),
+        ({"agents": [dict(_A, id="a,b")]}, [],
+         f"agents[0]: agent id 'a,b' {_CSV_REFUSAL}"),
+        ({"agents": [_A, dict(_A, id='c"d\ne', arrive=1)]}, [],
+         f"agents[1]: agent id 'c\"d\\ne' {_CSV_REFUSAL}"),
+        ({"agents": [dict(_A, id="\r")]}, [],
+         f"agents[0]: agent id '\\r' {_CSV_REFUSAL}"),
     ],
     ids=["no-agents", "agent-not-object", "missing-leave", "empty-window",
          "game-params-list", "experiment-params-list", "scenario-list",
-         "ring-config", "unknown-flag", "ring-subnormal-section"],
+         "ring-config", "unknown-flag", "ring-subnormal-section", "id-comma",
+         "id-quote-lf", "id-cr"],
 )
 def test_validation_branches_exit_1_with_their_message(tmp_path, capsys, doc, flags,
                                                         message):
@@ -722,7 +735,7 @@ def test_cell_formatter_matches_fmt(value, text):
 
 def test_record_csv_matches_the_oracle():
     """Record files are the table writer's `_csv` of the record columns,
-    byte for byte the oracle's cells for every Python type a record holds."""
+    each cell `str` of its value, for every Python type a record holds."""
     nan, inf = float("nan"), float("inf")
     records = [
         ParticipationRecord(agent="a1", convoy="c1", actual_lead=1.0, epps=2.0),
@@ -736,7 +749,9 @@ def test_record_csv_matches_the_oracle():
                             ratio=nan, net_utility="x"),
     ]
     for rows in [records, *([r] for r in records), []]:
-        want = oracle._csv(oracle._record_rows(rows))
+        want = "".join(f"{line}\n" for line in [RECORD_HEADER, *(
+            ",".join(str(getattr(r, column)) for column in RECORD_HEADER.split(","))
+            for r in rows)])
         assert _csv(*_attrs(_RECORD_COLUMNS, rows)) == want
     lines = _csv(*_attrs(_RECORD_COLUMNS, records)).splitlines()
     assert lines[0] == RECORD_HEADER
@@ -776,3 +791,63 @@ def test_game_reruns_are_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     a, b = ((d / "result.json").read_bytes() for d in dirs)
     assert a == b
+
+
+# ------------------------------------------------------- the contract, fuzzed
+
+_numbers = st.one_of(st.integers(-2, 12), st.floats(0, 10), st.none(),
+                     st.sampled_from(["1/2", "5/7", "x", "1e2", ""]))
+# Ids by the scenario's rules, or odd: CSV metacharacters, bools, null, lists.
+_ids = st.text(alphabet="ab1 é", min_size=1, max_size=3) | st.integers(-2, 9)
+_odd_ids = st.one_of(st.text(alphabet=',"\r\nab', min_size=1, max_size=3),
+                     st.booleans(), st.none(), st.lists(st.integers(0, 2), max_size=2))
+
+
+@st.composite
+def _game_docs(draw):
+    """Small games, mostly well formed: each agent's field is odd one time
+    in four."""
+    agents = []
+    for k in range(draw(st.integers(1, 4))):
+        arrive = k + draw(st.sampled_from([0, Fraction(1, 2), Fraction(1, 3)]))
+        agent = {"id": draw(_ids), "arrive": str(arrive),
+                 "leave": str(arrive + draw(st.integers(1, 6)))}
+        if draw(st.integers(0, 3)) == 0:
+            key = draw(st.sampled_from(sorted(agent)))
+            agent[key] = draw(_odd_ids if key == "id" else _numbers)
+        agents.append(agent)
+    doc = {"agents": agents}
+    if draw(st.booleans()):
+        doc["params"] = draw(st.fixed_dictionaries({}, optional={"u": _numbers,
+                                                                 "c": _numbers}))
+    return doc
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_game_docs(), st.sampled_from(["csv", "json"]))
+@example({"agents": [{"id": "a,b", "arrive": 0, "leave": 4},
+                     {"id": 'c"d\ne', "arrive": 1, "leave": 3}]}, "csv")
+def test_the_cli_contract_holds_on_fuzzed_games(doc, fmt):
+    """Exit 0 or 1, never a raise; exit 1 writes one `error:` line and no
+    artifact; exit 0 writes CSVs whose rows all have the header's width and
+    JSON that loads."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario, out = Path(tmp, "scenario.json"), Path(tmp, "out")
+        scenario.write_text(json.dumps(doc))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["--scenario", str(scenario), "--format", fmt,
+                         "--out", str(out)])
+        assert code in (0, 1)
+        if code == 1:
+            assert stdout.getvalue() == "" and not out.exists()
+            assert re.fullmatch(r"error: [^\n]*\n", stderr.getvalue())
+            return
+        assert stderr.getvalue() == ""
+        for path in out.iterdir():
+            text = path.read_text(encoding="utf-8")
+            if path.suffix == ".csv":
+                rows = list(csv.reader(io.StringIO(text, newline="")))
+                assert {len(row) for row in rows} == {len(rows[0])}, path.name
+            else:
+                json.loads(text)

@@ -2,10 +2,10 @@
 
 `highway_experiment` draws ticks, sweeps them and reads its records off the
 mechanisms' tick core.  These tests check that its records and Gini cells
-equal those of the loop that built `AgentSpec`s and `MechanismOutcome`s
-(`highway_oracle.py`), that its draw and sweep equal that loop's Fraction
-sampler and `stream_shares`, and that it builds no stream, none of an
-outcome's parts and no segment.
+equal those of the public path (`public_highway`: the Fraction draw in
+`highway_oracle.py`, then `run_mechanism`, `net_utilities` and `float`),
+that its draw and sweep equal that Fraction draw and `stream_shares`, and
+that it builds no stream, none of an outcome's parts and no segment.
 """
 
 from __future__ import annotations
@@ -21,10 +21,15 @@ import socd.mechanisms
 import socd.model
 import socd.simulation
 from socd import (
+    ExperimentResult,
+    GameParams,
     HighwayParams,
     MechanismKind,
+    ParticipationRecord,
     Segment,
+    gini,
     highway_experiment,
+    net_utilities,
     run_mechanism,
     stream_shares,
 )
@@ -38,6 +43,32 @@ ALL_KINDS = [k.value for k in MechanismKind]
 SIZES = [(100, 10), (12, 8)]
 
 
+def public_highway(params: HighwayParams, kinds) -> ExperimentResult:
+    """The highway through the public path: each convoy drawn as `AgentSpec`s
+    from its own child seed, run by `run_mechanism` with u = 1 and c the
+    switch cost, and each exact value made a float."""
+    game = GameParams(c=Fraction(params.switch_cost))
+    children = np.random.SeedSequence(params.seed).spawn(params.n_convoys)
+    records = []
+    for convoy, child in enumerate(children):
+        sweep = stream_shares(oracle.sample_stream(
+            params.configuration, np.random.default_rng(child),
+            params.agents_per_convoy, params.n_stations))
+        for kind in kinds:
+            outcome = run_mechanism(kind, sweep, game)
+            nets = net_utilities(outcome)
+            for a in sweep.stream:
+                lead, epps = outcome.lead_shares[a.id], sweep.ex_post[a.id]
+                records.append(ParticipationRecord(
+                    agent=a.id, convoy=convoy, actual_lead=float(lead),
+                    epps=float(epps), ratio=float(lead / epps), mechanism=kind,
+                    rotations=int(a.id in outcome.rotation_costs),
+                    net_utility=float(nets[a.id])))
+    ratios = {kind: [r.ratio for r in records if r.mechanism == kind] for kind in kinds}
+    cells = {kind: gini(values) for kind, values in ratios.items() if len(values) >= 2}
+    return ExperimentResult("highway", params.seed, tuple(records), None, cells, params)
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("switch_cost", [0, 2, Fraction(5, 3)], ids=["0", "2", "5/3"])
 @pytest.mark.parametrize("configuration", ["uniform", "bimodal"])
@@ -48,7 +79,7 @@ def test_records_equal_the_outcome_loop(seed, switch_cost, configuration,
                            configuration=configuration, switch_cost=switch_cost,
                            seed=seed)
     fast = highway_experiment(params, ALL_KINDS)
-    slow = oracle.highway_experiment(params, ALL_KINDS)
+    slow = public_highway(params, ALL_KINDS)
     assert fast.records == slow.records
     assert fast.gini_cells == slow.gini_cells
 
@@ -139,7 +170,7 @@ def test_repeated_and_reordered_kinds_equal_the_outcome_loop():
     params = HighwayParams(n_stations=12, n_convoys=2, agents_per_convoy=6,
                            switch_cost=1, seed=9)
     kinds = ["sg", "rg", "sg"]
-    assert highway_experiment(params, kinds) == oracle.highway_experiment(params, kinds)
+    assert highway_experiment(params, kinds) == public_highway(params, kinds)
 
 
 @pytest.mark.parametrize("n_stations", [2, 3, 12, 100])

@@ -1,15 +1,20 @@
-"""`socd.cli._write`, the one JSON writer, against the writer it replaced.
+"""`socd.cli._write`, the one JSON writer, against the spelling it promises.
 
-The oracle is the table model's `_jsonable` + `_json` + `json.dumps(...,
-sort_keys=True, indent=2)`, kept in `tests/artifact_oracle.py`.  On nested
-values, on tables and on tables inside values, the new writer must give the
-oracle's text byte for byte.
+The reference is `json.dumps(..., sort_keys=True, indent=2)` on plain
+values (`reference_json`): exact fractions as fraction strings, enums by their value,
+dataclasses as objects of their fields, mapping keys by `str`, and a table
+as a list of objects, each row cut to the header.  On nested values, on
+tables and on tables inside values, the writer must give that text byte for
+byte.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+from collections.abc import Mapping
+from enum import Enum
 from fractions import Fraction as F
 
 import numpy as np
@@ -17,7 +22,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import artifact_oracle as oracle
 import socd.cli
 from socd.cli import _Table, _result_json
 from socd.mechanisms import MechanismKind
@@ -103,18 +107,35 @@ _THIRD = F(1, 3)
 _HALVES = F(1, 2), F(2, 4)  # equal, not the same object
 
 
-def _want(value):
-    """The oracle's text, a `_Table` anywhere in `value` written by `_json`."""
-    return oracle._table_result_json(oracle._table_jsonable(_unfold(value)))
+def reference_json(value):
+    """`value`'s reference text."""
+    return json.dumps(_plain(_unfold(value)), sort_keys=True, indent=2) + "\n"
 
 
 def _unfold(value):
+    """`value` with every `_Table` a list of dicts, each row cut to the header."""
     if type(value) is _Table:
-        return oracle._table_json(value.header, value.rows)
+        return [dict(zip(value.header, row)) for row in value.rows]
     if isinstance(value, dict):
         return {k: _unfold(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_unfold(v) for v in value]
+    return value
+
+
+def _plain(value):
+    """`value` in the types `json` writes as the writer does."""
+    if isinstance(value, F):
+        return str(value)
+    if isinstance(value, Enum):
+        return value.value
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _plain(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, Mapping):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
     return value
 
 
@@ -130,7 +151,7 @@ def _unfold(value):
 @example({"params": GameParams(u=F(3, 2), c=F(1, 3)), "kind": SwitchKind.ROTATION})
 @example(SUBCLASSED)
 def test_writer_matches_oracle_on_values(value):
-    assert _result_json(value) == _want(value)
+    assert _result_json(value) == reference_json(value)
 
 
 @settings(**SETTINGS)
@@ -147,7 +168,7 @@ def test_writer_matches_oracle_on_values(value):
 @example(_Table(("v", "w"), [(1, 1), (True, 1), (1.0, 1), (1, True), (F(1), 1.0),
                              (True, True), (1.0, 1.0), (F(1), F(1))]))
 def test_writer_matches_oracle_on_tables(table):
-    assert _result_json(table) == _want(table)
+    assert _result_json(table) == reference_json(table)
 
 
 @settings(**SETTINGS)
@@ -155,7 +176,7 @@ def test_writer_matches_oracle_on_tables(table):
        st.lists(tables(), max_size=2))
 def test_writer_matches_oracle_on_tables_inside_values(doc, listed):
     value = {"doc": doc, "listed": listed}
-    assert _result_json(value) == _want(value)
+    assert _result_json(value) == reference_json(value)
 
 
 def test_a_repeated_cell_is_encoded_once(monkeypatch):
@@ -167,7 +188,7 @@ def test_a_repeated_cell_is_encoded_once(monkeypatch):
 
     monkeypatch.setitem(socd.cli._SCALARS, F, encode)
     table = _Table(("r",), [(_THIRD,), (_THIRD,), (F(1, 3),), (_THIRD,)])
-    assert _result_json(table) == _want(table)
+    assert _result_json(table) == reference_json(table)
     assert encoded == [_THIRD] * 3  # again after an equal but distinct object
 
 

@@ -1,6 +1,6 @@
-"""Static checks on the library source, from its syntax tree alone, and on
-the library functions the benchmark traces (read from `perfbench/bench.py`'s
-syntax tree, without importing it)."""
+"""Static checks on the library source, from its syntax tree alone, on the
+library functions the benchmark traces (read from `perfbench/bench.py`'s
+syntax tree, without importing it), and on what the test oracles import."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "socd"
 MODULES = sorted(SRC.glob("*.py"))
+ORACLES = sorted(Path(__file__).resolve().parent.glob("*_oracle.py"))
 
 
 def _tree(path: Path) -> ast.Module:
@@ -34,6 +35,7 @@ def _exported(tree: ast.Module) -> set[str]:
 
 def test_library_modules_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "cli.py", "model.py"}
+    assert {p.name for p in ORACLES} >= {"share_oracle.py", "mechanism_oracle.py"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -123,3 +125,18 @@ def test_frozen_fields_are_set_only_in_post_init(path):
 
     lines = list(stray(_tree(path), False))
     assert lines == [], f"{path.name}: object.__setattr__ outside __post_init__ at {lines}"
+
+
+@pytest.mark.parametrize("path", ORACLES, ids=lambda p: p.name)
+def test_no_oracle_imports_a_private_name_from_socd(path):
+    # an oracle built on a helper of the code it checks agrees with that
+    # code whether the helper is right or wrong
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "socd"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == [], f"{path.name} imports {private}"

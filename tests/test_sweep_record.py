@@ -1,10 +1,12 @@
 """One segmentation pass per stream: what the sweep records, and who reads it.
 
 `socd.model._sweep` records each realized segment's members and each
-arrival's ex-ante cut as it walks.  These tests check both against the
-passes that used to derive them again (`sweep_oracle.py`): the bisect
-rebuild of the members and the convoy loop's second walk of each cut.  Each
-arrival's ex-ante sum is the sum of |seg|/n_seg over its recorded cut.
+arrival's ex-ante cut as it walks.  These tests check both against their
+definitions, the per-agent rescans in `share_oracle.py` put on the sweep's
+ticks: the bounds and members of `stream_segments`, and each arrival's
+`eas_segments` over the agents present.  Members are stream positions in
+arrival order.  Each arrival's ex-ante sum is the sum of |seg|/n_seg over
+its recorded cut.
 
 A counting guard checks that a mechanism run walks each ex-ante cut once,
 inside the sweep, and not at all when it is handed a sweep.
@@ -19,20 +21,44 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
+import share_oracle as oracle
 import socd.mechanisms
 import socd.model
-import sweep_oracle as oracle
 from socd import AgentSpec, MechanismKind, run_mechanism, stream_shares
 from socd.model import _sweep
 from socd.simulation import _STATION_TICKS, _sample_ticks
 from test_highway_core import _counting
-from test_shares import HANDOVER, HOLE, LARGE_DENOMINATORS, SINGLE, streams
-from test_ticks import PRIME_STREAM, prime_stream
+from test_shares import (
+    HANDOVER,
+    HOLE,
+    LARGE_DENOMINATORS,
+    PRIME_STREAM,
+    SINGLE,
+    prime_stream,
+    streams,
+)
 
 
-def assert_recorded_like_the_oracle(ticks) -> None:
-    assert ticks.members == oracle.members(ticks)
-    assert ticks.cuts == oracle.recut(ticks)
+def assert_recorded_like_the_oracle(stream, ticks) -> None:
+    """`ticks` is the sweep of `stream`, whose agents are in arrival order."""
+    position = {a.id: k for k, a in enumerate(stream)}
+
+    def tick(t: F) -> int:
+        assert (t * ticks.scale).denominator == 1
+        return int(t * ticks.scale)
+
+    segments = oracle.stream_segments(stream)
+    assert ticks.bounds == [(tick(seg.start), tick(seg.end)) for seg in segments]
+    assert [set(members) for members in ticks.members] == [
+        {position[i] for i in seg.members} for seg in segments
+    ]
+    # sets cannot see order: each segment's members are in arrival order
+    assert all(members == sorted(set(members)) for members in ticks.members)
+    assert ticks.cuts == [
+        [(tick(seg.start), tick(seg.end), len(seg.members))
+         for seg in oracle.eas_segments(a, oracle.present_at_arrival(a, stream))]
+        for a in stream
+    ]
     assert len(ticks.cuts) == len(ticks.arrive)
     for arrive, leave, ante, cut in zip(ticks.arrive, ticks.leave, ticks.ex_ante,
                                         ticks.cuts):
@@ -57,7 +83,8 @@ def assert_recorded_like_the_oracle(ticks) -> None:
 @example(LARGE_DENOMINATORS)
 @example(PRIME_STREAM)
 def test_the_sweep_records_members_and_cuts_like_the_passes_it_replaces(stream):
-    assert_recorded_like_the_oracle(stream_shares(stream)._ticks)
+    shares = stream_shares(stream)
+    assert_recorded_like_the_oracle(shares.stream, shares._ticks)
 
 
 @pytest.mark.parametrize("configuration", ["uniform", "bimodal"])
@@ -65,7 +92,9 @@ def test_the_highway_sweep_records_like_the_passes_it_replaces(configuration):
     for seed in range(50):
         rng = np.random.default_rng(seed)
         _, arrive, leave = _sample_ticks(configuration, rng, 1 + seed % 30, 40)
-        assert_recorded_like_the_oracle(_sweep(arrive, leave, _STATION_TICKS))
+        stream = [AgentSpec(k, F(t, _STATION_TICKS), F(e, _STATION_TICKS))
+                  for k, (t, e) in enumerate(zip(arrive, leave))]
+        assert_recorded_like_the_oracle(stream, _sweep(arrive, leave, _STATION_TICKS))
 
 
 def _count_ante_cuts(monkeypatch) -> Counter:

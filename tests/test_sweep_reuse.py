@@ -4,7 +4,8 @@
   same results on a stream and on its sweep, and on a sweep they neither
   validate nor sweep again.
 * The one-pass adjustment `mechanisms._relieve` equals the per-segment
-  oracle in `adjust_oracle.py`, alone and inside whole sg-da runs.
+  oracle in `adjust_oracle.py`, alone and inside whole sg-da runs, where
+  the reference is the sg loop of `mechanism_oracle.py` that adjusts by it.
 * The one-pass `efficiency` equals its definition, each agent's lead time
   summed over its periods.
 """
@@ -18,14 +19,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import adjust_oracle as oracle
-import socd.mechanisms
+import mechanism_oracle
 import socd.model
 from mechanism_oracle import ConvoyState, faces
 from socd import (
     AgentSpec,
     GameParams,
     MechanismKind,
-    Segment,
     eas_segments,
     efficiency,
     net_utilities,
@@ -33,7 +33,6 @@ from socd import (
     stream_shares,
 )
 from test_shares import HANDOVER, HOLE, LARGE_DENOMINATORS, SINGLE, streams
-from tick_adapter import on_ticks
 from tick_adapter import relieve as _relieve
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
@@ -182,14 +181,6 @@ def test_fixed_adjustment_examples_are_the_cases_they_name():
     assert _relieved(newcomer, state, eas) == state.remaining
 
 
-def _relieve_by_oracle(newcomer, queue, remaining, cuts):
-    """The per-segment oracle fed `mechanisms._drive`'s (start, end, n_seg) cuts; it
-    reads only each segment's bounds and member count."""
-    eas = [Segment(s, e, frozenset(range(n_seg))) for s, e, n_seg in cuts]
-    state = ConvoyState(unfinished=list(queue), remaining=remaining)
-    remaining.update(oracle.sg_adjust_shares(newcomer, state, eas))
-
-
 @settings(
     max_examples=40,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
@@ -202,6 +193,5 @@ def _relieve_by_oracle(newcomer, queue, remaining, cuts):
 def test_sg_da_runs_match_with_the_per_segment_oracle(stream):
     params = GameParams(c=1)
     fast = run_mechanism("sg-da", stream, params)
-    with mock.patch.object(socd.mechanisms, "_relieve", on_ticks(_relieve_by_oracle)):
-        slow = run_mechanism("sg-da", stream, params)
-    assert faces(fast) == faces(slow)
+    slow = mechanism_oracle.run_mechanism("sg-da", stream, params)
+    assert faces(fast) == slow

@@ -1,15 +1,10 @@
 """`mechanisms._relieve` spoken to in AgentSpecs and Fractions.
 
 `_relieve` runs on stream positions and integer ticks.  The tests that call
-it directly, or stand the per-segment oracle in for it, compare exact
-values per agent, so they go through these two adapters:
-
-* `relieve(newcomer, queue, remaining, cuts)` takes `AgentSpec`s, claims by
-  agent id and (start, end, n_seg) cuts in Fractions, scales them to one
-  tick under which every cut is a whole number, runs `_relieve` and writes
-  the claims back as Fractions;
-* `on_ticks(adjust)` turns an adjustment with that signature into one that
-  `_drive` can call in place of `_relieve`.
+it directly compare exact values per agent, so they go through `relieve`:
+it takes `AgentSpec`s, claims by agent id and (start, end, n_seg) cuts in
+Fractions, scales them to one tick under which every cut is a whole number,
+runs `_relieve` and writes the claims back as Fractions.
 """
 
 from __future__ import annotations
@@ -17,7 +12,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from socd import AgentSpec
 from socd.mechanisms import _relieve
 
 
@@ -44,29 +38,3 @@ def relieve(newcomer, queue, remaining, cuts) -> None:
     )
     for m, claim in zip(members, claims):
         remaining[m.id] = Fraction(claim, scale)
-
-
-def on_ticks(adjust):
-    """`adjust(newcomer, queue, remaining, cuts)` over AgentSpecs and
-    Fractions, as a `_relieve` over positions and ticks.
-
-    Each member becomes an `AgentSpec` whose id is its position and whose
-    t_leave is its departure tick; an adjustment reads no arrival, so each
-    arrives one tick before it leaves.  The claims must come back whole.
-    """
-
-    def relieve_ticks(newcomer, queue, leave, remaining, cuts) -> None:
-        agents = {m: AgentSpec(m, leave[m] - 1, leave[m]) for m in {*queue, newcomer}}
-        claims = {m: Fraction(remaining[m]) for m in queue}
-        adjust(
-            agents[newcomer],
-            [agents[m] for m in queue],
-            claims,
-            [(Fraction(start), Fraction(end), n_seg) for start, end, n_seg in cuts],
-        )
-        for m, claim in claims.items():
-            if claim.denominator != 1:
-                raise ValueError(f"claim {claim} of member {m} is not whole ticks")
-            remaining[m] = claim.numerator
-
-    return relieve_ticks
