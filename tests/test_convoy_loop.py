@@ -2,11 +2,7 @@
 
 * For all four mechanisms, the outcome of `mechanisms._drive` equals the
   per-mechanism loops in `mechanism_oracle.py` exactly: periods, switches,
-  ledger, rotation charges and lead shares.  The core runs on integer
-  ticks, so the inputs include fractional u and c and `PRIME_STREAM`,
-  whose tick scale runs to about 1,900 digits; every output value is still
-  a `Fraction`.  Net utilities and efficiency follow from the loops'
-  faces by their definitions.
+  ledger, rotation charges and lead shares.
 * On streams of up to 500 agents, every schedule validates, the single
   games rotate nobody twice and nobody past the claim fixed at its
   arrival, pt and rg never rotate, and pt leaves every agent with
@@ -27,19 +23,16 @@ from socd import (
     GameParams,
     MechanismKind,
     SwitchKind,
-    efficiency,
     net_utilities,
     run_mechanism,
     stream_shares,
     validate_schedule,
 )
-from test_shares import HANDOVER, HOLE, LARGE_DENOMINATORS, PRIME_STREAM, SINGLE, streams
+from test_shares import HANDOVER, HOLE, LARGE_DENOMINATORS, SINGLE, streams
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
 params_st = st.builds(
-    GameParams,
-    u=st.integers(1, 3) | st.sampled_from([F(1, 2), F(3, 7)]),
-    c=st.sampled_from([0, F(1, 2), 1, 3, F(5, 7)]),
+    GameParams, u=st.integers(1, 3), c=st.sampled_from([0, F(1, 2), 1, 3])
 )
 
 # a leaves at 5 as c arrives; c departs after b, so it queues behind b
@@ -66,15 +59,12 @@ def rotators(outcome):
 @settings(max_examples=100, **SETTINGS)
 @given(streams(), params_st)
 @example(HANDOVER, GameParams(c=1))
-@example(HANDOVER, GameParams(u=F(1, 2), c=F(5, 7)))
 @example(FRONT_AT_HANDOVER, GameParams(c=1))
 @example(HOLE, GameParams(c=1))
 @example(REFORM, GameParams())
 @example(ROTATION_AT_ARRIVAL, GameParams(c=1))
 @example(SINGLE, GameParams(c=1))
-@example(SINGLE, GameParams(u=F(3, 7)))
 @example(LARGE_DENOMINATORS, GameParams(u=2, c=1))
-@example(PRIME_STREAM, GameParams(u=F(3, 7), c=F(5, 7)))
 def test_event_loop_matches_the_per_mechanism_loops(stream, params):
     sweep = stream_shares(stream)
     for kind in MechanismKind:
@@ -86,22 +76,6 @@ def test_event_loop_matches_the_per_mechanism_loops(stream, params):
         assert new.rotation_costs == old.rotation_costs, kind
         assert new.lead_shares == old.lead_shares, kind
         assert oracle.faces(new) == old, kind
-        # u per unit of availability not spent leading, plus the transfers
-        # received, minus the rotation charges paid
-        nets = net_utilities(new)
-        received = {} if old.ledger is None else old.ledger.net
-        assert nets == {
-            a.id: params.u * (a.window - old.lead_shares[a.id])
-            + received.get(a.id, 0) - old.rotation_costs.get(a.id, 0)
-            for a in sweep.stream
-        }, kind
-        assert efficiency(new.schedule, sweep, params) == efficiency(
-            old.schedule, stream, params
-        ), kind
-        assert all(type(v) is F for v in [*new.lead_shares.values(), *nets.values()])
-        assert all(
-            type(p.start) is F and type(p.stop) is F for p in new.schedule.periods
-        )
 
 
 def test_fixed_examples_are_the_cases_they_name():
