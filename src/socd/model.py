@@ -516,7 +516,9 @@ def stream_segments(agents: Sequence[AgentSpec]) -> list[Segment]:
     """Segment the whole realized game: every arrival or departure cuts.
 
     Stretches with no available agent are skipped, so consecutive segments
-    may be non-adjacent when availability has a hole.
+    may be non-adjacent when availability has a hole.  A raw stream is
+    validated and swept again on every call; pass `stream_shares(stream)`
+    to read it more than once.
     """
     return list(stream_shares(agents).segments)
 
@@ -550,6 +552,8 @@ def eps_segments(agent: AgentSpec, all_agents: Iterable[AgentSpec]) -> list[Segm
     Every arrival or departure that falls strictly inside the window starts
     a new segment, so unlike the ex-ante view the member count can grow.
     `agent` must be in the stream, window and all (else `UnknownAgent`).
+    A raw stream is validated and swept again on every call; a caller that
+    reads many agents passes `stream_shares(all_agents)` instead.
     """
     shares = stream_shares(all_agents)
     if agent not in shares.stream:
@@ -579,7 +583,9 @@ def ex_post_share(
     params: GameParams = GameParams(),
 ) -> Fraction:
     """Proportional share judged on the realized stream: |seg|/n_seg plus
-    c/u.  `agent` must be in the stream, window and all (else `UnknownAgent`)."""
+    c/u.  `agent` must be in the stream, window and all (else `UnknownAgent`).
+    A raw stream is validated and swept again on every call; a caller that
+    reads many agents passes `stream_shares(all_agents)` instead."""
     shares = stream_shares(all_agents)
     if agent not in shares.stream:
         raise UnknownAgent(agent.id)
@@ -598,14 +604,12 @@ def efficiency(
     sum((n_seg - 1) * |seg| * u) minus total switch costs.  Active time is
     summed per agent in one pass over the periods.
     """
+    stream = agents.stream if isinstance(agents, StreamShares) else validate_stream(agents)
     led: dict[AgentId, Fraction] = {}
     for p in schedule.periods:
         led[p.agent] = led.get(p.agent, Fraction(0)) + p.length
     gained = sum(
-        (
-            params.u * (a.window - led.get(a.id, Fraction(0)))
-            for a in stream_shares(agents).stream
-        ),
+        (params.u * (a.window - led.get(a.id, Fraction(0))) for a in stream),
         Fraction(0),
     )
     return gained - sum((ev.cost for ev in schedule.switches), Fraction(0))

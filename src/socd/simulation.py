@@ -372,15 +372,19 @@ def highway_experiment(
     )
 
 
-# Doubles the ring road draws ahead per refill of its join-draw buffer.
+# Doubles the ring road draws ahead per block of join draws.
 _BLOCK = 512
 
 
-def _fresh(rng: np.random.Generator) -> tuple[dict, list[float], list[int], int, int]:
-    """An empty join-draw buffer starting where `rng` stands: the snapshot,
-    the doubles, the hits (the sentinel alone), the position and the hit
-    pointer."""
-    return rng.bit_generator.state, [], [0], 0, 0
+def _draws(rng: np.random.Generator, p: float, n: int) -> tuple[dict, list[float], list[int]]:
+    """A block of join draws starting where `rng` stands: the saved state,
+    max(_BLOCK, n) doubles, and the hits (the indices of the doubles below
+    `p`), ending in the sentinel len(doubles)."""
+    snapshot = rng.bit_generator.state
+    block = rng.random(max(_BLOCK, n))
+    hits = np.flatnonzero(block < p).tolist()
+    hits.append(len(block))
+    return snapshot, block.tolist(), hits
 
 
 def _rewind(rng: np.random.Generator, snapshot: dict, pos: int) -> None:
@@ -391,36 +395,6 @@ def _rewind(rng: np.random.Generator, snapshot: dict, pos: int) -> None:
     """
     rng.bit_generator.state = snapshot
     rng.random(pos)
-
-
-def _refill(
-    rng: np.random.Generator,
-    p: float,
-    snapshot: dict,
-    buf: list[float],
-    hits: list[int],
-    pos: int,
-    h: int,
-    n: int,
-) -> tuple[dict, list[float], list[int], int, int]:
-    """Make `buf` hold the `n` doubles from `pos` on, drawn ahead by block.
-
-    `hits` lists the indices of the doubles below `p`, ending in the
-    sentinel `len(buf)`; `h` indexes the first hit at or after `pos`.  Once
-    more than one block is consumed, the buffer restarts at `pos` from a
-    fresh snapshot, so it never holds more than two blocks plus `n - 1`
-    doubles.
-    """
-    if pos > _BLOCK:
-        _rewind(rng, snapshot, pos)
-        snapshot, buf, hits, pos, h = _fresh(rng)
-    while len(buf) < pos + n:
-        more = rng.random(_BLOCK)
-        hits.pop()
-        hits += (np.flatnonzero(more < p) + len(buf)).tolist()
-        buf += more.tolist()
-        hits.append(len(buf))
-    return snapshot, buf, hits, pos, h
 
 
 def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
@@ -448,13 +422,14 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
     same-visit joiners, then one trip length per joiner), so a seed gives
     the same records and curve.  The doubles are drawn ahead in blocks,
     with the ascending indices of those below the join probability (the
-    hits) beside them.  A visit whose candidates' doubles hold no hit only
-    moves the buffer position past them; a join visit reads its joiners at
-    the hits and its trip lengths from the next doubles.  A permutation
-    reads the generator itself, so before it the generator is put back at
-    the buffer position (the state saved where the buffer starts is
-    restored and the consumed doubles drawn again), and a new buffer starts
-    after it.
+    hits) beside them, and each block is read once.  A visit whose
+    candidates' doubles hold no hit only moves the block position past
+    them; a join visit reads its joiners at the hits and its trip lengths
+    from the next doubles.  When those run past the end of the block, and
+    before a permutation, which reads the generator itself, the generator
+    is put back at the block position (the state saved where the block
+    starts is restored and the consumed doubles drawn again) and a new
+    block is drawn from there.
     """
     rng = np.random.default_rng(params.seed)
     n_stations, n_vehicles = params.n_stations, params.n_vehicles
@@ -484,20 +459,20 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
         inv = 0.0
         cum_inv = 0.0  # running sum of 1/n over sections with a non-empty convoy
         cum_actual = [0.0] * n_vehicles
-        cum_epps = [0.0] * n_vehicles
-        participated = [False] * n_vehicles
+        cum_epps = [0.0] * n_vehicles  # positive once the vehicle has a record
 
         total_records = 0
         target_records = params.target_mean_participations * n_vehicles
         next_checkpoint = params.curve_step
 
-        # Join draws come from a buffer of the generator's doubles, drawn
-        # ahead from `snapshot` (the generator state where the buffer
+        # Join draws come from a block of the generator's doubles, drawn
+        # ahead from `snapshot` (the generator state where the block
         # starts): buf[pos] is the next double the stream would give, and
         # hits[h] is the first index >= pos whose double is below p.  The
         # sentinel hits[-1] == len(buf) also sends a visit that runs past
-        # the buffer to the refill below.
-        snapshot, buf, hits, pos, h = _fresh(rng)
+        # the block to the rewind below, which draws the next block.
+        snapshot, buf, hits = _draws(rng, p, 0)
+        pos = h = 0
 
         lap = 0  # section number of the current lap's visit to station 0
         while total_records < target_records:
@@ -526,7 +501,6 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
                         )
                         cum_actual[vid] += actual
                         cum_epps[vid] += epps
-                        participated[vid] = True
                         total_records += 1
                     stack = [vid for vid in stack if dest[vid] != station]
                     inv = 1.0 / len(stack) if stack else 0.0
@@ -537,7 +511,7 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
                         ratios = (
                             cum_actual[v] / cum_epps[v]
                             for v in range(n_vehicles)
-                            if participated[v]
+                            if cum_epps[v]
                         )
                         points.append((next_checkpoint, unsatisfied_fraction(ratios)))
                         next_checkpoint += params.curve_step
@@ -553,10 +527,10 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
                     stop = pos + len(candidates)
                     if hits[h] < stop:
                         if stop > len(buf):
-                            snapshot, buf, hits, pos, h = _refill(
-                                rng, p, snapshot, buf, hits, pos, h, len(candidates)
-                            )
-                            stop = pos + len(candidates)
+                            _rewind(rng, snapshot, pos)
+                            snapshot, buf, hits = _draws(rng, p, len(candidates))
+                            pos = h = 0
+                            stop = len(candidates)
                         joiners = []
                         while (i := hits[h]) < stop:
                             joiners.append(candidates[i - pos])
@@ -568,17 +542,17 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
                     parked[station] = [
                         vid for vid in candidates if vid not in joiners
                     ] + out
-                    if len(joiners) > 1:
-                        # the permutation reads the generator itself: put it
-                        # back at pos, and start a new buffer after it
+                    if len(joiners) > 1 or pos + len(joiners) > len(buf):
+                        # the permutation reads the generator itself, and the
+                        # trip draws need a block that holds them: put the
+                        # generator back at pos and draw the next block
+                        # after the permutation
                         _rewind(rng, snapshot, pos)
-                        order = rng.permutation(len(joiners))
-                        joiners = [joiners[k] for k in order]
-                        snapshot, buf, hits, pos, h = _fresh(rng)
-                    if pos + len(joiners) > len(buf):
-                        snapshot, buf, hits, pos, h = _refill(
-                            rng, p, snapshot, buf, hits, pos, h, len(joiners)
-                        )
+                        if len(joiners) > 1:
+                            order = rng.permutation(len(joiners))
+                            joiners = [joiners[k] for k in order]
+                        snapshot, buf, hits = _draws(rng, p, len(joiners))
+                        pos = h = 0
                     section = lap + station
                     if stack:
                         led_count[stack[-1]] += section - lead_start

@@ -677,7 +677,7 @@ def test_ring_sections_at_the_bound_are_accepted(tmp_path, monkeypatch, params):
     def start(*args, **kwargs):
         raise _LoopStarted
 
-    monkeypatch.setattr("socd.simulation._fresh", start)
+    monkeypatch.setattr("socd.simulation._draws", start)
     argv = ["--scenario", write_scenario(tmp_path, {"experiment": "ring",
                                                     "params": params}),
             "--out", str(tmp_path / "out")]
@@ -828,6 +828,10 @@ def _game_docs(draw):
 @example({"agents": [{"id": "a,b", "arrive": 0, "leave": 4},
                      {"id": 'c"d\ne', "arrive": 1, "leave": 3}]}, "csv")
 def test_the_cli_contract_holds_on_fuzzed_games(doc, fmt):
+    assert_cli_contract(doc, fmt)
+
+
+def assert_cli_contract(doc, fmt):
     """Exit 0 or 1, never a raise; exit 1 writes one `error:` line and no
     artifact; exit 0 writes CSVs whose rows all have the header's width and
     JSON that loads."""
@@ -851,3 +855,57 @@ def test_the_cli_contract_holds_on_fuzzed_games(doc, fmt):
                 assert {len(row) for row in rows} == {len(rows[0])}, path.name
             else:
                 json.loads(text)
+
+
+# Odd values for any field: wrong types, out of range, non-finite, too large
+# for a float.  None of them is a size that runs long: each is refused, or
+# (a huge curve_step or road_length, a target of 1.5) runs as a small size.
+_odd = st.sampled_from([-1, 0, 1.5, 2**70, 10**400, math.nan, math.inf, True, None,
+                        "x", "1/2", "", [1], {}])
+# Sizes from ranges where a run takes milliseconds.  The fields that set a
+# run's length are always given, since their defaults run for a second or
+# more; the others are optional.
+_RING = ({"n_stations": st.integers(1, 6), "n_vehicles": st.integers(1, 4),
+          "target_mean_participations": st.integers(1, 4) | st.floats(0.5, 4)},
+         {"road_length": st.integers(1, 10) | st.floats(0.5, 10),
+          "join_probability": st.floats(0.2, 1) | st.sampled_from([0, 1]),
+          "curve_step": st.integers(1, 2) | st.floats(0.25, 2)})
+_HIGHWAY = ({"n_stations": st.integers(2, 12), "n_convoys": st.integers(1, 3),
+             "agents_per_convoy": st.integers(1, 4)},
+            {"configuration": st.sampled_from(["uniform", "bimodal"]),
+             "switch_cost": st.integers(0, 3) | st.sampled_from(["1/2", "5/7"])})
+
+
+# True about one draw in eight (Hypothesis leans to the first element, False)
+_rarely = st.sampled_from([False] * 7 + [True])
+
+
+@st.composite
+def _experiment_docs(draw):
+    """Small ring and highway scenarios, mostly well formed: about one field
+    in eight odd, one scenario in eight with a wrong key in `params` and one
+    in eight with a wrong key beside it."""
+    name = draw(st.sampled_from(["ring", "highway", "ring_road"]))
+    required, optional = _RING if name != "highway" else _HIGHWAY
+    params = draw(st.fixed_dictionaries(required, optional=optional))
+    for key in sorted(params):
+        if draw(_rarely):
+            params[key] = draw(_odd)
+    if draw(_rarely):
+        # a misspelt field, a field of the other experiment, or the seed
+        params[draw(st.sampled_from(["n_station", "n_convoys", "n_vehicles",
+                                     "seed"]))] = 2
+    doc = {"experiment": draw(st.sampled_from([name] * 7 + ["maze", None])),
+           "params": draw(st.sampled_from([params] * 7 + [[], None]))}
+    for key, values in (("seed", st.integers(0, 9)), ("seeds", st.integers(1, 3))):
+        if draw(st.booleans()):
+            doc[key] = draw(_odd if draw(_rarely) else values)
+    if draw(_rarely):
+        doc[draw(st.sampled_from(["agents", "mechanism", "seedz"]))] = 1
+    return doc
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_experiment_docs(), st.sampled_from(["csv", "json"]))
+def test_the_cli_contract_holds_on_fuzzed_experiments(doc, fmt):
+    assert_cli_contract(doc, fmt)

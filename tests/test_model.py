@@ -344,6 +344,29 @@ def test_efficiency_subtracts_rotation_costs(s1):
     assert efficiency(sched, s1, GameParams(c=1)) == F(11)
 
 
+def test_efficiency_sweeps_no_raw_stream(rng, monkeypatch):
+    """A raw stream is validated, not swept: same value, same errors."""
+    params = GameParams(c=1)
+    cases = []
+    for _ in range(20):
+        stream = random_stream(rng)
+        outcome = run_mechanism(MechanismKind.SINGLE_GAME, stream, params)
+        cases.append((outcome.schedule, stream,
+                      efficiency(outcome.schedule, outcome.shares, params)))
+
+    def no_sweep(*args):
+        raise AssertionError("efficiency swept a stream")
+
+    monkeypatch.setattr("socd.model._sweep", no_sweep)
+    for schedule, stream, swept in cases:
+        assert efficiency(schedule, stream, params) == swept
+    schedule = cases[0][0]
+    with pytest.raises(EmptyStream):
+        efficiency(schedule, [], params)
+    with pytest.raises(DuplicateArrival):
+        efficiency(schedule, [AgentSpec("a", 0, 4), AgentSpec("b", 0, 5)], params)
+
+
 # --------------------------------------------------------- schedule auditing
 
 

@@ -1,14 +1,17 @@
-"""The README's library example runs and prints what its comments state."""
+"""The README's library example runs and prints what its comments state,
+and its "How it is checked" table names test files that exist."""
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from fractions import Fraction as F
 from pathlib import Path
 
 from socd import ShareReport
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+TESTS = Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
 
 # the comment on each commented `print` line, and the value it states
 STATED = {
@@ -41,3 +44,12 @@ def test_readme_library_example_prints_what_its_comments_state():
         if "#" in line
     }
     assert stated == STATED
+
+
+def test_the_checks_table_names_files_under_tests():
+    section = README.read_text(encoding="utf-8").split("## How it is checked", 1)[1]
+    rows = [line for line in section.split("\n## ", 1)[0].splitlines()
+            if line.startswith("|")]
+    named = set(re.findall(r"`([\w.]+\.py)`", "\n".join(rows)))
+    assert {"test_cli.py", "ring_oracle.py"} <= named
+    assert sorted(name for name in named if not (TESTS / name).is_file()) == []

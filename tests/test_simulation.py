@@ -422,26 +422,27 @@ def test_ring_road_buffer_edges_match_oracle(block, params):
 
 
 def test_ring_road_buffer_stays_bounded_without_permutations(monkeypatch):
-    """One vehicle never joins with another, so no permutation restarts the
-    buffer; the refill alone must keep it within two blocks."""
+    """One vehicle never joins with another, so no permutation draws a new
+    block; running past the end of a block must, and every block must hold
+    exactly max(_BLOCK, n) doubles."""
     block = 8
     monkeypatch.setattr(simulation, "_BLOCK", block)
     sizes = []
-    refill = simulation._refill
+    draws = simulation._draws
 
-    def spy(*args):
-        out = refill(*args)
-        sizes.append(len(out[1]))
+    def spy(rng, p, n):
+        out = draws(rng, p, n)
+        sizes.append((len(out[1]), max(block, n)))
         return out
 
-    monkeypatch.setattr(simulation, "_refill", spy)
+    monkeypatch.setattr(simulation, "_draws", spy)
     params = RingRoadParams(n_stations=5, road_length=5.0, n_vehicles=1,
                             join_probability=0.3, target_mean_participations=300.0,
                             curve_step=50.0)
     result = ring_road_experiment(params)
     assert len(result.records) == 300
-    assert len(sizes) > 20  # far more doubles drawn than two blocks hold
-    assert max(sizes) <= 2 * block
+    assert len(sizes) > 20  # far more doubles drawn than one block holds
+    assert all(size == expected for size, expected in sizes)
     assert exact(result) == exact(ring_oracle.ring_road_experiment(params))
 
 
