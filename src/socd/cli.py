@@ -598,6 +598,10 @@ def run(args: argparse.Namespace) -> tuple[list[str], dict[str, str]]:
         if "experiment" in doc:
             _expect_keys(doc, ("experiment", "params", "seed", "seeds"), "scenario")
             experiment = doc["experiment"]
+            if experiment not in ("ring", "ring_road", "highway"):
+                raise CliError(
+                    f"unknown experiment {experiment!r}; use 'ring' or 'highway'"
+                )
             if experiment == "ring_road":
                 experiment = "ring"
 
@@ -645,12 +649,10 @@ def run(args: argparse.Namespace) -> tuple[list[str], dict[str, str]]:
             raise CliError("the ring road experiment runs under rg only")
         params = _parse_params(RingRoadParams, raw_params, seed)
         return _run_ring(params, seeds, args.format)
-    if experiment == "highway":
-        mechanisms = _parse_mechanisms(args.mechanism, HIGHWAY_MECHANISMS)
-        params = _parse_params(HighwayParams, raw_params, seed,
-                               configuration=args.config)
-        return _run_highway(params, seeds, mechanisms, args.format)
-    raise CliError(f"unknown experiment {experiment!r}; use 'ring' or 'highway'")
+    # the highway, the only other experiment
+    mechanisms = _parse_mechanisms(args.mechanism, HIGHWAY_MECHANISMS)
+    params = _parse_params(HighwayParams, raw_params, seed, configuration=args.config)
+    return _run_highway(params, seeds, mechanisms, args.format)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -22,22 +22,26 @@ recorded them.
 
 Mechanisms take an agent stream or its `StreamShares` sweep and produce a
 `MechanismOutcome`: schedule, share reports, any payment ledger and any
-rotation charges, all exact.  A run has two layers.  Its tick core
-(`_core`: the loop, the claims, pt's payments) works on the sweep's integer
-ticks and builds no Fraction, `ActivePeriod` or `SwitchEvent`.
-`MechanismOutcome(kind, shares, params)` runs it once when it is built and
-keeps its `_Run`; each face (schedule, ledger, lead shares, rotation costs)
-is built from that run, with its Fractions, on first read.  Net utilities
-come from one tick formula (`_nets`): integer numerators over one
-denominator, which `net_utilities` turns into Fractions.  The core and
-`_nets` read only a sweep's ticks (`model._Ticks`) and the ids of its
-stream positions, so callers that need no outcome, such as the highway
-experiment, call them directly, with no `StreamShares`.
+rotation charges, all exact.  A run has two layers.  Its tick core,
+`_drive(kind, ticks, ids)`, is the same for every mechanism: the loop and
+the claims, on the sweep's integer ticks, with no Fraction,
+`ActivePeriod`, `SwitchEvent` or payment.  So a run depends only on the
+mechanism and the sweep; u and c enter only in the faces.
+`MechanismOutcome(kind, shares, params)` runs the core once when it is
+built and keeps its `_Run`; each face (schedule, pt's ledger, lead shares,
+rotation costs) is built from that run, with its Fractions, on first read.
+Net utilities come from one tick formula (`_nets`): integer numerators
+over one denominator, which `net_utilities` turns into Fractions.  The
+core and `_nets` read only a sweep's ticks (`model._Ticks`) and the ids of
+its stream positions, so callers that need no outcome, such as the
+highway experiment, call them directly, with no `StreamShares`.
 
 pt's ledger is kept per realized segment: one `Payment` holds the segment,
 its leader (the payee), the followers who pay it and the one amount each
 pays, so a game with n members in a segment stores one entry for it, not
-n - 1.  A segment whose leader is alone has an entry with no payers.
+n - 1.  A segment whose leader is alone has an entry with no payers.  The
+payments settle each member at its ex-post sum: its net is u times its
+lead less that sum, which is what `_nets` charges it under pt.
 """
 
 from __future__ import annotations
@@ -124,18 +128,15 @@ class _Run(NamedTuple):
     Members are stream positions.  `periods` holds (member, start, stop),
     `switches` (time, outgoing, incoming, kind, n_r), `led` each member's
     leading time and `rotated` the sum of n_r over its rotations, so a
-    member rotated iff its entry is not 0.  For pt, `payments` holds
-    (payee, payers, pay) per realized segment, in order, each payer paying
-    `pay`, and `paid` each member's net; both are in units of
-    1/(scale * u.denominator), and None for the other mechanisms.
+    member rotated iff its entry is not 0.  Every mechanism's run has these
+    four fields and nothing else: pt's payments are read off `periods` and
+    the sweep by the outcome's ledger face.
     """
 
     periods: list[tuple[int, int, int]]
     switches: list[tuple[int, int, int, SwitchKind, int]]
     led: list[int]
     rotated: list[int]
-    payments: list[tuple[int, list[int], int]] | None = None
-    paid: list[int] | None = None
 
 
 @dataclass(frozen=True)
@@ -143,9 +144,10 @@ class MechanismOutcome:
     """What mechanism `kind` (or its CLI spelling) produces on a stream or
     its sweep (`shares`, resolved by `stream_shares`) at `params`.
 
-    Building it runs the tick core once (`_core`).  Its faces are built
+    Building it runs the tick core once (`_drive`).  Its faces are built
     from that run on first read, once each: `schedule` (a rotation costs
-    c * n_r), pt's `ledger` (None otherwise), `lead_shares`, the realized
+    c * n_r), pt's `ledger` (None otherwise; its payments are divided out
+    here, one per realized segment), `lead_shares`, the realized
     leading times, `rotation_costs`, and `reports`, which adds the sweep's
     ex-ante/ex-post shares.  Two outcomes are equal when their kind, sweep
     and params are, and `dataclasses.replace` runs the mechanism again.
@@ -161,7 +163,7 @@ class MechanismOutcome:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "shares", shares)
         ids = [a.id for a in shares.stream]
-        object.__setattr__(self, "_run", _core(kind, shares._ticks, ids, self.params.u))
+        object.__setattr__(self, "_run", _drive(kind, shares._ticks, ids))
 
     @cached_property
     def schedule(self) -> Schedule:
@@ -178,17 +180,26 @@ class MechanismOutcome:
 
     @cached_property
     def ledger(self) -> Ledger | None:
-        run, shares = self._run, self.shares
-        if run.paid is None:
+        # in every realized segment each follower pays the leader
+        # |seg| * u / n_seg, so a member's net is u * (lead - ex-post sum)
+        if self.kind is not MechanismKind.PAYMENT_TRANSFER:
             return None
-        ids = [a.id for a in shares.stream]
-        money = shares._ticks.scale * self.params.u.denominator
-        payments = tuple(
-            Payment(seg, ids[payee], tuple(ids[k] for k in payers), Fraction(pay, money))
-            for seg, (payee, payers, pay) in zip(shares.segments, run.payments)
-        )
-        net = {ids[k]: Fraction(p, money) for k, p in enumerate(run.paid)}
-        return Ledger(payments, net)
+        ticks, u = self.shares._ticks, self.params.u
+        ids = [a.id for a in self.shares.stream]
+        money = ticks.scale * u.denominator  # ledger unit: 1/(scale * u.den)
+        payments = []
+        periods = iter(self._run.periods)
+        leader, _, stop = next(periods)
+        for seg, (begin, end), members in zip(self.shares.segments, ticks.bounds,
+                                              ticks.members):
+            while stop <= begin:  # the leader changes only at a segment start
+                leader, _, stop = next(periods)
+            pay = _div((end - begin) * u.numerator, len(members))
+            payers = tuple(ids[k] for k in members if k != leader)
+            payments.append(Payment(seg, ids[leader], payers, Fraction(pay, money)))
+        net = {ids[k]: Fraction(u.numerator * (led - ex), money)
+               for k, (led, ex) in enumerate(zip(self._run.led, ticks.ex_post))}
+        return Ledger(tuple(payments), net)
 
     @cached_property
     def lead_shares(self) -> Mapping[AgentId, Fraction]:
@@ -240,8 +251,9 @@ _POLICIES = {
 _DEPART, _ARRIVE, _ROTATE = range(3)  # priority at equal instants
 
 
-def _drive(ticks: _Ticks, ids: Sequence[AgentId], policy: _Policy) -> _Run:
-    """Run the convoy over a sweep's events; the run has no ledger.
+def _drive(kind: MechanismKind, ticks: _Ticks, ids: Sequence[AgentId]) -> _Run:
+    """The tick core of every mechanism: run `kind`'s convoy (its
+    `_POLICIES` entry) over a sweep's events.
 
     At one instant the departures go first, then the arrival, then any due
     rotation.  The queue's front member leads; once every member has
@@ -252,6 +264,7 @@ def _drive(ticks: _Ticks, ids: Sequence[AgentId], policy: _Policy) -> _Run:
     first.  Members are stream positions, named by `ids` in errors, and
     times are ticks.
     """
+    policy = _POLICIES[kind]
     arrive, leave, by_leave = ticks.arrive, ticks.leave, ticks.by_leave
     n = len(arrive)
     queue: list[int] = []  # unfinished members in the mechanism's order
@@ -330,33 +343,6 @@ def _drive(ticks: _Ticks, ids: Sequence[AgentId], policy: _Policy) -> _Run:
     return _Run(periods, switches, led, rotated)
 
 
-def _settle(ticks: _Ticks, run: _Run, u: Rational) -> _Run:
-    """pt's ledger on the run: in every realized segment each follower
-    pays the leader |seg| * u / n_seg, in units of 1/(scale * u.denominator).
-    Payers are listed in arrival order.  So a member's net is u times its
-    lead less its ex-post sum: it is paid |seg| * u for each segment it
-    leads and pays its share of each segment it is in."""
-    payments = []
-    periods = iter(run.periods)
-    leader, _, stop = next(periods)
-    for (begin, end), members in zip(ticks.bounds, ticks.members):
-        while stop <= begin:  # the leader changes only at a segment start
-            leader, _, stop = next(periods)
-        pay = _div((end - begin) * u.numerator, len(members))
-        payments.append((leader, [k for k in members if k != leader], pay))
-    paid = [u.numerator * (led - ex) for led, ex in zip(run.led, ticks.ex_post)]
-    return run._replace(payments=payments, paid=paid)
-
-
-def _core(
-    kind: MechanismKind, ticks: _Ticks, ids: Sequence[AgentId], u: Rational
-) -> _Run:
-    """The tick core of mechanism `kind` on a sweep's ticks: its convoy run,
-    with the ledger for pt.  `ids` names the stream positions in errors."""
-    run = _drive(ticks, ids, _POLICIES[kind])
-    return _settle(ticks, run, u) if kind is MechanismKind.PAYMENT_TRANSFER else run
-
-
 def _relieve(
     newcomer: int,
     queue: Sequence[int],
@@ -405,19 +391,22 @@ def run_mechanism(
     return MechanismOutcome(kind, agents, params)
 
 
-def _nets(ticks: _Ticks, run: _Run, u: Rational, c: Rational) -> tuple[list[int], int]:
+def _nets(
+    kind: MechanismKind, ticks: _Ticks, run: _Run, u: Rational, c: Rational
+) -> tuple[list[int], int]:
     """Each member's net utility as an integer numerator over one common
     denominator, returned with it: the tick scale times the denominators of
-    u and of c.  Members are stream positions."""
+    u and of c.  A member gets u per tick of its window it does not bear,
+    less c per unit of n_r.  It bears its lead, or under pt its ex-post
+    sum, where pt's payments settle it.  Members are stream positions."""
     den = ticks.scale * u.denominator * c.denominator
-    lead_w = u.numerator * c.denominator  # per tick not spent leading
-    paid_w = c.denominator  # per ledger unit, 1/(scale * u.denominator)
+    bear_w = u.numerator * c.denominator  # per tick of the window not borne
     rotated_w = c.numerator * ticks.scale * u.denominator  # per unit of n_r
-    paid = [0] * len(run.led) if run.paid is None else run.paid
+    borne = ticks.ex_post if kind is MechanismKind.PAYMENT_TRANSFER else run.led
     return [
-        lead_w * (leave - arrive - led) + paid_w * net - rotated_w * rotated
-        for arrive, leave, led, net, rotated in zip(
-            ticks.arrive, ticks.leave, run.led, paid, run.rotated
+        bear_w * (leave - arrive - bear) - rotated_w * rotated
+        for arrive, leave, bear, rotated in zip(
+            ticks.arrive, ticks.leave, borne, run.rotated
         )
     ], den
 
@@ -430,5 +419,5 @@ def net_utilities(outcome: MechanismOutcome) -> dict[AgentId, Fraction]:
     and sums each utility in integers over one common denominator (`_nets`).
     """
     params, shares = outcome.params, outcome.shares
-    nets, den = _nets(shares._ticks, outcome._run, params.u, params.c)
+    nets, den = _nets(outcome.kind, shares._ticks, outcome._run, params.u, params.c)
     return {a.id: Fraction(net, den) for a, net in zip(shares.stream, nets)}

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .mechanisms import MechanismKind, _core, _nets
+from .mechanisms import MechanismKind, _drive, _nets
 from .metrics import (
     ConvergenceCurve,
     ParticipationRecord,
@@ -219,8 +219,6 @@ class ExperimentResult:
 # apart, so a station takes at most this many of them: one more would
 # arrive on the next station's tick, the first tick any exit can fall on.
 _STATION_TICKS = 1000
-# the spacing of same-station joiners, in stations
-ENTRY_OFFSET = Fraction(1, _STATION_TICKS)
 
 
 def _sample_ticks(
@@ -282,10 +280,10 @@ def sample_stream(
     hub-to-hub, entering in the first 10% of stations and exiting in the
     last 10%; otherwise the uniform scheme applies.  Several agents may
     enter at the same station; their order is randomized and they are
-    spaced by `ENTRY_OFFSET` (1/1000 of a station) so that arrival times
-    stay distinct, with the last one in arriving latest.  At most 1000
-    agents may enter at one station (a ValueError otherwise).  Ids are
-    0..n_agents-1, listed in arrival order.
+    spaced by 1/1000 of a station so that arrival times stay distinct,
+    with the last one in arriving latest.  At most 1000 agents may enter
+    at one station (a ValueError otherwise).  Ids are 0..n_agents-1,
+    listed in arrival order.
 
     This is the highway's own draw (the same generator calls in the same
     order), with each time as an exact `Fraction`; the highway itself
@@ -318,7 +316,7 @@ def highway_experiment(
     convoy's stream is drawn as ticks (`_sample_ticks`, the draw of
     `sample_stream`), swept as ticks (`model._sweep`, the sweep of
     `stream_shares`), and run through each mechanism's tick core
-    (`mechanisms._core` and `_nets`).  No `AgentSpec`, `MechanismOutcome`
+    (`mechanisms._drive` and `_nets`).  No `AgentSpec`, `MechanismOutcome`
     or `Fraction` is built, and the stream is not validated again: the
     draw gives distinct arrivals in order, each before its departure.  Each
     float is one int divided by another, which is correctly rounded, so it
@@ -341,8 +339,8 @@ def highway_experiment(
         scale, epps = ticks.scale, ticks.ex_post
         for kind in kinds:
             mechanism = kind.value
-            run = _core(kind, ticks, ids, 1)
-            nets, den = _nets(ticks, run, 1, c)
+            run = _drive(kind, ticks, ids)
+            nets, den = _nets(kind, ticks, run, 1, c)
             led = run.led
             for k, i in enumerate(ids):
                 ratio = led[k] / epps[k]

@@ -193,6 +193,7 @@ _CSV_REFUSAL = "holds a comma, a double quote, a CR or an LF"
          "scenario field 'params' must be an object"),
         ({"experiment": "ring", "params": []}, [],
          "scenario field 'params' must be an object"),
+        ({"experiment": None}, [], "unknown experiment None; use 'ring' or 'highway'"),
         ([], [], "scenario must be a JSON object"),
         (None, ["--experiment", "ring", "--config", "uniform"],
          "--config only applies to the highway experiment"),
@@ -208,7 +209,8 @@ _CSV_REFUSAL = "holds a comma, a double quote, a CR or an LF"
          f"agents[0]: agent id '\\r' {_CSV_REFUSAL}"),
     ],
     ids=["no-agents", "agent-not-object", "missing-leave", "empty-window",
-         "game-params-list", "experiment-params-list", "scenario-list",
+         "game-params-list", "experiment-params-list", "experiment-null",
+         "scenario-list",
          "ring-config", "unknown-flag", "ring-subnormal-section", "id-comma",
          "id-quote-lf", "id-cr"],
 )

@@ -18,15 +18,18 @@ rotation instant falls on a grid point.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from fractions import Fraction as F
 from itertools import pairwise
 
 import numpy as np
 import pytest
 
+import socd.mechanisms
 from socd import (
     AgentSpec,
     GameParams,
+    HighwayParams,
     MechanismKind,
     MechanismOutcome,
     SwitchKind,
@@ -34,6 +37,7 @@ from socd import (
     efficiency,
     ex_post_share,
     game_duration,
+    highway_experiment,
     net_utilities,
     run_mechanism,
     stream_shares,
@@ -41,7 +45,7 @@ from socd import (
 )
 from conftest import S1, random_stream
 from mechanism_oracle import faces
-from test_highway_core import _count_constructions
+from test_highway_core import _count_constructions, _counting
 from tick_adapter import relieve as _relieve
 
 GRID = 72  # lcm of n_seg * pool_size for up to 4 agents; see module docstring
@@ -513,6 +517,21 @@ def test_faces_are_built_on_first_read_and_once(monkeypatch, s1, kind):
     assert built["ActivePeriod"] == len(schedule.periods) > 0
     assert built["SwitchEvent"] == len(schedule.switches) > 0
     assert built["Payment"] == (len(ledger.payments) if ledger else 0)
+
+
+def test_pt_payments_are_divided_out_only_by_its_ledger(monkeypatch):
+    # every mechanism's run is the same tick core: neither an outcome nor
+    # the highway settles pt's payments; the ledger face divides one
+    # payment per realized segment when it is first read
+    calls: Counter = Counter()
+    monkeypatch.setattr(socd.mechanisms, "_div",
+                        _counting(calls, "_div", socd.mechanisms._div))
+    stream = random_stream(np.random.default_rng(7), n_agents=6)
+    out = run_mechanism("pt", stream, GameParams(u=F(3, 2)))
+    highway_experiment(HighwayParams(n_convoys=3, agents_per_convoy=6), ["pt"])
+    assert calls["_div"] == 0
+    ledger = out.ledger
+    assert calls["_div"] == len(ledger.payments) == len(out.shares.segments) > 1
 
 
 # ------------------------------------------------- engine-vs-oracle sweeps

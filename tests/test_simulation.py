@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ring_oracle
+from highway_oracle import ENTRY_OFFSET
 
 from socd import (
     ConvergenceCurve,
@@ -26,7 +27,6 @@ from socd import (
     validate_stream,
 )
 from socd import simulation
-from socd.simulation import ENTRY_OFFSET
 
 
 # -------------------------------------------------------------------- params

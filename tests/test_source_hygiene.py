@@ -140,3 +140,39 @@ def test_no_oracle_imports_a_private_name_from_socd(path):
         if alias.name.startswith("_")
     ]
     assert private == [], f"{path.name} imports {private}"
+
+
+def _top_level_names(tree: ast.Module):
+    """The functions, classes and assigned names at a module's top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno
+
+
+def test_every_top_level_name_is_read():
+    # a definition nothing reads is dead code: it is read by name or as an
+    # attribute somewhere in the library, exported in an `__all__`, or
+    # traced by the benchmark (its SPANS, read from the syntax tree)
+    trees = {path.name: _tree(path) for path in MODULES}
+    read = set().union(*(_exported(tree) for tree in trees.values()))
+    read |= {attr for _, _, attr in
+             _literal(_tree(SRC.parent.parent / "perfbench" / "bench.py"), "SPANS")}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = sorted(
+        f"{file}:{line} {name}"
+        for file, tree in trees.items()
+        for name, line in _top_level_names(tree)
+        if name not in read and not (name.startswith("__") and name.endswith("__"))
+    )
+    assert unread == [], f"top-level names nothing reads: {unread}"
