@@ -345,8 +345,15 @@ _RECORD_COLUMNS = ("convoy", "agent", "actual_lead", "epps", "ratio", "rotations
                    "net_utility")
 
 
-# JSON records carry every field, `mechanism` included.
+# An experiment row holds the record fields in this order.  JSON records
+# carry every field, `mechanism` (row[5]) included; CSV records pick the
+# columns above.
 _RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(ParticipationRecord))
+_pick_record_columns = itemgetter(*map(_RECORD_FIELDS.index, _RECORD_COLUMNS))
+
+
+def _record_csv(rows: Iterable[tuple]) -> str:
+    return _csv(_RECORD_COLUMNS, map(_pick_record_columns, rows))
 
 
 def _attrs(header: Sequence[str], objs: Iterable[Any]) -> _Table:
@@ -462,9 +469,9 @@ def _run_highway(
         for res in results:
             suffix = f"_seed{res.seed}" if len(results) > 1 else ""
             for kind in mechanisms:
-                artifacts[f"records_{kind.value}{suffix}.csv"] = _csv(*_attrs(
-                    _RECORD_COLUMNS, (r for r in res.records if r.mechanism == kind.value)
-                ))
+                mechanism = kind.value
+                artifacts[f"records_{mechanism}{suffix}.csv"] = _record_csv(
+                    row for row in res.rows if row[5] == mechanism)
     else:
         artifacts["result.json"] = _result_json({
             "experiment": "highway",
@@ -474,7 +481,7 @@ def _run_highway(
                 "per_seed": [{"seed": r.seed, "cells": r.gini_cells} for r in results],
                 "mean": means,
             },
-            "records": {str(r.seed): _attrs(_RECORD_FIELDS, r.records) for r in results},
+            "records": {str(r.seed): _Table(_RECORD_FIELDS, r.rows) for r in results},
         })
     return lines, artifacts
 
@@ -497,7 +504,7 @@ def _run_ring(
         x_last, y_last = curve.points[-1]
         lines.append(f"unsatisfied fraction at mean {x_last:g} participations: "
                      f"{y_last:.3f}")
-    elif any(r.records for r in results):
+    elif any(r.rows for r in results):
         lines.append(f"no curve checkpoint reached: curve_step "
                      f"{params_base.curve_step:g} exceeds target_mean_participations "
                      f"{params_base.target_mean_participations:g}")
@@ -512,15 +519,14 @@ def _run_ring(
         )
         for res in results:
             suffix = f"_seed{res.seed}" if len(results) > 1 else ""
-            artifacts[f"records{suffix}.csv"] = _csv(
-                *_attrs(_RECORD_COLUMNS, res.records))
+            artifacts[f"records{suffix}.csv"] = _record_csv(res.rows)
     else:
         artifacts["result.json"] = _result_json({
             "experiment": "ring",
             "params": params_base,
             "seeds": list(seeds),
             "curve": {"points": curve.points, "band": curve.band},
-            "records": {str(r.seed): _attrs(_RECORD_FIELDS, r.records) for r in results},
+            "records": {str(r.seed): _Table(_RECORD_FIELDS, r.rows) for r in results},
         })
     return lines, artifacts
 

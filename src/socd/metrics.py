@@ -37,13 +37,24 @@ class ZeroEpps(ValueError):
     """A lead ratio needs a positive proportional share."""
 
 
+def _check_record(agent: object, convoy: object, actual_lead: float, epps: float) -> None:
+    """A record's own checks, also made on each experiment row where it is
+    built: a positive epps, and a lead that is not negative (nor NaN)."""
+    if not epps > 0:
+        raise ZeroEpps(f"record ({convoy}, {agent}) has epps <= 0")
+    if not actual_lead >= 0:
+        raise ValueError("actual lead must be non-negative")
+
+
 @dataclass(frozen=True, slots=True)
 class ParticipationRecord:
     """One agent's outcome in one convoy: the unit every experiment emits.
 
     `ratio` is actual lead over the ex-post proportional share (computed
     when omitted).  `mechanism`, `rotations` and `net_utility` carry the
-    reporting columns alongside.
+    reporting columns alongside.  Experiments keep each record as a plain
+    tuple of these fields, in this order, and build the records on first
+    read (`ExperimentResult.records`).
     """
 
     agent: str | int
@@ -56,10 +67,7 @@ class ParticipationRecord:
     net_utility: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.epps > 0:
-            raise ZeroEpps(f"record ({self.convoy}, {self.agent}) has epps <= 0")
-        if self.actual_lead < 0:
-            raise ValueError("actual lead must be non-negative")
+        _check_record(self.agent, self.convoy, self.actual_lead, self.epps)
         if self.ratio is None:
             object.__setattr__(self, "ratio", self.actual_lead / self.epps)
 
@@ -91,11 +99,14 @@ def gini(values: Iterable[float]) -> float:
 
     Mean-absolute-difference form, computed in O(n log n) via the sorted
     identity sum((2i - n - 1) * x_(i)) / (n^2 * mean).  0 means perfect
-    equality; the supremum for n values is (n - 1) / n.
+    equality; the supremum for n values is (n - 1) / n.  A NaN or an
+    infinite value raises a ValueError.
     """
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise EmptySample("gini of an empty population")
+    if not np.isfinite(arr).all():
+        raise ValueError("gini requires finite values")
     if np.any(arr < 0):
         raise ValueError("gini requires non-negative values")
     total = float(arr.sum())

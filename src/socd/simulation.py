@@ -24,6 +24,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ from .mechanisms import MechanismKind, _drive, _nets
 from .metrics import (
     ConvergenceCurve,
     ParticipationRecord,
+    _check_record,
     gini,
     unsatisfied_fraction,
 )
@@ -202,17 +204,27 @@ class HighwayParams:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """One experiment run: records plus the setup-specific aggregates."""
+    """One experiment run: its rows plus the setup-specific aggregates.
+
+    Each row is one participation as a plain tuple of the
+    `ParticipationRecord` fields, in field order, already checked as a
+    record checks itself.  `records` builds the records from the rows on
+    first read.
+    """
 
     kind: str
     seed: int
-    records: tuple[ParticipationRecord, ...]
+    rows: tuple[tuple, ...]
     curve: ConvergenceCurve | None
     gini_cells: dict[str, float]
     params: RingRoadParams | HighwayParams
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
+        object.__setattr__(self, "rows", tuple(self.rows))
+
+    @cached_property
+    def records(self) -> tuple[ParticipationRecord, ...]:
+        return tuple(ParticipationRecord(*row) for row in self.rows)
 
 
 # Ticks per station on the highway.  Same-station joiners arrive one tick
@@ -310,25 +322,26 @@ def highway_experiment(
     The lead ratio denominator is always the ex-post proportional segment
     sum (no switch-cost addend), i.e. the share the payment-transfer
     mechanism would charge for.  Gini cells with fewer than two records are
-    omitted.
+    omitted.  The result keeps each participation as a row, by convoy, then
+    mechanism in the order requested, then agent in arrival order.
 
     The highway runs on integer ticks from the draw to the record: each
     convoy's stream is drawn as ticks (`_sample_ticks`, the draw of
     `sample_stream`), swept as ticks (`model._sweep`, the sweep of
     `stream_shares`), and run through each mechanism's tick core
-    (`mechanisms._drive` and `_nets`).  No `AgentSpec`, `MechanismOutcome`
-    or `Fraction` is built, and the stream is not validated again: the
-    draw gives distinct arrivals in order, each before its departure.  Each
-    float is one int divided by another, which is correctly rounded, so it
-    equals float() of the exact Fraction that `run_mechanism` and
-    `net_utilities` give on the `sample_stream` stream, whatever the tick
-    scale.
+    (`mechanisms._drive` and `_nets`).  No `AgentSpec`, `MechanismOutcome`,
+    `Fraction` or `ParticipationRecord` is built, and the stream is not
+    validated again: the draw gives distinct arrivals in order, each before
+    its departure.  Each float is one int divided by another, which is
+    correctly rounded, so it equals float() of the exact Fraction that
+    `run_mechanism` and `net_utilities` give on the `sample_stream` stream,
+    whatever the tick scale.
     """
     kinds = [MechanismKind(m) for m in mechanisms]
     c = params.switch_cost  # u is 1
     children = np.random.SeedSequence(params.seed).spawn(params.n_convoys)
 
-    records: list[ParticipationRecord] = []
+    rows: list[tuple] = []
     ratios: dict[str, list[float]] = {kind.value: [] for kind in kinds}
     for ci, child in enumerate(children):
         rng = np.random.default_rng(child)
@@ -341,29 +354,21 @@ def highway_experiment(
             mechanism = kind.value
             run = _drive(kind, ticks, ids)
             nets, den = _nets(kind, ticks, run, 1, c)
-            led = run.led
+            led, rotated, pool = run.led, run.rotated, ratios[mechanism]
             for k, i in enumerate(ids):
+                lead, share = led[k] / scale, epps[k] / scale
+                _check_record(i, ci, lead, share)
                 ratio = led[k] / epps[k]
-                records.append(
-                    ParticipationRecord(
-                        agent=i,
-                        convoy=ci,
-                        actual_lead=led[k] / scale,
-                        epps=epps[k] / scale,
-                        ratio=ratio,
-                        mechanism=mechanism,
-                        rotations=1 if run.rotated[k] else 0,
-                        net_utility=nets[k] / den,
-                    )
-                )
-                ratios[mechanism].append(ratio)
+                rows.append((i, ci, lead, share, ratio, mechanism,
+                             1 if rotated[k] else 0, nets[k] / den))
+                pool.append(ratio)
 
     gini_cells = {m: gini(values) for m, values in ratios.items() if len(values) >= 2}
 
     return ExperimentResult(
         kind="highway",
         seed=params.seed,
-        records=tuple(records),
+        rows=tuple(rows),
         curve=None,
         gini_cells=gini_cells,
         params=params,
@@ -374,15 +379,15 @@ def highway_experiment(
 _BLOCK = 512
 
 
-def _draws(rng: np.random.Generator, p: float, n: int) -> tuple[dict, list[float], list[int]]:
+def _draws(rng: np.random.Generator, p: float, n: int) -> tuple[dict, np.ndarray, list[int]]:
     """A block of join draws starting where `rng` stands: the saved state,
-    max(_BLOCK, n) doubles, and the hits (the indices of the doubles below
-    `p`), ending in the sentinel len(doubles)."""
+    max(_BLOCK, n) doubles as an array, and the hits (the indices of the
+    doubles below `p`, as a list), ending in the sentinel len(doubles)."""
     snapshot = rng.bit_generator.state
     block = rng.random(max(_BLOCK, n))
-    hits = np.flatnonzero(block < p).tolist()
+    hits = (block < p).nonzero()[0].tolist()
     hits.append(len(block))
-    return snapshot, block.tolist(), hits
+    return snapshot, block, hits
 
 
 def _rewind(rng: np.random.Generator, snapshot: dict, pos: int) -> None:
@@ -420,14 +425,19 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
     same-visit joiners, then one trip length per joiner), so a seed gives
     the same records and curve.  The doubles are drawn ahead in blocks,
     with the ascending indices of those below the join probability (the
-    hits) beside them, and each block is read once.  A visit whose
-    candidates' doubles hold no hit only moves the block position past
-    them; a join visit reads its joiners at the hits and its trip lengths
-    from the next doubles.  When those run past the end of the block, and
+    hits) beside them.  A block stays a numpy array: the loop reads a
+    double as a Python float only for a trip length, and a join draw only
+    through the hits.  A visit whose candidates' doubles hold no hit only
+    moves the block position past them; a join visit reads its joiners at
+    the hits and its trip lengths from the next doubles.  When those run past the end of the block, and
     before a permutation, which reads the generator itself, the generator
     is put back at the block position (the state saved where the block
     starts is restored and the consumed doubles drawn again) and a new
     block is drawn from there.
+
+    Each participation is kept as a row, a tuple of the
+    `ParticipationRecord` fields; no record is built until
+    `ExperimentResult.records` is read.
     """
     rng = np.random.default_rng(params.seed)
     n_stations, n_vehicles = params.n_stations, params.n_vehicles
@@ -436,7 +446,7 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
     section_length = road_length / n_stations
     rg = MechanismKind.REPEATED_GAME.value
 
-    records: list[ParticipationRecord] = []
+    rows: list[tuple] = []
     points: list[tuple[float, float]] = []
 
     if p > 0.0:
@@ -486,17 +496,9 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
                         actual = float(led_count[vid])
                         epps = cum_inv - join_cum[vid]
                         aboard = section - join_section[vid]
-                        records.append(
-                            ParticipationRecord(
-                                agent=vid,
-                                convoy=total_records,
-                                actual_lead=actual,
-                                epps=epps,
-                                mechanism=rg,
-                                rotations=0,
-                                net_utility=float(aboard) - actual,
-                            )
-                        )
+                        _check_record(vid, total_records, actual, epps)
+                        rows.append((vid, total_records, actual, epps, actual / epps,
+                                     rg, 0, float(aboard) - actual))
                         cum_actual[vid] += actual
                         cum_epps[vid] += epps
                         total_records += 1
@@ -559,7 +561,7 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
                         # rng.uniform(0.0, road_length) is 0.0 + road_length
                         # * (next double), and adding 0.0 to the non-negative
                         # product changes no bit
-                        trip = road_length * buf[pos]
+                        trip = road_length * buf.item(pos)
                         pos += 1
                         sections = int(trip // section_length) + 1
                         d = (station + sections) % n_stations
@@ -584,7 +586,7 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
     return ExperimentResult(
         kind="ring_road",
         seed=params.seed,
-        records=tuple(records),
+        rows=tuple(rows),
         curve=curve,
         gini_cells={},
         params=params,

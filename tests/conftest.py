@@ -1,4 +1,5 @@
-"""Shared fixtures: the three-agent reference scenario and random streams."""
+"""Shared fixtures: the three-agent reference scenario, random streams and
+a count of the records that experiments build and check."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from socd import AgentSpec
+import socd.simulation
+from socd import AgentSpec, ParticipationRecord
 
 # Reference scenario used across the suite: three staggered agents whose
 # windows overlap pairwise and all at once in [8, 10).
@@ -63,3 +65,24 @@ def s1() -> list[AgentSpec]:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260817)
+
+
+@pytest.fixture
+def record_counts(monkeypatch) -> tuple[list, list]:
+    """Two lists: every `ParticipationRecord` built, and the (agent, convoy,
+    actual_lead, epps) of every row `socd.simulation` checks, as they come."""
+    built: list = []
+    checked: list = []
+    post_init, check = ParticipationRecord.__post_init__, socd.simulation._check_record
+
+    def building(self):
+        built.append(self)
+        post_init(self)
+
+    def checking(*args):
+        checked.append(args)
+        check(*args)
+
+    monkeypatch.setattr(ParticipationRecord, "__post_init__", building)
+    monkeypatch.setattr(socd.simulation, "_check_record", checking)
+    return built, checked

@@ -5,20 +5,25 @@ the convoy for vehicles whose destination is the current station, rebuilds
 the stack, draws every parked candidate's join decision as one array, and
 credits the leader one section.  It is kept only as a test oracle for
 `socd.simulation.ring_road_experiment`, which must give equal records and an
-equal curve from the same random stream.
+equal curve from the same random stream.  It builds each record as a
+`ParticipationRecord`, so the tests compare the loop's rows, read through
+`ExperimentResult.records`, with records made directly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from socd import ConvergenceCurve, ExperimentResult, ParticipationRecord, RingRoadParams
+from socd import ConvergenceCurve, ParticipationRecord, RingRoadParams
 from socd.mechanisms import MechanismKind
 from socd.metrics import UNSATISFIED_THRESHOLD
 
 
-def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
-    """Simulate the rejoin loop until the target mean participation count.
+def ring_road_experiment(
+    params: RingRoadParams,
+) -> tuple[tuple[ParticipationRecord, ...], ConvergenceCurve]:
+    """Simulate the rejoin loop until the target mean participation count;
+    return the records and the convergence curve.
 
     Leadership follows the repeated-game rule: same-station joiners are
     pushed to the front in a randomized order (the last one leads) and the
@@ -125,11 +130,4 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
     curve = ConvergenceCurve(
         points=tuple(points), band=tuple((y, y) for _, y in points)
     )
-    return ExperimentResult(
-        kind="ring_road",
-        seed=params.seed,
-        records=tuple(records),
-        curve=curve,
-        gini_cells={},
-        params=params,
-    )
+    return tuple(records), curve

@@ -29,11 +29,11 @@ from socd import (
     SwitchKind,
 )
 from socd.cli import (
-    _RECORD_COLUMNS,
+    _RECORD_FIELDS,
     CliError,
-    _attrs,
     _csv,
     _exact,
+    _record_csv,
     main,
 )
 
@@ -690,6 +690,25 @@ def test_ring_sections_at_the_bound_are_accepted(tmp_path, monkeypatch, params):
         assert main(argv) == 0
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("doc", [RING_SCENARIO, HIGHWAY_SCENARIO], ids=["ring", "highway"])
+def test_experiments_build_no_record_on_the_cli_path(tmp_path, record_counts, doc, fmt):
+    """The CLI writes an experiment's records from its rows: no
+    `ParticipationRecord` is built, in either format."""
+    built, checked = record_counts
+    out_dir = tmp_path / "out"
+    argv = ["--scenario", write_scenario(tmp_path, doc), "--seeds", "2",
+            "--format", fmt, "--out", str(out_dir)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert built == []
+    written = "".join(path.read_text() for path in out_dir.iterdir())
+    assert written.count('"net_utility"' if fmt == "json" else "\n") >= len(checked) > 20
+    # the count sees a record built anywhere
+    ParticipationRecord(agent=1, convoy=0, actual_lead=1.0, epps=2.0)
+    assert len(built) == 1
+
+
 def test_unknown_experiment_name(tmp_path, capsys):
     scenario = write_scenario(tmp_path, {"experiment": "maze", "params": {}})
     code = main(["--scenario", scenario])
@@ -737,7 +756,8 @@ def test_cell_formatter_matches_fmt(value, text):
 
 def test_record_csv_matches_the_oracle():
     """Record files are the table writer's `_csv` of the record columns,
-    each cell `str` of its value, for every Python type a record holds."""
+    picked from experiment rows (the record fields in field order), each
+    cell `str` of its value, for every Python type a record holds."""
     nan, inf = float("nan"), float("inf")
     records = [
         ParticipationRecord(agent="a1", convoy="c1", actual_lead=1.0, epps=2.0),
@@ -750,12 +770,16 @@ def test_record_csv_matches_the_oracle():
         ParticipationRecord(agent="a3", convoy=5, actual_lead=2.0, epps=2.0,
                             ratio=nan, net_utility="x"),
     ]
-    for rows in [records, *([r] for r in records), []]:
+
+    def rows(records):
+        return [tuple(getattr(r, field) for field in _RECORD_FIELDS) for r in records]
+
+    for some in [records, *([r] for r in records), []]:
         want = "".join(f"{line}\n" for line in [RECORD_HEADER, *(
             ",".join(str(getattr(r, column)) for column in RECORD_HEADER.split(","))
-            for r in rows)])
-        assert _csv(*_attrs(_RECORD_COLUMNS, rows)) == want
-    lines = _csv(*_attrs(_RECORD_COLUMNS, records)).splitlines()
+            for r in some)])
+        assert _record_csv(rows(some)) == want
+    lines = _record_csv(rows(records)).splitlines()
     assert lines[0] == RECORD_HEADER
     assert lines[2] == "0,7,3.0,1e-300,3e+300,2,-0.0"
     assert lines[3] == f"{3**40},1.5,0.0,inf,0.0,0,nan"

@@ -21,7 +21,6 @@ import socd.mechanisms
 import socd.model
 import socd.simulation
 from socd import (
-    ExperimentResult,
     GameParams,
     HighwayParams,
     MechanismKind,
@@ -43,10 +42,11 @@ ALL_KINDS = [k.value for k in MechanismKind]
 SIZES = [(100, 10), (12, 8)]
 
 
-def public_highway(params: HighwayParams, kinds) -> ExperimentResult:
+def public_highway(params: HighwayParams, kinds):
     """The highway through the public path: each convoy drawn as `AgentSpec`s
     from its own child seed, run by `run_mechanism` with u = 1 and c the
-    switch cost, and each exact value made a float."""
+    switch cost, and each exact value made a float.  Returns the
+    `ParticipationRecord`s and the Gini cells."""
     game = GameParams(c=Fraction(params.switch_cost))
     children = np.random.SeedSequence(params.seed).spawn(params.n_convoys)
     records = []
@@ -66,7 +66,7 @@ def public_highway(params: HighwayParams, kinds) -> ExperimentResult:
                     net_utility=float(nets[a.id])))
     ratios = {kind: [r.ratio for r in records if r.mechanism == kind] for kind in kinds}
     cells = {kind: gini(values) for kind, values in ratios.items() if len(values) >= 2}
-    return ExperimentResult("highway", params.seed, tuple(records), None, cells, params)
+    return tuple(records), cells
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -79,9 +79,9 @@ def test_records_equal_the_outcome_loop(seed, switch_cost, configuration,
                            configuration=configuration, switch_cost=switch_cost,
                            seed=seed)
     fast = highway_experiment(params, ALL_KINDS)
-    slow = public_highway(params, ALL_KINDS)
-    assert fast.records == slow.records
-    assert fast.gini_cells == slow.gini_cells
+    records, cells = public_highway(params, ALL_KINDS)
+    assert fast.records == records
+    assert fast.gini_cells == cells
 
 
 def test_some_highway_agents_rotate_and_pay():
@@ -166,11 +166,26 @@ def test_highway_builds_no_segment(monkeypatch):
     assert built["Segment"] > 0
 
 
+def test_highway_builds_its_records_once_on_first_read(record_counts):
+    built, checked = record_counts
+    params = HighwayParams(n_stations=12, n_convoys=3, agents_per_convoy=8,
+                           switch_cost=Fraction(5, 3), seed=2)
+    result = highway_experiment(params, ALL_KINDS)
+    assert built == []
+    assert checked == [row[:4] for row in result.rows]  # each row where it is made
+    records = result.records
+    assert len(built) == len(result.rows) == 3 * 8 * 4
+    assert result.records is records
+    assert len(built) == len(result.rows)  # the second read built none
+    assert (records, result.gini_cells) == public_highway(params, ALL_KINDS)
+
+
 def test_repeated_and_reordered_kinds_equal_the_outcome_loop():
     params = HighwayParams(n_stations=12, n_convoys=2, agents_per_convoy=6,
                            switch_cost=1, seed=9)
     kinds = ["sg", "rg", "sg"]
-    assert highway_experiment(params, kinds) == public_highway(params, kinds)
+    fast = highway_experiment(params, kinds)
+    assert (fast.records, fast.gini_cells) == public_highway(params, kinds)
 
 
 @pytest.mark.parametrize("n_stations", [2, 3, 12, 100])

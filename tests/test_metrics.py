@@ -22,7 +22,10 @@ from socd import (
     run_mechanism,
     unsatisfied_fraction,
 )
+from socd.metrics import _check_record
 from conftest import S1
+
+NAN, INF = float("nan"), float("inf")
 
 
 def gini_brute_force(values) -> float:
@@ -48,6 +51,32 @@ def test_participation_record_validation():
         ParticipationRecord(agent=1, convoy=0, actual_lead=3.0, epps=0.0)
     with pytest.raises(ValueError):
         ParticipationRecord(agent=1, convoy=0, actual_lead=-1.0, epps=4.0)
+
+
+def test_participation_record_refuses_a_nan_lead_and_accepts_an_infinite_epps():
+    with pytest.raises(ValueError, match="actual lead must be non-negative"):
+        ParticipationRecord(agent=1, convoy=0, actual_lead=NAN, epps=4.0)
+    with pytest.raises(ZeroEpps):
+        ParticipationRecord(agent=1, convoy=0, actual_lead=1.0, epps=NAN)
+    rec = ParticipationRecord(agent=1, convoy=0, actual_lead=1.0, epps=INF)
+    assert rec.ratio == 0.0
+    assert ParticipationRecord(agent=1, convoy=0, actual_lead=INF, epps=1.0).ratio == INF
+
+
+@pytest.mark.parametrize("lead, epps", [(3.0, 0.0), (3.0, -1.0), (3.0, NAN), (-1.0, 4.0),
+                                        (NAN, 4.0), (-1.0, 0.0), (-INF, INF)])
+def test_a_bad_row_raises_as_the_record_does(lead, epps):
+    # experiments check each row with the record's own check, so a row and a
+    # record with the same values raise the same exception and message
+    with pytest.raises(ValueError) as record:
+        ParticipationRecord(agent="a1", convoy=7, actual_lead=lead, epps=epps)
+    with pytest.raises(ValueError) as row:
+        _check_record("a1", 7, lead, epps)
+    assert type(row.value) is type(record.value)
+    assert str(row.value) == str(record.value)
+    assert type(row.value) is (ZeroEpps if not epps > 0 else ValueError)
+    if type(row.value) is ZeroEpps:
+        assert str(row.value) == "record (7, a1) has epps <= 0"
 
 
 def test_participation_record_is_slotted_and_frozen():
@@ -90,6 +119,14 @@ def test_gini_rejects_degenerate_input():
         gini([0.0, 0.0])
     with pytest.raises(ValueError):
         gini([1.0, -0.5])
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_gini_refuses_a_non_finite_value(bad):
+    # numpy would give nan with only a RuntimeWarning
+    for values in ([1.0, bad], [bad], [bad, 0.0, 2.0]):
+        with pytest.raises(ValueError, match="gini requires finite values"):
+            gini(values)
 
 
 def test_gini_matches_brute_force():

@@ -367,17 +367,23 @@ RING_PARAMS = st.builds(
 )
 
 
-def exact(result):
+def exact(records, curve):
     """Records and curve with every float as its repr (so -0.0 != 0.0)."""
 
     def cells(row):
         return tuple(repr(v) if isinstance(v, float) else v for v in row)
 
     return (
-        [cells(dataclasses.astuple(r)) for r in result.records],
-        [cells(pt) for pt in result.curve.points],
-        [cells(b) for b in result.curve.band],
+        [cells(dataclasses.astuple(r)) for r in records],
+        [cells(pt) for pt in curve.points],
+        [cells(b) for b in curve.band],
     )
+
+
+def ring_exact(params):
+    """`exact` of the ring road's records, built from its rows, and curve."""
+    result = ring_road_experiment(params)
+    return exact(result.records, result.curve)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -395,9 +401,7 @@ def exact(result):
                         join_probability=1.0, target_mean_participations=6.0,
                         curve_step=0.25, seed=3))
 def test_ring_road_matches_per_section_oracle(params):
-    assert exact(ring_road_experiment(params)) == exact(
-        ring_oracle.ring_road_experiment(params)
-    )
+    assert ring_exact(params) == exact(*ring_oracle.ring_road_experiment(params))
 
 
 # Blocks of a few doubles put hits on block edges, refills between a visit's
@@ -417,8 +421,22 @@ def test_ring_road_matches_per_section_oracle(params):
 def test_ring_road_buffer_edges_match_oracle(block, params):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulation, "_BLOCK", block)
-        got = exact(ring_road_experiment(params))
-    assert got == exact(ring_oracle.ring_road_experiment(params))
+        got = ring_exact(params)
+    assert got == exact(*ring_oracle.ring_road_experiment(params))
+
+
+def test_ring_road_builds_its_records_once_on_first_read(record_counts):
+    built, checked = record_counts
+    params = RingRoadParams(n_stations=10, road_length=10.0, n_vehicles=6,
+                            target_mean_participations=20.0, curve_step=5.0, seed=4)
+    result = ring_road_experiment(params)
+    assert built == []
+    assert checked == [row[:4] for row in result.rows]  # each row where it is made
+    records = result.records
+    assert len(built) == len(result.rows) >= 120
+    assert result.records is records
+    assert len(built) == len(result.rows)  # the second read built none
+    assert records == ring_oracle.ring_road_experiment(params)[0]
 
 
 def test_ring_road_buffer_stays_bounded_without_permutations(monkeypatch):
@@ -443,7 +461,8 @@ def test_ring_road_buffer_stays_bounded_without_permutations(monkeypatch):
     assert len(result.records) == 300
     assert len(sizes) > 20  # far more doubles drawn than one block holds
     assert all(size == expected for size, expected in sizes)
-    assert exact(result) == exact(ring_oracle.ring_road_experiment(params))
+    assert exact(result.records, result.curve) == exact(
+        *ring_oracle.ring_road_experiment(params))
 
 
 # -------------------------------------------------------------- aggregation
