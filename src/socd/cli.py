@@ -10,15 +10,17 @@ CSV file by `_csv` or as a list of objects in `result.json` by `_write`.
 Each CSV cell is `str` of a plain value (Fractions print as fraction
 strings, floats as their repr); row builders give enums by their value.
 `_write` is the one JSON writer.  Its bytes are those of
-`json.dumps(..., sort_keys=True, indent=2)` on the same values: sorted keys,
-two-space indent, ASCII escapes, ints and floats by repr, and `NaN` and
-`Infinity` as `json` spells them.  It writes each table row as one string
-and a game's mechanisms one by one, as each finishes, and encodes a cell
-whose object is the one above it only once.  JSON records also carry
-`mechanism`, and only CSV share reports carry `rotations`.  A game's
-`efficiency` is the sum of its net utilities; pt's ledger rows are read
-from its per-segment entries.  Experiment `params` are parsed by the fields
-of their dataclass.
+`json.dumps(..., sort_keys=True, indent=2)` on the values socd writes:
+sorted keys, two-space indent, ASCII escapes, ints and floats by repr, and
+`NaN` and `Infinity` as `json` spells them.  It writes exact `str`, `int`,
+`float`, `bool`, `None` and `Fraction` values, `str`-keyed mappings, lists,
+tuples and the params dataclasses; any other type is a `TypeError`.  It
+writes each table row as one string and a game's mechanisms one by one, as
+each finishes, and encodes a cell whose object is the one above it only
+once.  JSON records also carry `mechanism`, and only CSV share reports
+carry `rotations`.  A game's `efficiency` is the sum of its net utilities;
+pt's ledger rows are read from its per-segment entries.  Experiment
+`params` are parsed by the fields of their dataclass.
 """
 
 from __future__ import annotations
@@ -28,18 +30,16 @@ import dataclasses
 import json
 import math
 import os
-import re
 import sys
-from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 from .mechanisms import MechanismKind, net_utilities, run_mechanism
 from .metrics import ParticipationRecord
-from .model import AgentSpec, GameParams, stream_shares
+from .model import AgentSpec, GameParams, as_time, stream_shares
 from .simulation import (
     _MAX_SIZE,
     HIGHWAY_MECHANISMS,
@@ -97,13 +97,20 @@ _SCALARS: dict[type, Callable[[Any], str]] = {
 }
 
 
+def _unwritten(value: Any) -> NoReturn:
+    """Raise json's own error for a value the writer does not write."""
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _write(value: Any, pad: str, out: list[str]) -> None:
     """Append `value` as JSON text to `out`; lines after its first start with
     `pad` (a newline, then two spaces a level).
 
-    Fractions become fraction strings and enums their value; dataclasses and
-    mappings become objects (keys by `str`, sorted), lists and tuples arrays,
-    and a `_Table` an array with one object per row.
+    Writes the values socd writes: the exact types in `_SCALARS` (a Fraction
+    as a fraction string), `_Encoded` text, a `_Table` as an array with one
+    object per row, dataclasses (the experiment params) and mappings with
+    `str` keys as objects (keys sorted), and lists and tuples as arrays.
+    Any other value is a `TypeError`.
     """
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
@@ -112,15 +119,11 @@ def _write(value: Any, pad: str, out: list[str]) -> None:
         out.extend(value)
     elif type(value) is _Table:
         _write_table(value, pad, out)
-    elif isinstance(value, Fraction):
-        out.append(encode_basestring_ascii(str(value)))
-    elif isinstance(value, Enum):
-        _write(value.value, pad, out)
     elif dataclasses.is_dataclass(value) and not isinstance(value, type):
         _write_members([(f.name, getattr(value, f.name))
                         for f in dataclasses.fields(value)], pad, out)
     elif isinstance(value, Mapping):
-        _write_members({str(k): v for k, v in value.items()}.items(), pad, out)
+        _write_members(value.items(), pad, out)
     elif isinstance(value, (list, tuple)):
         inner, sep = pad + "  ", "["
         for item in value:
@@ -128,14 +131,8 @@ def _write(value: Any, pad: str, out: list[str]) -> None:
             _write(item, inner, out)
             sep = ","
         out.append(pad + "]" if value else "[]")
-    elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_float_json(value))
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        _unwritten(value)
 
 
 def _write_members(pairs: Iterable[tuple[str, Any]], pad: str, out: list[str]) -> None:
@@ -152,22 +149,16 @@ def _write_members(pairs: Iterable[tuple[str, Any]], pad: str, out: list[str]) -
 def _write_table(table: _Table, pad: str, out: list[str]) -> None:
     """A table as an array of objects, each row one string from a format
     made once from the sorted header.  Rows may be longer than the header,
-    which cuts them, but not shorter.  A cell whose object is the one above
-    it (`is`, never `==`: 1, True and 1.0 are equal but spelled apart) reuses
-    that cell's text; the previous row is kept, so no id is reused."""
+    which cuts them, but not shorter.  Each cell is encoded by its exact type
+    in `_SCALARS`; a cell of any other type is a `TypeError`.  A cell whose
+    object is the one above it (`is`, never `==`: 1, True and 1.0 are equal
+    but spelled apart) reuses that cell's text; the previous row is kept, so
+    no id is reused."""
     header, rows = table
     column = {key: i for i, key in enumerate(header)}  # a repeated key: its last
     keys = sorted(column)
     inner, cell_pad = pad + "  ", pad + "    "
-
-    def cell(value: Any) -> str:
-        scalar = _SCALARS.get(type(value))
-        if scalar is not None:
-            return scalar(value)
-        pieces: list[str] = []
-        _write(value, cell_pad, pieces)
-        return "".join(pieces)
-
+    encoding = _SCALARS.get
     if len(keys) > 1:
         pick = itemgetter(*(column[key] for key in keys))
     else:
@@ -181,7 +172,7 @@ def _write_table(table: _Table, pad: str, out: list[str]) -> None:
     texts = [""] * len(keys)
     for row in rows:
         values = pick(row)
-        texts = [text if value is last else cell(value)
+        texts = [text if value is last else encoding(type(value), _unwritten)(value)
                  for value, last, text in zip(values, above, texts)]
         above = values
         out.append(form % tuple(texts))
@@ -198,17 +189,13 @@ def _expect_keys(obj: Mapping[str, Any], allowed: Iterable[str], where: str) -> 
         raise CliError(f"unknown key {unknown[0]!r} in {where}")
 
 
-# Fraction("1e999999999") would build 10**999999999, so exponents are
-# bounded first, by CPython's default int digit limit, which already refuses
-# a longer run of digits anywhere else in the string.  Then each value's
-# numerator and denominator must have at most _MAX_DIGITS digits, and a
-# game's denominators a common multiple of at most _MAX_COMMON_DIGITS: the
-# sums and products the outputs print (shares, payments, utilities,
-# efficiency) stay far under the 4300-digit limit on printing an int, an
-# experiment's switch cost and utilities convert to finite floats, and the
-# tick scale the core runs on stays bounded.
-_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
-_MAX_EXPONENT = 4300
+# Each exact value's numerator and denominator must have at most
+# _MAX_DIGITS digits (`as_time` has already refused an exponent beyond
+# ±4300), and a game's denominators a common multiple of at most
+# _MAX_COMMON_DIGITS: the sums and products the outputs print (shares,
+# payments, utilities, efficiency) stay far under the 4300-digit limit on
+# printing an int, an experiment's switch cost and utilities convert to
+# finite floats, and the tick scale the core runs on stays bounded.
 _MAX_DIGITS = 100
 _MAX_VALUE = 10**_MAX_DIGITS
 _MAX_COMMON_DIGITS = 1000
@@ -221,10 +208,7 @@ def _exact(value: Any, where: str) -> Fraction:
             f"{where}: use an integer or a string like \"0.5\", not a float literal"
         )
     try:
-        exponent = isinstance(value, str) and _EXPONENT.search(value)
-        if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
-            raise ValueError(value)
-        exact = Fraction(value)
+        exact = as_time(value)
     except (ValueError, TypeError, ZeroDivisionError):
         raise CliError(f"{where}: not an exact number: {value!r}") from None
     if max(abs(exact.numerator), exact.denominator) >= _MAX_VALUE:
@@ -356,11 +340,6 @@ def _record_csv(rows: Iterable[tuple]) -> str:
     return _csv(_RECORD_COLUMNS, map(_pick_record_columns, rows))
 
 
-def _attrs(header: Sequence[str], objs: Iterable[Any]) -> _Table:
-    """A table whose columns are the attributes its header names."""
-    return _Table(header, map(attrgetter(*header), objs))
-
-
 def _result_json(doc: Any) -> str:
     out: list[str] = []
     _write(doc, "\n", out)
@@ -399,7 +378,8 @@ def _run_game(
 
         schedule, rotated = outcome.schedule, outcome.rotation_costs
         tables = {
-            "schedule": _attrs(("agent", "start", "stop"), schedule.periods),
+            "schedule": _Table(("agent", "start", "stop"),
+                               map(attrgetter("agent", "start", "stop"), schedule.periods)),
             "switches": _Table(
                 ("time", "outgoing", "incoming", "kind", "n_r", "cost"),
                 ((ev.time, ev.outgoing, ev.incoming, ev.kind.value, ev.n_r, ev.cost)

@@ -6,6 +6,7 @@ core, but inequality statistics are reporting-layer quantities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -119,9 +120,12 @@ def gini(values: Iterable[float]) -> float:
 
 
 def unsatisfied_fraction(ratios: Iterable[float]) -> float:
-    """Fraction of ratios strictly above `UNSATISFIED_THRESHOLD` (1.10)."""
+    """Fraction of ratios strictly above `UNSATISFIED_THRESHOLD` (1.10); a
+    NaN or an infinite ratio raises a ValueError, as in `gini`."""
     values = list(ratios)
     if not values:
         raise EmptySample("unsatisfied fraction of an empty population")
+    if not all(map(math.isfinite, values)):
+        raise ValueError("unsatisfied fraction requires finite ratios")
     return sum(1 for r in values if r > UNSATISFIED_THRESHOLD) / len(values)
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -69,19 +70,32 @@ AgentId = Union[str, int]
 Time = Fraction
 
 
+# Fraction("1e999999999") would build 10**999999999, so a string's exponent
+# is bounded first, by CPython's default int digit limit, which already
+# refuses a longer run of digits anywhere else in the string.
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+_MAX_EXPONENT = 4300
+
+
 def as_time(value: int | str | Fraction) -> Fraction:
     """Coerce an exact value (a time, u, c or a switch cost) to a Fraction.
 
-    Accepts ints, Fractions and strings ("7", "0.25", "16/3").  Floats and
-    bools are rejected: a float's binary value is rarely the decimal the
-    caller meant, and the model is exact by contract.  The result's parts
-    are Python ints, also for a numpy integer, which keeps its C-long type
-    inside a Fraction, so its products with a tick scale would overflow.
+    Accepts ints, Fractions and strings ("7", "0.25", "16/3", "1e-3").
+    Floats and bools are rejected: a float's binary value is rarely the
+    decimal the caller meant, and the model is exact by contract.  A string
+    whose exponent exceeds 4300 in absolute value raises a ValueError before
+    any power is built.  The result's parts are Python ints, also for a
+    numpy integer, which keeps its C-long type inside a Fraction, so its
+    products with a tick scale would overflow.
     """
     if type(value) is not Fraction:
         if isinstance(value, bool) or isinstance(value, float):
             raise TypeError(f"exact values must be an int, str or Fraction, "
                             f"not {type(value).__name__}")
+        if isinstance(value, str):
+            exponent = _EXPONENT.search(value)
+            if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
+                raise ValueError(f"exponent beyond ±{_MAX_EXPONENT}: {value!r}")
         value = Fraction(value)
     if type(value.numerator) is int and type(value.denominator) is int:
         return value  # the common case, without a call

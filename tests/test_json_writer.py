@@ -1,11 +1,12 @@
 """`socd.cli._write`, the one JSON writer, against the spelling it promises.
 
 The reference is `json.dumps(..., sort_keys=True, indent=2)` on plain
-values (`reference_json`): exact fractions as fraction strings, enums by their value,
-dataclasses as objects of their fields, mapping keys by `str`, and a table
-as a list of objects, each row cut to the header.  On nested values, on
-tables and on tables inside values, the writer must give that text byte for
-byte.
+values (`reference_json`): exact fractions as fraction strings, dataclasses
+as objects of their fields, and a table as a list of objects, each row cut
+to the header.  On the values socd writes (exact scalars, `str`-keyed
+mappings, lists, tuples, dataclasses and tables), nested, as table cells and
+as tables inside values, the writer must give that text byte for byte; any
+other type must raise a `TypeError`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import dataclasses
 import json
 import math
 from collections.abc import Mapping
-from enum import Enum
 from fractions import Fraction as F
 
 import numpy as np
@@ -31,11 +31,8 @@ from socd.simulation import HighwayParams, RingRoadParams
 
 SETTINGS = dict(max_examples=150, deadline=None, derandomize=True, database=None)
 
-ENUMS = list(MechanismKind) + list(SwitchKind)
 
-
-# Subclasses of the exact scalar types, which the writer reaches only through
-# its isinstance fallbacks.
+# Subclasses of the exact scalar types, which the writer does not write.
 class _Str(str):
     pass
 
@@ -48,9 +45,6 @@ class _Fraction(F):
     pass
 
 
-SUBCLASSED = [_Str("sub é"), _Int(-5), np.float64(0.1), np.float64("nan"),
-              _Fraction(-7, 3)]
-
 scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -58,11 +52,6 @@ scalars = st.one_of(
     st.floats(),  # NaN, the infinities, -0.0 and subnormals included
     st.text(),
     st.fractions(),
-    st.sampled_from(ENUMS),
-    st.text().map(_Str),
-    st.integers().map(_Int),
-    st.floats().map(np.float64),
-    st.fractions().map(lambda f: _Fraction(f.numerator, f.denominator)),
 )
 
 params = st.one_of(
@@ -80,7 +69,7 @@ values = st.recursive(
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
-        st.dictionaries(st.text() | st.integers(), inner, max_size=4),
+        st.dictionaries(st.text(), inner, max_size=4),
     ),
     max_leaves=20,
 )
@@ -127,13 +116,11 @@ def _plain(value):
     """`value` in the types `json` writes as the writer does."""
     if isinstance(value, F):
         return str(value)
-    if isinstance(value, Enum):
-        return value.value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: _plain(getattr(value, f.name))
                 for f in dataclasses.fields(value)}
     if isinstance(value, Mapping):
-        return {str(k): _plain(v) for k, v in value.items()}
+        return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     return value
@@ -145,11 +132,8 @@ def _plain(value):
 @example([math.inf, -math.inf, -0.0, 1e-320, 3**100])
 @example({"é": "ünïcödé ☃ 𝄞", "ctl": "\x00\x1f\x7f\n\t", "q": '"\\'})
 @example({"": {}, "a": [], "b": [{}, [[]], {"c": {}}]})
-@example({1: "int key", "1x": "str key", 10: 2, "9": 3})
 @example([True, False, None, F(-7, 3), F(4), F(-4), F(0)])
-@example(ENUMS)
-@example({"params": GameParams(u=F(3, 2), c=F(1, 3)), "kind": SwitchKind.ROTATION})
-@example(SUBCLASSED)
+@example({"params": GameParams(u=F(3, 2), c=F(1, 3)), "kind": "rotation"})
 def test_writer_matches_oracle_on_values(value):
     assert _result_json(value) == reference_json(value)
 
@@ -158,11 +142,10 @@ def test_writer_matches_oracle_on_values(value):
 @given(tables())
 @example(_Table(("a", "b"), [(1, F(1, 2), "cut"), (2, F(-3), "cut", "too")]))
 @example(_Table(("b", "a", "b"), [(1, 2, 3), (4, 5, 6, 7)]))
-@example(_Table(("%s", "%", "k"), [("%d", F(1, 3), MechanismKind.SINGLE_GAME)]))
-@example(_Table(("z",), [(math.nan,), (SwitchKind.FRONT_JOIN, "extra")]))
+@example(_Table(("%s", "%", "k"), [("%d", F(1, 3), "sg")]))
+@example(_Table(("z",), [(math.nan,), ("front_join", "extra")]))
 @example(_Table((), [(), (1,)]))
 @example(_Table(("a",), []))
-@example(_Table(("s", "i", "f", "n", "q"), [tuple(SUBCLASSED)] * 2))
 @example(_Table(("r", "n"), [(_THIRD, 1), (_THIRD, 2), (_THIRD, 3)]))
 @example(_Table(("h",), [(_HALVES[k % 2],) for k in range(5)]))
 @example(_Table(("v", "w"), [(1, 1), (True, 1), (1.0, 1), (1, True), (F(1), 1.0),
@@ -202,3 +185,26 @@ def test_an_unserializable_value_raises_jsons_type_error(value):
     with pytest.raises(TypeError, match="is not JSON serializable") as got:
         _result_json(value)
     assert str(got.value) == str(want.value)
+
+
+# Values the writer does not write: an enum member, subclasses of the exact
+# scalar types (numpy's float64 is one of float), in a table cell a list or
+# a dict, and an int key.  All but the key raise json's message.
+UNWRITTEN_SCALARS = [MechanismKind.SINGLE_GAME, SwitchKind.ROTATION, _Str("s"), _Int(1),
+                     _Fraction(1, 3), np.float64(0.5)]
+UNWRITTEN = (
+    [pytest.param({"v": [1, value]}, value, id=f"value-{type(value).__name__}")
+     for value in UNWRITTEN_SCALARS]
+    + [pytest.param(_Table(("v",), [(1,), (value,)]), value, id=f"cell-{type(value).__name__}")
+       for value in UNWRITTEN_SCALARS + [[1], {"a": 1}]]
+    + [pytest.param({"a": {1: "int key"}}, None, id="int-key")]
+)
+
+
+@pytest.mark.parametrize("doc, value", UNWRITTEN)
+def test_an_unwritten_type_raises_type_error(doc, value):
+    with pytest.raises(TypeError) as got:
+        _result_json(doc)
+    if value is not None:
+        name = type(value).__name__
+        assert str(got.value) == f"Object of type {name} is not JSON serializable"

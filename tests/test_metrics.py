@@ -186,3 +186,10 @@ def test_unsatisfied_fraction_is_strict():
     with pytest.raises(EmptySample):
         unsatisfied_fraction([])
 
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_unsatisfied_fraction_refuses_a_ratio_that_is_not_finite(bad):
+    # a NaN compares false with the threshold, so it was counted as satisfied
+    with pytest.raises(ValueError, match="finite"):
+        unsatisfied_fraction([bad, 2.0])
+

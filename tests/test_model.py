@@ -56,6 +56,19 @@ def test_as_time_accepts_exact_forms():
     assert as_time(F(5, 2)) == F(5, 2)
 
 
+@pytest.mark.parametrize("make", [lambda: as_time("1e4301"), lambda: as_time("-1E-4301"),
+                                  lambda: GameParams(u="1e-4301")],
+                         ids=["1e4301", "-1E-4301", "GameParams"])
+def test_as_time_refuses_an_exponent_beyond_4300_before_building_it(make):
+    # Fraction("1e999999999") would build 10**999999999 first
+    with pytest.raises(ValueError, match="exponent beyond"):
+        make()
+
+
+def test_as_time_builds_an_exponent_of_4300():
+    assert as_time("1e4300") == 10**4300
+
+
 @pytest.mark.parametrize("bad", [0.25, 1.0, True, False])
 def test_as_time_rejects_floats_and_bools(bad):
     with pytest.raises(TypeError):

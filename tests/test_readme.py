@@ -1,5 +1,6 @@
 """The README's library example runs and prints what its comments state,
-and its "How it is checked" table names test files that exist."""
+its "How it is checked" table names test files that exist, and its prose
+names every public name."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from collections.abc import Mapping
 from fractions import Fraction as F
 from pathlib import Path
 
+import socd
 from socd import ShareReport
 
 TESTS = Path(__file__).resolve().parent
@@ -53,3 +55,12 @@ def test_the_checks_table_names_files_under_tests():
     named = set(re.findall(r"`([\w.]+\.py)`", "\n".join(rows)))
     assert {"test_cli.py", "ring_oracle.py"} <= named
     assert sorted(name for name in named if not (TESTS / name).is_file()) == []
+
+
+def test_every_public_name_is_in_the_readme():
+    text = README.read_text(encoding="utf-8")
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.MULTILINE | re.DOTALL)
+    spans = re.findall(r"`([^`\n]+)`", prose)
+    named = {word for span in spans for word in re.findall(r"\w+", span)}
+    public = set(socd.__all__) - {"__version__"}
+    assert sorted(public - named) == []
