@@ -18,9 +18,13 @@ tuples and the params dataclasses; any other type is a `TypeError`.  It
 writes each table row as one string and a game's mechanisms one by one, as
 each finishes, and encodes a cell whose object is the one above it only
 once.  JSON records also carry `mechanism`, and only CSV share reports
-carry `rotations`.  A game's `efficiency` is the sum of its net utilities;
-pt's ledger rows are read from its per-segment entries.  Experiment
-`params` are parsed by the fields of their dataclass.
+carry `rotations`.  A game's tables are the rows its outcomes keep
+(`MechanismOutcome._period_rows` and the like), written as they are, with
+no schedule, report or ledger object built: pt's ledger row per realized
+segment is expanded to one row per payer as it is written.  A game's
+`efficiency` is the sum of its net utilities, one Fraction from their
+common-denominator numerators.  Experiment `params` are parsed by the
+fields of their dataclass.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
@@ -372,30 +376,29 @@ def _run_game(
         nets = net_utilities(outcome)
         # equals `efficiency(outcome.schedule, sweep, params)`: payments
         # are zero-sum and the rotation charges are the costed switches
-        eff = sum(nets.values())
-        shares = " ".join(f"{r.agent}={r.assigned}" for r in outcome.reports)
+        numerators, den = outcome._net_ticks
+        eff = Fraction(sum(numerators), den)
+        reports = outcome._report_rows
+        shares = " ".join(f"{agent}={assigned}" for agent, assigned, _, _ in reports)
         lines.append(f"{kind.value}: shares {shares}; efficiency {eff}")
 
-        schedule, rotated = outcome.schedule, outcome.rotation_costs
         tables = {
-            "schedule": _Table(("agent", "start", "stop"),
-                               map(attrgetter("agent", "start", "stop"), schedule.periods)),
-            "switches": _Table(
-                ("time", "outgoing", "incoming", "kind", "n_r", "cost"),
-                ((ev.time, ev.outgoing, ev.incoming, ev.kind.value, ev.n_r, ev.cost)
-                 for ev in schedule.switches),
-            ),
+            "schedule": _Table(("agent", "start", "stop"), outcome._period_rows),
+            "switches": _Table(("time", "outgoing", "incoming", "kind", "n_r", "cost"),
+                               outcome._switch_rows),
             "share_reports": _Table(
                 ("agent", "assigned", "ex_ante", "ex_post", "net_utility", "rotations"),
-                ((r.agent, r.assigned, r.ex_ante, r.ex_post, nets[r.agent],
-                  int(r.agent in rotated)) for r in outcome.reports),
+                ((agent, assigned, ante, post, nets[agent], int(rotated != 0))
+                 for (agent, assigned, ante, post), rotated
+                 in zip(reports, outcome._run.rotated)),
             ),
         }
-        if outcome.ledger is not None:
+        if outcome._payment_rows is not None:
             tables["ledger"] = _Table(
                 ("segment_start", "segment_end", "payer", "payee", "amount"),
-                ((p.segment.start, p.segment.end, payer, p.payee, p.amount)
-                 for p in outcome.ledger.payments for payer in p.payers),
+                ((start, end, payer, payee, amount)
+                 for start, end, payee, payers, amount in outcome._payment_rows
+                 for payer in payers),
             )
         if fmt == "csv":
             for name, table in tables.items():
@@ -407,7 +410,7 @@ def _run_game(
             # item 2).  The writer cuts each row to the shortened header.
             header, rows = tables["share_reports"]
             tables["share_reports"] = _Table(header[:-1], rows)
-            # written now: the rows read this mechanism's `nets` and `rotated`
+            # written now: the rows read this iteration's `outcome` and `nets`
             fragment = fragments[kind.value] = _Encoded()
             _write({"ledger": None, **tables, "efficiency": str(eff)},
                    _MECHANISM_PAD, fragment)

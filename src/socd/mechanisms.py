@@ -26,15 +26,19 @@ rotation charges, all exact.  A run has two layers.  Its tick core,
 `_drive(kind, ticks, ids)`, is the same for every mechanism: the loop and
 the claims, on the sweep's integer ticks, with no Fraction,
 `ActivePeriod`, `SwitchEvent` or payment.  So a run depends only on the
-mechanism and the sweep; u and c enter only in the faces.
+mechanism and the sweep; u and c enter only in the outcome's values.
 `MechanismOutcome(kind, shares, params)` runs the core once when it is
-built and keeps its `_Run`; each face (schedule, pt's ledger, lead shares,
-rotation costs) is built from that run, with its Fractions, on first read.
-Net utilities come from one tick formula (`_nets`): integer numerators
-over one denominator, which `net_utilities` turns into Fractions.  The
-core and `_nets` read only a sweep's ticks (`model._Ticks`) and the ids of
-its stream positions, so callers that need no outcome, such as the
-highway experiment, call them directly, with no `StreamShares`.
+built and keeps its `_Run`.  Each face's exact values are kept as rows of
+plain tuples, built from that run and the sweep's ticks on first read:
+periods, switches, pt's ledger (one row per realized segment) and the
+share reports.  The CLI writes those rows as they are; the public faces
+(`schedule`, `ledger`, `reports`, `lead_shares`) are built from the same
+rows on first read, so every value has one definition.  Net utilities
+come from one tick formula (`_nets`): integer numerators over one
+denominator, which `net_utilities` turns into Fractions.  The core and
+`_nets` read only a sweep's ticks (`model._Ticks`) and the ids of its
+stream positions, so callers that need no outcome, such as the highway
+experiment, call them directly, with no `StreamShares`.
 
 pt's ledger is kept per realized segment: one `Payment` holds the segment,
 its leader (the payee), the followers who pay it and the one amount each
@@ -139,18 +143,26 @@ class _Run(NamedTuple):
     rotated: list[int]
 
 
+# The cost of a switch that is not a rotation: a Fraction, as every cost is.
+_FREE = Fraction(0)
+
+
 @dataclass(frozen=True)
 class MechanismOutcome:
     """What mechanism `kind` (or its CLI spelling) produces on a stream or
     its sweep (`shares`, resolved by `stream_shares`) at `params`.
 
-    Building it runs the tick core once (`_drive`).  Its faces are built
-    from that run on first read, once each: `schedule` (a rotation costs
-    c * n_r), pt's `ledger` (None otherwise; its payments are divided out
-    here, one per realized segment), `lead_shares`, the realized
-    leading times, `rotation_costs`, and `reports`, which adds the sweep's
-    ex-ante/ex-post shares.  Two outcomes are equal when their kind, sweep
-    and params are, and `dataclasses.replace` runs the mechanism again.
+    Building it runs the tick core once (`_drive`).  Its exact values are
+    rows built from that run on first read, once each: `_period_rows`
+    (agent, start, stop), `_switch_rows` (time, outgoing, incoming, kind
+    value, n_r, cost; a rotation costs c * n_r), pt's `_payment_rows`
+    (start, end, payee, payers, amount per realized segment; None
+    otherwise) and `_report_rows` (agent, assigned, ex_ante, ex_post, the
+    shares with the c/u allowance).  The faces are built from those rows on
+    first read, once each: `schedule`, pt's `ledger` (None otherwise),
+    `reports`, `lead_shares`, the realized leading times, and
+    `rotation_costs`.  Two outcomes are equal when their kind, sweep and
+    params are, and `dataclasses.replace` runs the mechanism again.
     """
 
     kind: MechanismKind
@@ -166,45 +178,81 @@ class MechanismOutcome:
         object.__setattr__(self, "_run", _drive(kind, shares._ticks, ids))
 
     @cached_property
-    def schedule(self) -> Schedule:
+    def _period_rows(self) -> list[tuple[AgentId, Fraction, Fraction]]:
         # arrival and departure instants reuse the stream's Fractions
-        ids, time, c = [a.id for a in self.shares.stream], self.shares._time, self.params.c
-        return Schedule(
-            tuple(ActivePeriod(ids[k], time(b), time(e)) for k, b, e in self._run.periods),
-            tuple(
-                SwitchEvent(time(at), ids[out], ids[into], switch, n_r,
-                            c * n_r if switch is SwitchKind.ROTATION else 0)
-                for at, out, into, switch, n_r in self._run.switches
-            ),
-        )
+        ids, time = [a.id for a in self.shares.stream], self.shares._time
+        return [(ids[k], time(b), time(e)) for k, b, e in self._run.periods]
 
     @cached_property
-    def ledger(self) -> Ledger | None:
+    def _switch_rows(self) -> list[tuple[Fraction, AgentId, AgentId, str, int, Fraction]]:
+        ids, time, c = [a.id for a in self.shares.stream], self.shares._time, self.params.c
+        rotation = SwitchKind.ROTATION
+        return [(time(at), ids[out], ids[into], switch.value, n_r,
+                 c * n_r if switch is rotation else _FREE)
+                for at, out, into, switch, n_r in self._run.switches]
+
+    @cached_property
+    def _payment_rows(
+        self,
+    ) -> list[tuple[Fraction, Fraction, AgentId, tuple[AgentId, ...], Fraction]] | None:
         # in every realized segment each follower pays the leader
         # |seg| * u / n_seg, so a member's net is u * (lead - ex-post sum)
         if self.kind is not MechanismKind.PAYMENT_TRANSFER:
             return None
-        ticks, u = self.shares._ticks, self.params.u
+        ticks, time, u = self.shares._ticks, self.shares._time, self.params.u
         ids = [a.id for a in self.shares.stream]
         money = ticks.scale * u.denominator  # ledger unit: 1/(scale * u.den)
-        payments = []
+        rows = []
         periods = iter(self._run.periods)
         leader, _, stop = next(periods)
-        for seg, (begin, end), members in zip(self.shares.segments, ticks.bounds,
-                                              ticks.members):
+        for (begin, end), members in zip(ticks.bounds, ticks.members):
             while stop <= begin:  # the leader changes only at a segment start
                 leader, _, stop = next(periods)
             pay = _div((end - begin) * u.numerator, len(members))
             payers = tuple(ids[k] for k in members if k != leader)
-            payments.append(Payment(seg, ids[leader], payers, Fraction(pay, money)))
-        net = {ids[k]: Fraction(u.numerator * (led - ex), money)
-               for k, (led, ex) in enumerate(zip(self._run.led, ticks.ex_post))}
-        return Ledger(tuple(payments), net)
+            rows.append((time(begin), time(end), ids[leader], payers, Fraction(pay, money)))
+        return rows
+
+    @cached_property
+    def _report_rows(self) -> list[tuple[AgentId, Fraction, Fraction, Fraction]]:
+        # the allowance-shifted shares are the sweep's, shared by the
+        # outcomes of one game
+        scale = self.shares._ticks.scale
+        ante, post = self.shares._plus(self.params.c / self.params.u)
+        return [(a.id, Fraction(led, scale), x, y)
+                for a, led, x, y in zip(self.shares.stream, self._run.led, ante, post)]
+
+    @cached_property
+    def _net_ticks(self) -> tuple[list[int], int]:
+        """`_nets` of this run: numerators over one common denominator."""
+        return _nets(self.kind, self.shares._ticks, self._run, self.params.u, self.params.c)
+
+    @cached_property
+    def schedule(self) -> Schedule:
+        return Schedule(
+            tuple(ActivePeriod(*row) for row in self._period_rows),
+            tuple(SwitchEvent(at, out, into, SwitchKind(switch), n_r, cost)
+                  for at, out, into, switch, n_r, cost in self._switch_rows),
+        )
+
+    @cached_property
+    def ledger(self) -> Ledger | None:
+        rows = self._payment_rows
+        if rows is None:
+            return None
+        # each row is a segment of the sweep, whose own `Segment` it names
+        payments = tuple(Payment(seg, payee, payers, amount)
+                         for seg, (_, _, payee, payers, amount)
+                         in zip(self.shares.segments, rows))
+        ticks, u = self.shares._ticks, self.params.u
+        money = ticks.scale * u.denominator
+        net = {a.id: Fraction(u.numerator * (led - ex), money)
+               for a, led, ex in zip(self.shares.stream, self._run.led, ticks.ex_post)}
+        return Ledger(payments, net)
 
     @cached_property
     def lead_shares(self) -> Mapping[AgentId, Fraction]:
-        scale, stream = self.shares._ticks.scale, self.shares.stream
-        return {a.id: Fraction(led, scale) for a, led in zip(stream, self._run.led)}
+        return {agent: assigned for agent, assigned, _, _ in self._report_rows}
 
     @cached_property
     def rotation_costs(self) -> Mapping[AgentId, Fraction]:
@@ -213,16 +261,7 @@ class MechanismOutcome:
 
     @cached_property
     def reports(self) -> tuple[ShareReport, ...]:
-        allowance = self.params.c / self.params.u
-        return tuple(
-            ShareReport(
-                agent=a.id,
-                assigned=self.lead_shares[a.id],
-                ex_ante=self.shares.ex_ante[a.id] + allowance,
-                ex_post=self.shares.ex_post[a.id] + allowance,
-            )
-            for a in self.shares.stream
-        )
+        return tuple(ShareReport(*row) for row in self._report_rows)
 
 
 @dataclass(frozen=True)
@@ -418,6 +457,5 @@ def net_utilities(outcome: MechanismOutcome) -> dict[AgentId, Fraction]:
     Reads the outcome's own stream (`outcome.shares`) and `outcome.params`,
     and sums each utility in integers over one common denominator (`_nets`).
     """
-    params, shares = outcome.params, outcome.shares
-    nets, den = _nets(outcome.kind, shares._ticks, outcome._run, params.u, params.c)
-    return {a.id: Fraction(net, den) for a, net in zip(shares.stream, nets)}
+    nets, den = outcome._net_ticks
+    return {a.id: Fraction(net, den) for a, net in zip(outcome.shares.stream, nets)}

@@ -363,6 +363,25 @@ class StreamShares:
         return {self.stream[k].id: Fraction(ticks.ex_post[k], ticks.scale)
                 for k in ticks.by_leave}
 
+    @cached_property
+    def _allowed(self) -> dict[Fraction, tuple[list[Fraction], list[Fraction]]]:
+        """`_plus`'s last allowance and its sums."""
+        return {}
+
+    def _plus(self, allowance: Fraction) -> tuple[list[Fraction], list[Fraction]]:
+        """Every agent's ex-ante and ex-post sum plus `allowance` (a share
+        report's c/u), in stream order, each one Fraction from its ticks.
+        The sums of the last allowance asked are kept, so the outcomes of
+        one game build them once."""
+        memo = self._allowed
+        if allowance not in memo:
+            ticks, p, q = self._ticks, allowance.numerator, allowance.denominator
+            den, extra = ticks.scale * q, p * ticks.scale
+            memo.clear()
+            memo[allowance] = ([Fraction(t * q + extra, den) for t in ticks.ex_ante],
+                               [Fraction(t * q + extra, den) for t in ticks.ex_post])
+        return memo[allowance]
+
 
 @dataclass(frozen=True)
 class Violation:

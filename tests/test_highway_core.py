@@ -104,12 +104,14 @@ def _counting(built: Counter, name: str, cls):
 
 
 def _count_constructions(monkeypatch) -> Counter:
-    """Count what `socd.mechanisms` builds, by the names it looks up."""
+    """Count what `socd.mechanisms` builds, by the names it looks up, and
+    the `Segment`s that `socd.model` builds."""
     built: Counter = Counter()
-    for name in ("ActivePeriod", "SwitchEvent", "Schedule", "Payment", "Ledger",
-                 "MechanismOutcome", "Fraction"):
+    for name in ("ActivePeriod", "SwitchEvent", "Schedule", "ShareReport", "Payment",
+                 "Ledger", "MechanismOutcome", "Fraction"):
         cls = getattr(socd.mechanisms, name)
         monkeypatch.setattr(socd.mechanisms, name, _counting(built, name, cls))
+    monkeypatch.setattr(socd.model, "Segment", _counting(built, "Segment", Segment))
     return built
 
 
@@ -150,14 +152,13 @@ def test_the_construction_count_sees_an_outcome(monkeypatch):
     stream = sample_stream("uniform", np.random.default_rng(3), 8, 12)
     built = _count_constructions(monkeypatch)
     outcome = run_mechanism("pt", stream)
-    outcome.schedule, outcome.ledger  # built on first read
-    assert {"ActivePeriod", "SwitchEvent", "Schedule", "Payment", "Ledger",
-            "MechanismOutcome", "Fraction"} <= set(built)
+    outcome.schedule, outcome.ledger, outcome.reports  # built on first read
+    assert {"ActivePeriod", "SwitchEvent", "Schedule", "ShareReport", "Payment",
+            "Ledger", "Segment", "MechanismOutcome", "Fraction"} <= set(built)
 
 
 def test_highway_builds_no_segment(monkeypatch):
-    built: Counter = Counter()
-    monkeypatch.setattr(socd.model, "Segment", _counting(built, "Segment", Segment))
+    built = _count_constructions(monkeypatch)
     params = HighwayParams(n_stations=12, n_convoys=2, agents_per_convoy=8, seed=3)
     highway_experiment(params, ALL_KINDS)
     assert built == {}
