@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -74,10 +73,11 @@ def _require(values: Mapping[str, object], kind: type, what: str, *names: str) -
 _MAX_SIZE = 10**6
 
 
-# Upper bound on the ring road's estimated section count: a vehicle waits
-# about 1/join_probability laps of n_stations sections per participation.
-# A run at the bound took 13-22 s on a 2-core Xeon.
-_MAX_SECTIONS = 10**8
+# Upper bound on the ring road's estimated section count (a vehicle waits
+# about 1/join_probability laps of n_stations sections per participation)
+# and on its curve's vehicle reads (each checkpoint reads every vehicle).
+# A run at the section bound took 13-22 s on a 2-core Xeon.
+_MAX_STEPS = 10**8
 
 
 def _require_at_most(values: Mapping[str, object], *names: str) -> None:
@@ -113,14 +113,13 @@ class RingRoadParams:
 
     Stations sit one section apart on a ring; a single convoy slot cycles
     the ring forever (even while empty).  Parked vehicles rejoin with
-    `join_probability` whenever the convoy passes, ride a freshly sampled
-    trip distance (rounded up to the next station), and park again.  The
-    run stops once the mean number of completed participations per vehicle
+    `join_probability` whenever the convoy passes, ride ⌊u * n_stations⌋ + 1
+    sections for a fresh uniform draw u in [0, 1), and park again.  The run
+    stops once the mean number of completed participations per vehicle
     reaches the target.
     """
 
     n_stations: int = 100
-    road_length: float = 100.0
     n_vehicles: int = 100
     join_probability: float = 0.1
     target_mean_participations: float = 1000.0
@@ -130,23 +129,20 @@ class RingRoadParams:
     def __post_init__(self) -> None:
         _require(vars(self), numbers.Integral, "an integer", "n_stations", "n_vehicles",
                  "seed")
-        _require(vars(self), numbers.Real, "a real number", "road_length",
-                 "join_probability", "target_mean_participations", "curve_step")
+        _require(vars(self), numbers.Real, "a real number", "join_probability",
+                 "target_mean_participations", "curve_step")
         _require_seed(self.seed)
         _require_positive(vars(self), "n_stations", "n_vehicles")
         if not 0.0 <= self.join_probability <= 1.0:
             raise ValueError("join_probability must lie in [0, 1]")
-        for name in ("road_length", "target_mean_participations", "curve_step"):
+        for name in ("target_mean_participations", "curve_step"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.road_length <= 0 or self.curve_step <= 0:
-            raise ValueError("road_length and curve_step must be positive")
+        if self.curve_step <= 0:
+            raise ValueError("curve_step must be positive")
         if self.target_mean_participations <= 0:
             raise ValueError("target_mean_participations must be positive")
         _require_at_most(vars(self), "n_stations", "n_vehicles")
-        if self.road_length / self.n_stations < sys.float_info.min:
-            raise ValueError("road_length / n_stations (the section length) must be "
-                             f"at least {sys.float_info.min}")
         if self.target_mean_participations / self.curve_step > _MAX_SIZE:
             raise ValueError("target_mean_participations / curve_step (the "
                              f"checkpoint count) must be at most {_MAX_SIZE}")
@@ -154,10 +150,12 @@ class RingRoadParams:
             raise ValueError("target_mean_participations * n_vehicles (the "
                              f"record count) must be at most {_MAX_SIZE}")
         sections = self.target_mean_participations * self.n_stations
-        if self.join_probability > 0 and sections / self.join_probability > _MAX_SECTIONS:
+        if self.join_probability > 0 and sections / self.join_probability > _MAX_STEPS:
             raise ValueError("target_mean_participations * n_stations / join_probability"
-                             " (the estimated section count) must be at most "
-                             f"{_MAX_SECTIONS}")
+                             f" (the estimated section count) must be at most {_MAX_STEPS}")
+        if self.n_vehicles * self.target_mean_participations / self.curve_step > _MAX_STEPS:
+            raise ValueError("n_vehicles * target_mean_participations / curve_step (the "
+                             f"curve's vehicle reads) must be at most {_MAX_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -212,15 +210,10 @@ class ExperimentResult:
     first read.
     """
 
-    kind: str
     seed: int
     rows: tuple[tuple, ...]
     curve: ConvergenceCurve | None
     gini_cells: dict[str, float]
-    params: RingRoadParams | HighwayParams
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
 
     @cached_property
     def records(self) -> tuple[ParticipationRecord, ...]:
@@ -366,12 +359,7 @@ def highway_experiment(
     gini_cells = {m: gini(values) for m, values in ratios.items() if len(values) >= 2}
 
     return ExperimentResult(
-        kind="highway",
-        seed=params.seed,
-        rows=tuple(rows),
-        curve=None,
-        gini_cells=gini_cells,
-        params=params,
+        seed=params.seed, rows=tuple(rows), curve=None, gini_cells=gini_cells
     )
 
 
@@ -422,15 +410,16 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
 
     Random draws come in the same order as a plain per-section loop makes
     them (one double per parked candidate, then a permutation of several
-    same-visit joiners, then one trip length per joiner), so a seed gives
-    the same records and curve.  The doubles are drawn ahead in blocks,
-    with the ascending indices of those below the join probability (the
-    hits) beside them.  A block stays a numpy array: the loop reads a
-    double as a Python float only for a trip length, and a join draw only
-    through the hits.  A visit whose candidates' doubles hold no hit only
-    moves the block position past them; a join visit reads its joiners at
-    the hits and its trip lengths from the next doubles.  When those run past the end of the block, and
-    before a permutation, which reads the generator itself, the generator
+    same-visit joiners, then one trip double u per joiner, who rides
+    int(u * n_stations) + 1 sections), so a seed gives the same records and
+    curve.  The doubles are drawn ahead in blocks, with the ascending
+    indices of those below the join probability (the hits) beside them.  A
+    block stays a numpy array: the loop reads a double as a Python float
+    only for a trip, and a join draw only through the hits.  A visit whose
+    candidates' doubles hold no hit only moves the block position past
+    them; a join visit reads its joiners at the hits and its trips from the
+    next doubles.  When those run past the end of the block, and before a
+    permutation, which reads the generator itself, the generator
     is put back at the block position (the state saved where the block
     starts is restored and the consumed doubles drawn again) and a new
     block is drawn from there.
@@ -442,8 +431,6 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
     rng = np.random.default_rng(params.seed)
     n_stations, n_vehicles = params.n_stations, params.n_vehicles
     p = params.join_probability
-    road_length = params.road_length
-    section_length = road_length / n_stations
     rg = MechanismKind.REPEATED_GAME.value
 
     rows: list[tuple] = []
@@ -539,9 +526,8 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
                 if joiners:
                     # before the appends below: an empty `out` is still this
                     # station's bucket, which a full-lap trip joins
-                    parked[station] = [
-                        vid for vid in candidates if vid not in joiners
-                    ] + out
+                    taken = set(joiners)
+                    parked[station] = [vid for vid in candidates if vid not in taken] + out
                     if len(joiners) > 1 or pos + len(joiners) > len(buf):
                         # the permutation reads the generator itself, and the
                         # trip draws need a block that holds them: put the
@@ -558,12 +544,8 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
                         led_count[stack[-1]] += section - lead_start
                     lead_start = section
                     for vid in joiners:
-                        # rng.uniform(0.0, road_length) is 0.0 + road_length
-                        # * (next double), and adding 0.0 to the non-negative
-                        # product changes no bit
-                        trip = road_length * buf.item(pos)
+                        sections = int(buf.item(pos) * n_stations) + 1
                         pos += 1
-                        sections = int(trip // section_length) + 1
                         d = (station + sections) % n_stations
                         dest[vid] = d
                         exits[d].append(vid)
@@ -583,14 +565,7 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
     curve = ConvergenceCurve(
         points=tuple(points), band=tuple((y, y) for _, y in points)
     )
-    return ExperimentResult(
-        kind="ring_road",
-        seed=params.seed,
-        rows=tuple(rows),
-        curve=curve,
-        gini_cells={},
-        params=params,
-    )
+    return ExperimentResult(seed=params.seed, rows=tuple(rows), curve=curve, gini_cells={})
 
 
 def aggregate_curves(curves: Sequence[ConvergenceCurve]) -> ConvergenceCurve:

@@ -36,7 +36,6 @@ def ring_road_experiment(
     rng = np.random.default_rng(params.seed)
     n_stations, n_vehicles = params.n_stations, params.n_vehicles
     p = params.join_probability
-    section_length = params.road_length / n_stations
 
     records: list[ParticipationRecord] = []
     points: list[tuple[float, float]] = []
@@ -112,8 +111,7 @@ def ring_road_experiment(
                     order = rng.permutation(len(joiners))
                     joiners = [joiners[k] for k in order]
                 for vid in joiners:
-                    trip = rng.uniform(0.0, params.road_length)
-                    sections = int(trip // section_length) + 1
+                    sections = int(rng.random() * n_stations) + 1
                     dest[vid] = (station + sections) % n_stations
                     stack.append(vid)
                     join_cum[vid] = cum_inv

@@ -60,7 +60,7 @@ GAMES = {
 
 HIGHWAY = {"n_stations": 12, "n_convoys": 3, "agents_per_convoy": 3,
            "switch_cost": "1/2"}
-RING = {"n_stations": 10, "road_length": 10, "n_vehicles": 4,
+RING = {"n_stations": 10, "n_vehicles": 4,
         "target_mean_participations": 8, "curve_step": 2}
 
 RECORD_COLUMNS = ("convoy", "agent", "actual_lead", "epps", "ratio", "rotations",
@@ -196,7 +196,7 @@ def test_ring_artifacts_match_oracle(tmp_path, fmt, n_seeds):
     doc = {"experiment": "ring", "params": RING, "seed": 2, "seeds": n_seeds}
     got = _cli_run(tmp_path, doc, "--format", fmt)
     # number fields are floats
-    params = RingRoadParams(n_stations=10, road_length=10.0, n_vehicles=4,
+    params = RingRoadParams(n_stations=10, n_vehicles=4,
                             target_mean_participations=8.0, curve_step=2.0, seed=2)
     seeds = list(range(2, 2 + n_seeds))
     results = [ring_road_experiment(dataclasses.replace(params, seed=s)) for s in seeds]
@@ -239,7 +239,7 @@ CASES = [
 # Each field's type, and what that type makes of a JSON value it accepts.
 FIELD_TYPES = {
     "n_stations": int, "n_vehicles": int, "n_convoys": int, "agents_per_convoy": int,
-    "road_length": float, "join_probability": float,
+    "join_probability": float,
     "target_mean_participations": float, "curve_step": float,
     "switch_cost": Fraction, "configuration": str,
 }
@@ -304,9 +304,13 @@ def test_seed_inside_params_is_unknown(tmp_path, capsys, experiment):
 
 
 def test_first_bad_field_in_field_order_is_reported():
-    raw = {"n_vehicles": "x", "road_length": "x"}
-    with pytest.raises(CliError, match=r"^params\.road_length: expected a number$"):
-        cli._parse_params(RingRoadParams, raw, 0)
-    # field order, not ints first: the float field comes before the int one
+    # field order, not dict order: each scenario names the later field first
     names = [f.name for f in dataclasses.fields(RingRoadParams)]
-    assert names.index("road_length") < names.index("n_vehicles")
+    assert names.index("n_vehicles") < names.index("join_probability") < names.index(
+        "curve_step")
+    for raw, message in [
+        ({"curve_step": "x", "join_probability": "x"}, "join_probability: expected a number"),
+        ({"curve_step": "x", "n_vehicles": "x"}, "n_vehicles: expected an integer"),
+    ]:
+        with pytest.raises(CliError, match=f"^params\\.{message}$"):
+            cli._parse_params(RingRoadParams, raw, 0)

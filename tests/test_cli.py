@@ -55,7 +55,6 @@ RING_SCENARIO = {
     "experiment": "ring",
     "params": {
         "n_stations": 10,
-        "road_length": 10,
         "n_vehicles": 4,
         "target_mean_participations": 8,
         "curve_step": 2,
@@ -198,9 +197,8 @@ _CSV_REFUSAL = "holds a comma, a double quote, a CR or an LF"
         (None, ["--experiment", "ring", "--config", "uniform"],
          "--config only applies to the highway experiment"),
         (None, ["--experiment", "ring", "--bogus"], "unrecognized arguments: --bogus"),
-        ({"experiment": "ring", "params": {"road_length": 5e-324}}, [],
-         "params: road_length / n_stations (the section length) must be at least "
-         "2.2250738585072014e-308"),
+        ({"experiment": "ring", "params": {"road_length": 100}}, [],
+         "unknown key 'road_length' in params"),
         ({"agents": [dict(_A, id="a,b")]}, [],
          f"agents[0]: agent id 'a,b' {_CSV_REFUSAL}"),
         ({"agents": [_A, dict(_A, id='c"d\ne', arrive=1)]}, [],
@@ -211,7 +209,7 @@ _CSV_REFUSAL = "holds a comma, a double quote, a CR or an LF"
     ids=["no-agents", "agent-not-object", "missing-leave", "empty-window",
          "game-params-list", "experiment-params-list", "experiment-null",
          "scenario-list",
-         "ring-config", "unknown-flag", "ring-subnormal-section", "id-comma",
+         "ring-config", "unknown-flag", "ring-road-length", "id-comma",
          "id-quote-lf", "id-cr"],
 )
 def test_validation_branches_exit_1_with_their_message(tmp_path, capsys, doc, flags,
@@ -569,7 +567,6 @@ def test_ring_runs_under_rg_only(tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, value",
     [
-        ("road_length", math.inf),
         ("target_mean_participations", math.inf),
         ("target_mean_participations", math.nan),
         ("curve_step", math.nan),
@@ -587,7 +584,7 @@ def test_non_finite_ring_params_exit_1(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize(
-    "key", ["road_length", "join_probability", "target_mean_participations", "curve_step"]
+    "key", ["join_probability", "target_mean_participations", "curve_step"]
 )
 def test_ring_params_too_large_for_a_float_exit_1(tmp_path, capsys, key):
     # a 401-digit JSON integer: float() of it raised OverflowError, a traceback
@@ -603,6 +600,8 @@ LONG_RING = dict(RING_SCENARIO, params={**RING_SCENARIO["params"], "n_vehicles":
                                         "curve_step": 1000})
 SECTIONS = ("target_mean_participations * n_stations / join_probability (the "
             "estimated section count) must be at most 100000000")
+CURVE_READS = ("n_vehicles * target_mean_participations / curve_step (the curve's "
+               "vehicle reads) must be at most 100000000")
 
 
 @pytest.mark.parametrize(
@@ -624,13 +623,18 @@ SECTIONS = ("target_mean_participations * n_stations / join_probability (the "
         (dict(LONG_RING, params={**LONG_RING["params"], "curve_step": 1,
                                  "join_probability": 0.5}),
          "n_stations", 51, SECTIONS),
+        # one vehicle past the bound: (5**8 + 1) * 1 / 2**-8
+        (dict(RING_SCENARIO, params={**RING_SCENARIO["params"],
+                                     "target_mean_participations": 1,
+                                     "curve_step": 2**-8}),
+         "n_vehicles", 5**8 + 1, CURVE_READS),
         (HIGHWAY_SCENARIO, "n_stations", 10**20, "n_stations must be at most 1000000"),
         (HIGHWAY_SCENARIO, "n_convoys", 10**20, "n_convoys must be at most 1000000"),
         (HIGHWAY_SCENARIO, "n_convoys", 10**6, "n_convoys * agents_per_convoy (the "
          "record count per mechanism) must be at most 1000000"),
     ],
     ids=["ring-n_stations", "ring-n_vehicles", "ring-checkpoints", "ring-records",
-         "ring-rare-joins", "ring-long-road", "ring-sections",
+         "ring-rare-joins", "ring-long-road", "ring-sections", "ring-curve-reads",
          "highway-n_stations", "highway-n_convoys", "highway-records"],
 )
 def test_experiment_sizes_are_bounded(tmp_path, capsys, monkeypatch, base, key, value,
@@ -656,6 +660,8 @@ def test_experiment_sizes_at_the_bound_are_accepted():
                    target_mean_participations=1, curve_step=1)
     RingRoadParams(n_vehicles=1, target_mean_participations=10**6, curve_step=1,
                    join_probability=1.0)
+    # the curve's vehicle reads, 5**8 * 1 / 2**-8, exactly 10**8
+    RingRoadParams(n_vehicles=5**8, target_mean_participations=1, curve_step=2**-8)
     HighwayParams(n_stations=10**6, n_convoys=10**6, agents_per_convoy=1)
 
 
@@ -885,7 +891,7 @@ def assert_cli_contract(doc, fmt):
 
 # Odd values for any field: wrong types, out of range, non-finite, too large
 # for a float.  None of them is a size that runs long: each is refused, or
-# (a huge curve_step or road_length, a target of 1.5) runs as a small size.
+# (a huge curve_step, a target of 1.5) runs as a small size.
 _odd = st.sampled_from([-1, 0, 1.5, 2**70, 10**400, math.nan, math.inf, True, None,
                         "x", "1/2", "", [1], {}])
 # Sizes from ranges where a run takes milliseconds.  The fields that set a
@@ -893,8 +899,7 @@ _odd = st.sampled_from([-1, 0, 1.5, 2**70, 10**400, math.nan, math.inf, True, No
 # more; the others are optional.
 _RING = ({"n_stations": st.integers(1, 6), "n_vehicles": st.integers(1, 4),
           "target_mean_participations": st.integers(1, 4) | st.floats(0.5, 4)},
-         {"road_length": st.integers(1, 10) | st.floats(0.5, 10),
-          "join_probability": st.floats(0.2, 1) | st.sampled_from([0, 1]),
+         {"join_probability": st.floats(0.2, 1) | st.sampled_from([0, 1]),
           "curve_step": st.integers(1, 2) | st.floats(0.25, 2)})
 _HIGHWAY = ({"n_stations": st.integers(2, 12), "n_convoys": st.integers(1, 3),
              "agents_per_convoy": st.integers(1, 4)},

@@ -58,7 +58,7 @@ params = st.one_of(
     st.builds(GameParams, u=st.fractions(min_value=F(1, 100)),
               c=st.fractions(min_value=0)),
     st.sampled_from([HighwayParams(), HighwayParams(switch_cost=F(1, 3)),
-                     RingRoadParams(), RingRoadParams(road_length=math.pi)]),
+                     RingRoadParams(), RingRoadParams(curve_step=math.pi)]),
     st.builds(ParticipationRecord, agent=st.text() | st.integers(),
               convoy=st.integers(), actual_lead=st.floats(0, 1e6),
               epps=st.floats(1e-6, 1e6)),

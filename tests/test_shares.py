@@ -31,6 +31,13 @@ from socd import (
 # with denominators far beyond machine integers.
 DENOMINATORS = (1, 2, 3, 12, 10**9 + 7, 2**61 - 1)
 
+# Built once, not on every draw of `streams`: building a strategy costs more
+# than drawing from it.
+_DENOMINATOR = st.sampled_from(DENOMINATORS)
+_ARRIVAL = {d: st.integers(0, 40 * d) for d in DENOMINATORS}  # numerators
+_STAY = {d: st.integers(1, 10 * d) for d in DENOMINATORS}
+_BOOLEAN = st.booleans()
+
 
 @st.composite
 def streams(draw, min_agents: int = 1, max_agents: int = 24) -> list[AgentSpec]:
@@ -39,18 +46,18 @@ def streams(draw, min_agents: int = 1, max_agents: int = 24) -> list[AgentSpec]:
     n = draw(st.integers(min_agents, max_agents))
     arrivals: list[F] = []
     while len(arrivals) < n:
-        d = draw(st.sampled_from(DENOMINATORS))
-        t = F(draw(st.integers(0, 40 * d)), d)
+        d = draw(_DENOMINATOR)
+        t = F(draw(_ARRIVAL[d]), d)
         if t not in arrivals:
             arrivals.append(t)
     agents = []
     for k, arrive in enumerate(arrivals):
         later = sorted(t for t in arrivals if t > arrive)
-        if later and draw(st.booleans()):
+        if later and draw(_BOOLEAN):
             leave = draw(st.sampled_from(later))
         else:
-            d = draw(st.sampled_from(DENOMINATORS))
-            leave = arrive + F(draw(st.integers(1, 10 * d)), d)
+            d = draw(_DENOMINATOR)
+            leave = arrive + F(draw(_STAY[d]), d)
         agents.append(AgentSpec(f"v{k}", arrive, leave))
     return agents
 

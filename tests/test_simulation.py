@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -43,22 +42,7 @@ def test_ring_params_validation():
         RingRoadParams(target_mean_participations=-1.0)
 
 
-@pytest.mark.parametrize("road_length, n_stations", [(5e-324, 100), (1e-320, 1000),
-                                                    (sys.float_info.min, 2)])
-def test_ring_params_refuse_a_subnormal_section_length(road_length, n_stations):
-    # road_length / n_stations underflowed to 0.0 (a ZeroDivisionError in the
-    # run) or to a subnormal (trips of more than one lap)
-    with pytest.raises(ValueError, match=r"^road_length / n_stations \(the section "
-                                         r"length\) must be at least 2\.2250738585"):
-        RingRoadParams(road_length=road_length, n_stations=n_stations)
-    params = RingRoadParams(road_length=sys.float_info.min * n_stations,
-                            n_stations=n_stations)
-    assert params.road_length / n_stations == sys.float_info.min
-
-
-@pytest.mark.parametrize(
-    "field", ["road_length", "target_mean_participations", "curve_step"]
-)
+@pytest.mark.parametrize("field", ["target_mean_participations", "curve_step"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_ring_params_must_be_finite(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -116,8 +100,7 @@ def test_highway_switch_cost_accepts_rationals(value):
 
 @pytest.mark.parametrize("value", ["5", "0.5", True, None, F(1, 2) * 1j])
 @pytest.mark.parametrize(
-    "field", ["road_length", "join_probability", "target_mean_participations",
-              "curve_step"],
+    "field", ["join_probability", "target_mean_participations", "curve_step"]
 )
 def test_ring_float_fields_must_be_real_numbers(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be a real number"):
@@ -125,9 +108,9 @@ def test_ring_float_fields_must_be_real_numbers(field, value):
 
 
 def test_ring_float_fields_accept_ints_and_numpy_floats():
-    params = RingRoadParams(road_length=5, join_probability=np.float64(0.25),
+    params = RingRoadParams(join_probability=np.float64(0.25),
                             target_mean_participations=np.float32(4), curve_step=2)
-    assert (params.road_length, params.join_probability) == (5, 0.25)
+    assert (params.join_probability, params.curve_step) == (0.25, 2)
     assert (params.target_mean_participations, params.curve_step) == (4, 2)
 
 
@@ -268,7 +251,6 @@ def test_highway_single_rider_gets_exact_share():
     assert [r.net_utility for r in result.records] == [0.0] * 3
     assert result.gini_cells == {}  # one record per cell is not a sample
     assert result.curve is None
-    assert result.kind == "highway"
 
 
 def test_highway_experiment_is_reproducible():
@@ -314,7 +296,6 @@ def test_ring_road_without_joins_is_empty():
 def test_ring_road_solo_vehicle_always_leads_its_own_share():
     params = RingRoadParams(
         n_stations=10,
-        road_length=10.0,
         n_vehicles=1,
         join_probability=1.0,
         target_mean_participations=20.0,
@@ -358,7 +339,6 @@ def test_ring_road_accounting_invariants():
 RING_PARAMS = st.builds(
     RingRoadParams,
     n_stations=st.integers(1, 13),
-    road_length=st.sampled_from((0.001, 1.0, 7.5, 100.0)),
     n_vehicles=st.integers(1, 40),
     join_probability=st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0)),
     target_mean_participations=st.sampled_from((0.5, 2.0, 6.0)),
@@ -389,15 +369,15 @@ def ring_exact(params):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(RING_PARAMS)
 # one station: every trip is a full lap, leaving at the visit after joining
-@example(RingRoadParams(n_stations=1, road_length=1.0, n_vehicles=3,
+@example(RingRoadParams(n_stations=1, n_vehicles=3,
                         join_probability=0.5, target_mean_participations=6.0,
                         curve_step=1.0))
 # everyone joins at once: same-visit joiners go through the permutation
-@example(RingRoadParams(n_stations=3, road_length=3.0, n_vehicles=40,
+@example(RingRoadParams(n_stations=3, n_vehicles=40,
                         join_probability=1.0, target_mean_participations=6.0,
                         curve_step=0.05))
 # two vehicles leaving together cross four checkpoints in one batch
-@example(RingRoadParams(n_stations=2, road_length=2.0, n_vehicles=2,
+@example(RingRoadParams(n_stations=2, n_vehicles=2,
                         join_probability=1.0, target_mean_participations=6.0,
                         curve_step=0.25, seed=3))
 def test_ring_road_matches_per_section_oracle(params):
@@ -409,13 +389,13 @@ def test_ring_road_matches_per_section_oracle(params):
 @pytest.mark.parametrize("block", [1, 2, 3, 7])
 @settings(max_examples=75, deadline=None, derandomize=True, database=None)
 @given(RING_PARAMS)
-@example(RingRoadParams(n_stations=1, road_length=1.0, n_vehicles=3,
+@example(RingRoadParams(n_stations=1, n_vehicles=3,
                         join_probability=0.5, target_mean_participations=6.0,
                         curve_step=1.0))
-@example(RingRoadParams(n_stations=3, road_length=3.0, n_vehicles=40,
+@example(RingRoadParams(n_stations=3, n_vehicles=40,
                         join_probability=1.0, target_mean_participations=6.0,
                         curve_step=0.05))
-@example(RingRoadParams(n_stations=2, road_length=2.0, n_vehicles=2,
+@example(RingRoadParams(n_stations=2, n_vehicles=2,
                         join_probability=1.0, target_mean_participations=6.0,
                         curve_step=0.25, seed=3))
 def test_ring_road_buffer_edges_match_oracle(block, params):
@@ -427,7 +407,7 @@ def test_ring_road_buffer_edges_match_oracle(block, params):
 
 def test_ring_road_builds_its_records_once_on_first_read(record_counts):
     built, checked = record_counts
-    params = RingRoadParams(n_stations=10, road_length=10.0, n_vehicles=6,
+    params = RingRoadParams(n_stations=10, n_vehicles=6,
                             target_mean_participations=20.0, curve_step=5.0, seed=4)
     result = ring_road_experiment(params)
     assert built == []
@@ -454,7 +434,7 @@ def test_ring_road_buffer_stays_bounded_without_permutations(monkeypatch):
         return out
 
     monkeypatch.setattr(simulation, "_draws", spy)
-    params = RingRoadParams(n_stations=5, road_length=5.0, n_vehicles=1,
+    params = RingRoadParams(n_stations=5, n_vehicles=1,
                             join_probability=0.3, target_mean_participations=300.0,
                             curve_step=50.0)
     result = ring_road_experiment(params)
