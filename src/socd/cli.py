@@ -15,16 +15,16 @@ sorted keys, two-space indent, ASCII escapes, ints and floats by repr, and
 `NaN` and `Infinity` as `json` spells them.  It writes exact `str`, `int`,
 `float`, `bool`, `None` and `Fraction` values, `str`-keyed mappings, lists,
 tuples and the params dataclasses; any other type is a `TypeError`.  It
-writes each table row as one string and a game's mechanisms one by one, as
-each finishes, and encodes a cell whose object is the one above it only
-once.  JSON records also carry `mechanism`, and only CSV share reports
-carry `rotations`.  A game's tables are the rows its outcomes keep
-(`MechanismOutcome._period_rows` and the like), written as they are, with
-no schedule, report or ledger object built: pt's ledger row per realized
-segment is expanded to one row per payer as it is written.  A game's
-`efficiency` is the sum of its net utilities, one Fraction from their
-common-denominator numerators.  Experiment `params` are parsed by the
-fields of their dataclass.
+writes each table row as one string and a game's document in one pass,
+after its last mechanism has run, and encodes a cell whose object is the
+one above it only once.  JSON records also carry `mechanism`, and only CSV
+share reports carry `rotations`.  A game's tables are the rows its
+outcomes keep (`MechanismOutcome._period_rows` and the like), written as
+they are, with no schedule, report or ledger object built: pt's ledger row
+per realized segment is expanded to one row per payer as it is written.
+A game's `efficiency` is the sum of its net utilities, one Fraction from
+their common-denominator numerators.  Experiment `params` are parsed by
+the fields of their dataclass.
 """
 
 from __future__ import annotations
@@ -77,11 +77,6 @@ class _Table(NamedTuple):
     rows: Iterable[tuple[Any, ...]]
 
 
-class _Encoded(list):
-    """JSON text already written, in pieces, at the indent of the place it
-    goes in."""
-
-
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -111,16 +106,14 @@ def _write(value: Any, pad: str, out: list[str]) -> None:
     `pad` (a newline, then two spaces a level).
 
     Writes the values socd writes: the exact types in `_SCALARS` (a Fraction
-    as a fraction string), `_Encoded` text, a `_Table` as an array with one
-    object per row, dataclasses (the experiment params) and mappings with
-    `str` keys as objects (keys sorted), and lists and tuples as arrays.
+    as a fraction string), a `_Table` as an array with one object per row,
+    dataclasses (the experiment params) and mappings with `str` keys as
+    objects (keys sorted), and lists and tuples as arrays.
     Any other value is a `TypeError`.
     """
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
         out.append(scalar(value))
-    elif type(value) is _Encoded:
-        out.extend(value)
     elif type(value) is _Table:
         _write_table(value, pad, out)
     elif dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -351,9 +344,6 @@ def _result_json(doc: Any) -> str:
     return "".join(out)
 
 
-# Where a mechanism's object sits in a game's result.json: two levels down.
-_MECHANISM_PAD = "\n    "
-
 # A game's result.json `params` still carries `ca` and `charge_all_switches`
 # at the only values they ever had, though `GameParams` has neither field:
 # dropping them changes every games result.json, so it waits with the other
@@ -369,7 +359,7 @@ def _run_game(
 ) -> tuple[list[str], dict[str, str]]:
     lines: list[str] = []
     artifacts: dict[str, str] = {}
-    fragments: dict[str, _Encoded] = {}
+    documents: dict[str, Any] = {}
     sweep = stream_shares(agents)
     for kind in mechanisms:
         outcome = run_mechanism(kind, sweep, params)
@@ -388,9 +378,9 @@ def _run_game(
                                outcome._switch_rows),
             "share_reports": _Table(
                 ("agent", "assigned", "ex_ante", "ex_post", "net_utility", "rotations"),
-                ((agent, assigned, ante, post, nets[agent], int(rotated != 0))
+                [(agent, assigned, ante, post, nets[agent], int(rotated != 0))
                  for (agent, assigned, ante, post), rotated
-                 in zip(reports, outcome._run.rotated)),
+                 in zip(reports, outcome._run.rotated)],
             ),
         }
         if outcome._payment_rows is not None:
@@ -410,14 +400,11 @@ def _run_game(
             # item 2).  The writer cuts each row to the shortened header.
             header, rows = tables["share_reports"]
             tables["share_reports"] = _Table(header[:-1], rows)
-            # written now: the rows read this iteration's `outcome` and `nets`
-            fragment = fragments[kind.value] = _Encoded()
-            _write({"ledger": None, **tables, "efficiency": str(eff)},
-                   _MECHANISM_PAD, fragment)
+            documents[kind.value] = {"ledger": None, **tables, "efficiency": str(eff)}
     if fmt == "json":
         game_params = {"c": params.c, "u": params.u, **_RETIRED_GAME_PARAMS}
         artifacts["result.json"] = _result_json(
-            {"scenario": "game", "params": game_params, "mechanisms": fragments})
+            {"scenario": "game", "params": game_params, "mechanisms": documents})
     return lines, artifacts
 
 

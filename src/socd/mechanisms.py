@@ -264,35 +264,12 @@ class MechanismOutcome:
         return tuple(ShareReport(*row) for row in self._report_rows)
 
 
-@dataclass(frozen=True)
-class _Policy:
-    """What sets one mechanism apart; `_drive` runs everything else.
-
-    Arrivals join the queue in front (`newest_first`) or in
-    (t_leave, t_arrive) order.  With `claims`, a member rotates behind the
-    queue once it has led its ex-ante share; without, nobody rotates, and
-    the departures and the arrival at one instant are one step with one
-    switch.  `adjust` lets each arrival cut the unfinished members' claims.
-    """
-
-    newest_first: bool = False
-    claims: bool = False
-    adjust: bool = False
-
-
-_POLICIES = {
-    MechanismKind.PAYMENT_TRANSFER: _Policy(),
-    MechanismKind.REPEATED_GAME: _Policy(newest_first=True),
-    MechanismKind.SINGLE_GAME: _Policy(claims=True),
-    MechanismKind.SINGLE_GAME_DYNAMIC: _Policy(claims=True, adjust=True),
-}
-
 _DEPART, _ARRIVE, _ROTATE = range(3)  # priority at equal instants
 
 
 def _drive(kind: MechanismKind, ticks: _Ticks, ids: Sequence[AgentId]) -> _Run:
-    """The tick core of every mechanism: run `kind`'s convoy (its
-    `_POLICIES` entry) over a sweep's events.
+    """The tick core of every mechanism: run `kind`'s convoy over a
+    sweep's events.
 
     At one instant the departures go first, then the arrival, then any due
     rotation.  The queue's front member leads; once every member has
@@ -303,7 +280,14 @@ def _drive(kind: MechanismKind, ticks: _Ticks, ids: Sequence[AgentId]) -> _Run:
     first.  Members are stream positions, named by `ids` in errors, and
     times are ticks.
     """
-    policy = _POLICIES[kind]
+    # rg's arrivals take the front; the others queue by (t_leave, t_arrive).
+    # sg and sg-da claim: a member rotates behind the queue once it has led
+    # its ex-ante share.  Without a claim (pt, rg) nobody rotates, and the
+    # departures and the arrival at one instant are one step with one
+    # switch.  sg-da's arrivals also cut the unfinished members' claims.
+    newest_first = kind is MechanismKind.REPEATED_GAME
+    adjust = kind is MechanismKind.SINGLE_GAME_DYNAMIC
+    claims = adjust or kind is MechanismKind.SINGLE_GAME
     arrive, leave, by_leave = ticks.arrive, ticks.leave, ticks.by_leave
     n = len(arrive)
     queue: list[int] = []  # unfinished members in the mechanism's order
@@ -319,7 +303,7 @@ def _drive(kind: MechanismKind, ticks: _Ticks, ids: Sequence[AgentId]) -> _Run:
         t_next, action = leave[by_leave[j]], _DEPART
         if i < n and arrive[i] < t_next:
             t_next, action = arrive[i], _ARRIVE
-        if policy.claims and queue:
+        if claims and queue:
             front = queue[0]
             if t + remaining[front] < t_next:
                 t_next, action = t + remaining[front], _ROTATE
@@ -338,17 +322,17 @@ def _drive(kind: MechanismKind, ticks: _Ticks, ids: Sequence[AgentId]) -> _Run:
             queue[:] = [m for m in queue if m not in gone]
             finished[:] = [m for m in finished if m not in gone]
             # an emptied convoy re-forming at once is one handover either way
-            merge = not policy.claims or not (queue or finished)
+            merge = not claims or not (queue or finished)
             if merge and i < n and arrive[i] == t_next:
                 action = _ARRIVE
         if action == _ARRIVE:
             joined = i
             i += 1
-            if policy.newest_first:
+            if newest_first:
                 queue.insert(0, joined)
             else:  # by departure, then arrival
                 bisect.insort(queue, joined, key=lambda m: (leave[m], m))
-            if policy.adjust:
+            if adjust:
                 _relieve(joined, queue, leave, remaining, ticks.cuts[joined])
         elif action == _ROTATE:
             rotator = queue.pop(0)
@@ -367,15 +351,15 @@ def _drive(kind: MechanismKind, ticks: _Ticks, ids: Sequence[AgentId]) -> _Run:
             if pre is not None and post is not None:
                 n_r = len(queue) + len(finished)
                 if leave[pre] == t_next:
-                    kind = SwitchKind.LEADER_LEAVE
+                    switch = SwitchKind.LEADER_LEAVE
                 elif action == _ROTATE:
-                    kind = SwitchKind.ROTATION
+                    switch = SwitchKind.ROTATION
                     rotated[pre] += n_r  # each rotator pays for its rotations
                 elif arrive[post] == t_next:
-                    kind = SwitchKind.FRONT_JOIN
+                    switch = SwitchKind.FRONT_JOIN
                 else:
                     raise RuntimeError("leader changed without a matching event")
-                switches.append((t_next, pre, post, kind, n_r))
+                switches.append((t_next, pre, post, switch, n_r))
             start = t_next
         t = t_next
 

@@ -399,14 +399,16 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
     `curve_step` of mean participations, the fraction of vehicles whose
     cumulative lead exceeds their cumulative share by more than 10%.
 
-    The loop is event-driven.  A joiner is filed in the exit bucket of its
-    destination station, so a visit finds its exits without scanning the
-    convoy, and the stack is rebuilt only at a visit where someone exits.
-    The front vehicle is credited its run of led sections, and 1/n is
-    recomputed, only when the convoy changes (a join or an exit).  The
-    running share sum still gains 1/n once per section, in section order:
-    the shares are float differences of that sum, so adding in bulk would
-    round differently.
+    The loop is event-driven.  The convoy is one insertion-ordered dict
+    from each rider, in join order, to its ride so far: [share sum at
+    join, section at join, sections led].  The leader is the last entry.
+    A joiner is also filed in the exit bucket of its destination station,
+    so a visit finds its exits without scanning the convoy and removes
+    only its own riders.  The leader is credited its run of led sections,
+    and 1/n is recomputed, only when the convoy changes (a join or an
+    exit).  The running share sum still gains 1/n once per section, in
+    section order: the shares are float differences of that sum, so adding
+    in bulk would round differently.
 
     Random draws come in the same order as a plain per-section loop makes
     them (one double per parked candidate, then a permutation of several
@@ -440,16 +442,14 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
         parked: list[list[int]] = [[] for _ in range(n_stations)]
         for vid, st in enumerate(rng.integers(0, n_stations, size=n_vehicles)):
             parked[int(st)].append(vid)
-        # exits[s]: the riders leaving at station s, in join (= stack) order
+        # exits[s]: the riders leaving at station s, in join order
         exits: list[list[int]] = [[] for _ in range(n_stations)]
 
-        stack: list[int] = []  # stack[-1] is the front of the convoy
-        dest = [0] * n_vehicles
-        join_cum = [0.0] * n_vehicles
-        join_section = [0] * n_vehicles
-        led_count = [0] * n_vehicles
-        lead_start = 0  # section from which stack[-1] has led uncredited
-        # 1/len(stack); 0.0 while the convoy is empty, where adding it to
+        # rider -> [cum_inv at join, section at join, sections led], in
+        # join order: the last entry leads
+        convoy: dict[int, list] = {}
+        lead_start = 0  # section from which the leader has led uncredited
+        # 1/len(convoy); 0.0 while the convoy is empty, where adding it to
         # cum_inv leaves the sum unchanged
         inv = 0.0
         cum_inv = 0.0  # running sum of 1/n over sections with a non-empty convoy
@@ -477,20 +477,20 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
                 if out:
                     exits[station] = []
                     section = lap + station
-                    led_count[stack[-1]] += section - lead_start
+                    next(reversed(convoy.values()))[2] += section - lead_start
                     lead_start = section
                     for vid in out:
-                        actual = float(led_count[vid])
-                        epps = cum_inv - join_cum[vid]
-                        aboard = section - join_section[vid]
+                        joined_cum, joined_section, led = convoy.pop(vid)
+                        actual = float(led)
+                        epps = cum_inv - joined_cum
+                        aboard = section - joined_section
                         _check_record(vid, total_records, actual, epps)
                         rows.append((vid, total_records, actual, epps, actual / epps,
                                      rg, 0, float(aboard) - actual))
                         cum_actual[vid] += actual
                         cum_epps[vid] += epps
                         total_records += 1
-                    stack = [vid for vid in stack if dest[vid] != station]
-                    inv = 1.0 / len(stack) if stack else 0.0
+                    inv = 1.0 / len(convoy) if convoy else 0.0
                     while (
                         next_checkpoint <= params.target_mean_participations
                         and total_records / n_vehicles >= next_checkpoint
@@ -540,22 +540,17 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
                         snapshot, buf, hits = _draws(rng, p, len(joiners))
                         pos = h = 0
                     section = lap + station
-                    if stack:
-                        led_count[stack[-1]] += section - lead_start
+                    if convoy:
+                        next(reversed(convoy.values()))[2] += section - lead_start
                     lead_start = section
                     for vid in joiners:
                         sections = int(buf.item(pos) * n_stations) + 1
                         pos += 1
-                        d = (station + sections) % n_stations
-                        dest[vid] = d
-                        exits[d].append(vid)
-                        stack.append(vid)
-                        join_cum[vid] = cum_inv
-                        join_section[vid] = section
-                        led_count[vid] = 0
+                        exits[(station + sections) % n_stations].append(vid)
+                        convoy[vid] = [cum_inv, section, 0]
                     while hits[h] < pos:  # trip draws below p are not hits
                         h += 1
-                    inv = 1.0 / len(stack)
+                    inv = 1.0 / len(convoy)
                 elif out:
                     parked[station] = candidates + out
 

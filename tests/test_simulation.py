@@ -5,7 +5,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 import ring_oracle
 from highway_oracle import ENTRY_OFFSET
 
+import socd
 from socd import (
     ConvergenceCurve,
     HighwayParams,
@@ -380,6 +385,11 @@ def ring_exact(params):
 @example(RingRoadParams(n_stations=2, n_vehicles=2,
                         join_probability=1.0, target_mean_participations=6.0,
                         curve_step=0.25, seed=3))
+# 910 records: whole stations exit from the middle of the convoy, and the
+# leader exits while others ride on
+@example(RingRoadParams(n_stations=7, n_vehicles=300,
+                        join_probability=1.0, target_mean_participations=3.0,
+                        curve_step=1.0))
 def test_ring_road_matches_per_section_oracle(params):
     assert ring_exact(params) == exact(*ring_oracle.ring_road_experiment(params))
 
@@ -443,6 +453,23 @@ def test_ring_road_buffer_stays_bounded_without_permutations(monkeypatch):
     assert all(size == expected for size, expected in sizes)
     assert exact(result.records, result.curve) == exact(
         *ring_oracle.ring_road_experiment(params))
+
+
+def test_a_large_convoy_finishes_in_time():
+    # 10**5 vehicles at 10**5 stations all join, and riders exit at most
+    # visits of a long convoy: an exit that walked the whole convoy made
+    # this quadratic.  In a subprocess, so a regression fails on the
+    # timeout instead of hanging the suite.
+    code = (
+        "from socd import RingRoadParams, ring_road_experiment\n"
+        "params = RingRoadParams(n_stations=100_000, n_vehicles=100_000,"
+        " join_probability=1.0, target_mean_participations=1.0, curve_step=1.0)\n"
+        "print(len(ring_road_experiment(params).rows))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(socd.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "100000\n", "")
 
 
 # -------------------------------------------------------------- aggregation
