@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from numbers import Rational
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -328,12 +329,12 @@ def _drive(kind: MechanismKind, ticks: _Ticks, ids: Sequence[AgentId]) -> _Run:
         if action == _ARRIVE:
             joined = i
             i += 1
+            if adjust:
+                _relieve(queue, leave, remaining, ticks.cuts[joined])
             if newest_first:
                 queue.insert(0, joined)
             else:  # by departure, then arrival
                 bisect.insort(queue, joined, key=lambda m: (leave[m], m))
-            if adjust:
-                _relieve(joined, queue, leave, remaining, ticks.cuts[joined])
         elif action == _ROTATE:
             rotator = queue.pop(0)
             if remaining[rotator] != 0:
@@ -367,7 +368,6 @@ def _drive(kind: MechanismKind, ticks: _Ticks, ids: Sequence[AgentId]) -> _Run:
 
 
 def _relieve(
-    newcomer: int,
     queue: Sequence[int],
     leave: Sequence[int],
     remaining: list[int],
@@ -376,13 +376,14 @@ def _relieve(
     """Dynamic adjustment: cut the unfinished members' `remaining` in place.
 
     Members are stream positions, `leave` their departures and `remaining`
-    their claims, all in ticks.  `cuts` is the newcomer's ex-ante cut as
-    the sweep recorded it at the arrival (`model._Ticks.cuts`).  The share
-    the newcomer absorbs in each (start, end, n_seg) segment of it,
-    (end - start) / n_seg, is split evenly among the other `queue` members
-    still available after `start`, clamped at zero.  The tick scale makes
-    each split a whole number of ticks: n_seg and the pool size are both at
-    most the peak number present.
+    their claims, all in ticks.  `queue` holds the unfinished members a
+    newcomer finds, and `cuts` is the newcomer's ex-ante cut as the sweep
+    recorded it at the arrival (`model._Ticks.cuts`).  The share the
+    newcomer absorbs in each (start, end, n_seg) segment of it,
+    (end - start) / n_seg, is split evenly among the `queue` members still
+    available after `start`, clamped at zero.  The tick scale makes each
+    split a whole number of ticks: n_seg and the pool size are both at most
+    the peak number present.
 
     Clamps compose (max(0, max(0, x - a) - b) = max(0, x - a - b) for
     a, b >= 0), so each member is cut once by the sum of its pools' cuts.
@@ -390,16 +391,13 @@ def _relieve(
     it: the cut is added where that suffix starts and summed in one walk,
     O(segments + pool) instead of O(segments * pool).
     """
-    pool = [m for m in queue if m != newcomer]
-    departures = [leave[m] for m in pool]
-    steps = [0] * len(pool)  # cut that starts at each pool index
+    departures = [leave[m] for m in queue]
+    steps = [0] * len(queue)  # cut that starts at each queue index
     for start, end, n_seg in cuts:
         first = bisect.bisect_right(departures, start)  # departs after `start`
-        if first < len(pool):
-            steps[first] += _div(end - start, n_seg * (len(pool) - first))
-    cut = 0
-    for m, step in zip(pool, steps):
-        cut += step
+        if first < len(queue):
+            steps[first] += _div(end - start, n_seg * (len(queue) - first))
+    for m, cut in zip(queue, accumulate(steps)):
         if cut:
             remaining[m] = max(0, remaining[m] - cut)
 

@@ -433,11 +433,10 @@ def validate_stream(agents: Iterable[AgentSpec]) -> list[AgentSpec]:
     return stream
 
 
-def _availability_union(agents: Iterable[AgentSpec]) -> list[tuple[Time, Time]]:
-    """Merged intervals during which at least one agent is available."""
-    windows = sorted((a.t_arrive, a.t_leave) for a in agents)
+def _union(intervals: Iterable[tuple[Time, Time]]) -> list[tuple[Time, Time]]:
+    """The intervals sorted, with those that overlap or touch merged."""
     merged: list[tuple[Time, Time]] = []
-    for start, end in windows:
+    for start, end in sorted(intervals):
         if merged and start <= merged[-1][1]:
             merged[-1] = (merged[-1][0], max(merged[-1][1], end))
         else:
@@ -445,11 +444,15 @@ def _availability_union(agents: Iterable[AgentSpec]) -> list[tuple[Time, Time]]:
     return merged
 
 
+def _stream(agents: Iterable[AgentSpec] | StreamShares) -> Sequence[AgentSpec]:
+    """A sweep's own stream, else `agents` validated, without a sweep."""
+    return agents.stream if isinstance(agents, StreamShares) else validate_stream(agents)
+
+
 def game_duration(agents: Iterable[AgentSpec] | StreamShares) -> Fraction:
     """Total time with at least one available agent."""
-    if isinstance(agents, StreamShares):
-        agents = agents.stream
-    return sum((end - start for start, end in _availability_union(agents)), Fraction(0))
+    windows = _union((a.t_arrive, a.t_leave) for a in _stream(agents))
+    return sum((end - start for start, end in windows), Fraction(0))
 
 
 def _ante_cut(
@@ -637,7 +640,7 @@ def efficiency(
     sum((n_seg - 1) * |seg| * u) minus total switch costs.  Active time is
     summed per agent in one pass over the periods.
     """
-    stream = agents.stream if isinstance(agents, StreamShares) else validate_stream(agents)
+    stream = _stream(agents)
     led: dict[AgentId, Fraction] = {}
     for p in schedule.periods:
         led[p.agent] = led.get(p.agent, Fraction(0)) + p.length
@@ -669,7 +672,7 @@ def validate_schedule(
     available, and every boundary between different agents carries a
     consistent chain of switch events (exactly one in the common case).
     """
-    stream = agents.stream if isinstance(agents, StreamShares) else validate_stream(agents)
+    stream = _stream(agents)
     roster = {a.id: a for a in stream}
     violations: list[Violation] = []
 
@@ -695,22 +698,20 @@ def validate_schedule(
             )
 
     # Uncovered availability: holes strictly between periods are gaps,
-    # anything at the edges (or with no periods at all) is idle time.
-    union = _availability_union(stream)
-    covered = [(p.start, p.stop) for p in periods if p.stop > p.start]
+    # anything at the edges (or with no periods at all) is idle time.  It is
+    # the windows' union minus the periods' union; merged into the windows,
+    # each period lies inside one stretch, so one pointer walks them all.
+    busy = _union((p.start, p.stop) for p in periods if p.stop > p.start)
     uncovered: list[tuple[Time, Time]] = []
-    for a_start, a_end in union:
-        cursor = a_start
-        for c_start, c_stop in covered:
-            if c_stop <= cursor or c_start >= a_end:
-                continue
-            if c_start > cursor:
-                uncovered.append((cursor, min(c_start, a_end)))
-            cursor = max(cursor, c_stop)
-            if cursor >= a_end:
-                break
-        if cursor < a_end:
-            uncovered.append((cursor, a_end))
+    j = 0
+    for start, end in _union([*((a.t_arrive, a.t_leave) for a in stream), *busy]):
+        while j < len(busy) and busy[j][0] < end:
+            if start < busy[j][0]:
+                uncovered.append((start, busy[j][0]))
+            start = busy[j][1]
+            j += 1
+        if start < end:
+            uncovered.append((start, end))
     first_start = periods[0].start if periods else None
     last_stop = periods[-1].stop if periods else None
     for start, end in uncovered:

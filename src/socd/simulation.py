@@ -80,6 +80,12 @@ _MAX_SIZE = 10**6
 _MAX_STEPS = 10**8
 
 
+# Upper bound on the highway's switch cost, the CLI's bound on any exact
+# value, so a run's net utilities, which subtract the switch cost times a
+# convoy size, convert to finite floats.
+_MAX_SWITCH_COST = 10**100
+
+
 def _require_at_most(values: Mapping[str, object], *names: str) -> None:
     for name in names:
         if values[name] > _MAX_SIZE:
@@ -136,7 +142,11 @@ class RingRoadParams:
         if not 0.0 <= self.join_probability <= 1.0:
             raise ValueError("join_probability must lie in [0, 1]")
         for name in ("target_mean_participations", "curve_step"):
-            if not math.isfinite(getattr(self, name)):
+            try:
+                finite = math.isfinite(getattr(self, name))
+            except OverflowError:  # an int past the largest float
+                finite = False
+            if not finite:
                 raise ValueError(f"{name} must be finite")
         if self.curve_step <= 0:
             raise ValueError("curve_step must be positive")
@@ -186,6 +196,8 @@ class HighwayParams:
             raise ValueError(f"switch_cost must be an int or a Fraction, not {cost!r}")
         if cost < 0:
             raise ValueError(f"switch_cost must be non-negative, not {cost}")
+        if cost >= _MAX_SWITCH_COST:
+            raise ValueError("switch_cost must be below 10**100")
         # an int or a Fraction of ints stays as given; a numpy integer would overflow
         object.__setattr__(self, "switch_cost",
                            int(cost) if isinstance(cost, numbers.Integral) else as_time(cost))

@@ -3,10 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import schedule_oracle
+import socd
 
 from socd import (
     ActivePeriod,
@@ -23,6 +32,7 @@ from socd import (
     StreamShares,
     SwitchKind,
     UnknownAgent,
+    Violation,
     as_time,
     eas_segments,
     efficiency,
@@ -37,8 +47,9 @@ from socd import (
     validate_schedule,
     validate_stream,
 )
-from socd.model import _availability_union
+from socd.model import _union
 from conftest import S1, random_stream
+from test_shares import streams
 
 
 def seg(start, end, members) -> Segment:
@@ -200,11 +211,19 @@ def test_validate_stream_rejects_ids_that_print_alike():
 
 
 def test_availability_union_and_duration():
-    assert _availability_union(S1) == [(F(0), F(20))]
+    assert _union((a.t_arrive, a.t_leave) for a in S1) == [(F(0), F(20))]
     assert game_duration(S1) == F(20)
     gap = [AgentSpec("a", 0, 4), AgentSpec("b", 6, 9)]
-    assert _availability_union(gap) == [(F(0), F(4)), (F(6), F(9))]
+    assert _union((a.t_arrive, a.t_leave) for a in gap) == [(F(0), F(4)), (F(6), F(9))]
     assert game_duration(gap) == F(7)
+    assert _union([(F(4), F(5)), (F(0), F(2)), (F(2), F(3))]) == [(F(0), F(3)), (F(4), F(5))]
+
+
+def test_game_duration_validates_a_raw_stream():
+    with pytest.raises(EmptyStream):
+        game_duration([])
+    with pytest.raises(ValueError, match="^duplicate agent id 'a'$"):
+        game_duration([AgentSpec("a", 0, 1), AgentSpec("a", 0, 2)])
 
 
 def test_stream_segments_cut_at_every_event():
@@ -441,6 +460,75 @@ def test_validate_schedule_flags_idle_available_time(s1):
         v.kind == "inactive_available_time" and v.start == F(0) and v.end == F(2)
         for v in flagged
     )
+
+
+def test_validate_schedule_flags_trailing_idle_time(s1):
+    def idle(start, end):
+        return Violation("inactive_available_time", F(start), F(end), None,
+                         "available time with no active agent")
+
+    assert validate_schedule(Schedule((), ()), s1) == [idle(0, 20)]
+    short = Schedule((ActivePeriod("a1", 0, 4), ActivePeriod("a2", 4, 16)), ())
+    assert validate_schedule(short, s1) == [idle(16, 20)]
+
+
+@st.composite
+def audits(draw):
+    """A stream with holes and a schedule whose periods may name unknown
+    agents, lie outside every window, overlap or have zero length."""
+    stream = draw(streams(max_agents=7))
+    instants = sorted({t for a in stream for t in (a.t_arrive, a.t_leave)})
+    time = st.sampled_from(instants) | st.integers(-4, 104).map(lambda k: F(k, 2))
+    agent = st.sampled_from([a.id for a in stream] + ["zz"])
+    periods = []
+    for _ in range(draw(st.integers(0, 8))):
+        start, stop = sorted((draw(time), draw(time)))
+        periods.append(ActivePeriod(draw(agent), start, stop))
+    return stream, Schedule(tuple(periods), ())
+
+
+# b leads across the hole [4, 6), zz outside every window, a for no time
+HOLEY_AUDIT = (
+    [AgentSpec("a", 0, 4), AgentSpec("b", 6, 9)],
+    Schedule((ActivePeriod("b", 3, 7), ActivePeriod("zz", 10, 12),
+              ActivePeriod("a", 1, 1)), ()),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(audits())
+@example(HOLEY_AUDIT)
+@example(([AgentSpec("a", 0, 4), AgentSpec("b", 6, 9)], Schedule((), ())))
+def test_uncovered_time_matches_its_definition(case):
+    stream, schedule = case
+    found = [(v.kind, v.start, v.end) for v in validate_schedule(schedule, stream)
+             if v.kind in ("gap", "inactive_available_time")]
+    assert found == schedule_oracle.uncovered(schedule, stream)
+
+
+def test_fixed_audit_example_is_the_case_it_names():
+    stream, schedule = HOLEY_AUDIT
+    # a's empty period covers nothing but starts the schedule at 1
+    assert schedule_oracle.uncovered(schedule, stream) == [
+        ("inactive_available_time", F(0), F(3)), ("gap", F(7), F(9)),
+    ]
+
+
+def test_a_long_schedule_audits_in_time():
+    # 10**5 one-agent windows [2i, 2i + 1), each led by its agent: an audit
+    # that rescanned every period for every stretch was quadratic.  In a
+    # subprocess, so a regression fails on the timeout instead of hanging
+    # the suite.
+    code = (
+        "from socd import ActivePeriod, AgentSpec, Schedule, validate_schedule\n"
+        "stream = [AgentSpec(i, 2 * i, 2 * i + 1) for i in range(100_000)]\n"
+        "periods = [ActivePeriod(i, 2 * i, 2 * i + 1) for i in range(100_000)]\n"
+        "print(validate_schedule(Schedule(periods, ()), stream))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(socd.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_validate_schedule_audits_switch_chains_when_present(s1):

@@ -48,7 +48,8 @@ def test_ring_params_validation():
 
 
 @pytest.mark.parametrize("field", ["target_mean_participations", "curve_step"])
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan,
+                                   pytest.param(10**400, id="10**400")])
 def test_ring_params_must_be_finite(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         RingRoadParams(**{field: value})
@@ -101,6 +102,18 @@ def test_highway_switch_cost_must_be_a_non_negative_rational(value, message):
 @pytest.mark.parametrize("value", [0, 2, F(1, 3), np.int64(1)])
 def test_highway_switch_cost_accepts_rationals(value):
     assert HighwayParams(switch_cost=value).switch_cost == value
+
+
+@pytest.mark.parametrize("value", [10**100, 10**400, F(10**101 + 1, 3)],
+                         ids=["10**100", "10**400", "(10**101+1)/3"])
+def test_highway_switch_cost_must_be_below_10_to_the_100(value):
+    with pytest.raises(ValueError, match=r"^switch_cost must be below 10\*\*100$"):
+        HighwayParams(n_convoys=2, switch_cost=value)
+
+
+def test_highway_switch_cost_just_below_the_bound_runs():
+    result = highway_experiment(HighwayParams(n_convoys=2, switch_cost=10**100 - 1))
+    assert min(r.net_utility for r in result.records) == pytest.approx(-7e100)
 
 
 @pytest.mark.parametrize("value", ["5", "0.5", True, None, F(1, 2) * 1j])

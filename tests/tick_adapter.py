@@ -16,7 +16,8 @@ from socd.mechanisms import _relieve
 
 
 def relieve(newcomer, queue, remaining, cuts) -> None:
-    """`_relieve` on exact values; `remaining` is updated in place."""
+    """`_relieve` on exact values; `remaining` is updated in place.  The
+    newcomer may be in `queue`; `_relieve` is handed the other members."""
     members = list(queue)
     values = [m.t_leave for m in members] + [remaining[m.id] for m in members]
     values += [t for start, end, _ in cuts for t in (start, end)]
@@ -27,11 +28,9 @@ def relieve(newcomer, queue, remaining, cuts) -> None:
     def tick(value) -> int:
         return int(Fraction(value) * scale)
 
-    position = {m.id: k for k, m in enumerate(members)}
     claims = [tick(remaining[m.id]) for m in members]
     _relieve(
-        position.get(newcomer.id, -1),
-        range(len(members)),
+        [k for k, m in enumerate(members) if m.id != newcomer.id],
         [tick(m.t_leave) for m in members],
         claims,
         [(tick(start), tick(end), n_seg) for start, end, n_seg in cuts],
