@@ -34,7 +34,6 @@ from .model import (
     EmptyStream,
     EmptyWindow,
     GameParams,
-    InvalidPresentSet,
     Schedule,
     Segment,
     ShareReport,
@@ -77,7 +76,6 @@ __all__ = [
     "EmptyStream",
     "EmptyWindow",
     "GameParams",
-    "InvalidPresentSet",
     "Schedule",
     "Segment",
     "ShareReport",

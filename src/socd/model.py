@@ -8,7 +8,8 @@ and the schedule validity and efficiency accounting shared by every
 mechanism.  One event sweep per stream (`StreamShares`, built from the
 stream alone) reads off every decomposition: as it walks, it records each
 realized segment's members and each arrival's ex-ante cut, which
-`segments`, pt's ledger and sg-da read.
+`segments`, pt's ledger, sg-da and the per-agent readers (`eas_segments`,
+`eps_segments`, `ex_ante_share`, `ex_post_share`) read.
 
 Every public time and share is an exact `fractions.Fraction`; floats
 belong to the metrics and reporting layers.  Inside, the sweep and the
@@ -52,7 +53,6 @@ __all__ = [
     "EmptyStream",
     "EmptyWindow",
     "DuplicateArrival",
-    "InvalidPresentSet",
     "UnknownAgent",
     "validate_stream",
     "game_duration",
@@ -120,10 +120,6 @@ class DuplicateArrival(ValueError):
     def __init__(self, first: AgentId, second: AgentId):
         self.agents = (first, second)
         super().__init__(f"agents {first!r} and {second!r} arrive at the same instant")
-
-
-class InvalidPresentSet(ValueError):
-    """A listed agent is not actually available at the reference instant."""
 
 
 class UnknownAgent(ValueError):
@@ -456,16 +452,15 @@ def game_duration(agents: Iterable[AgentSpec] | StreamShares) -> Fraction:
 
 
 def _ante_cut(
-    start: Time, end: Time, leaves: Sequence[Time]
-) -> Iterator[tuple[Time, Time, int]]:
-    """Walk the ex-ante cut of the window [start, end).
+    start: int, end: int, leaves: Sequence[int]
+) -> Iterator[tuple[int, int, int]]:
+    """Walk the ex-ante cut of the window [start, end), in the sweep's ticks.
 
     `leaves` holds the departures of the agents present at `start`, in
     ascending order; all lie after `start` and one of them is `end`.  Each
     known departure inside the window cuts, so this yields (s, e, i) per
     segment, whose members are the present agents at positions i: of
-    `leaves` (those leaving at e or later).  Times may be Fractions or the
-    sweep's integer ticks.
+    `leaves` (those leaving at e or later).
     """
     i = 0
     while leaves[i] < end:
@@ -559,27 +554,34 @@ def stream_segments(agents: Sequence[AgentSpec]) -> list[Segment]:
     return list(stream_shares(agents).segments)
 
 
-def eas_segments(agent: AgentSpec, present: Iterable[AgentSpec]) -> list[Segment]:
+def _find(agent: AgentSpec, all_agents: Iterable[AgentSpec]) -> tuple[StreamShares, int]:
+    """The sweep of `all_agents` and `agent`'s position in its stream, found
+    by its arrival; `UnknownAgent` unless the stream holds `agent`, window
+    and all."""
+    shares = stream_shares(all_agents)
+    k = bisect.bisect_left(shares.stream, agent.t_arrive, key=lambda a: a.t_arrive)
+    if shares.stream[k:k + 1] != (agent,):
+        raise UnknownAgent(agent.id)
+    return shares, k
+
+
+def eas_segments(agent: AgentSpec, all_agents: Iterable[AgentSpec]) -> list[Segment]:
     """Ex-ante segmentation of `agent`'s window, as known at its arrival.
 
-    `present` is the set of agents available at agent.t_arrive, including
-    the agent itself.  Within the window, only the departures of present
-    agents are known in advance, so those are the only cut points; the
-    member count is non-increasing across the returned segments.
+    Within the window, only the departures of the agents present at
+    agent.t_arrive are known in advance, so those are the only cut points
+    (the sweep's recorded cut); the member count is non-increasing across
+    the returned segments.  Those agents alone give the same segments.
+    `agent` must be in the stream, window and all (else `UnknownAgent`).
+    A raw stream is validated and swept again on every call; a caller that
+    reads many agents passes `stream_shares(all_agents)` instead.
     """
-    members = sorted(present, key=lambda p: p.t_leave)
-    if not any(p.id == agent.id for p in members):
-        raise InvalidPresentSet(f"present set must include agent {agent.id!r}")
-    for p in members:
-        if not p.available_at(agent.t_arrive):
-            raise InvalidPresentSet(
-                f"agent {p.id!r} is not available at t={agent.t_arrive}"
-            )
-    leaves = [p.t_leave for p in members]
-    return [
-        Segment(s, e, frozenset(p.id for p in members[i:]))
-        for s, e, i in _ante_cut(agent.t_arrive, agent.t_leave, leaves)
-    ]
+    shares, k = _find(agent, all_agents)
+    ticks, time = shares._ticks, shares._time
+    # of the agents arrived by then, those leaving at e or later are e's members
+    arrived = list(zip(shares.stream[:k + 1], ticks.leave))
+    return [Segment(time(s), time(e), frozenset(a.id for a, t in arrived if t >= e))
+            for s, e, _ in ticks.cuts[k]]
 
 
 def eps_segments(agent: AgentSpec, all_agents: Iterable[AgentSpec]) -> list[Segment]:
@@ -591,9 +593,7 @@ def eps_segments(agent: AgentSpec, all_agents: Iterable[AgentSpec]) -> list[Segm
     A raw stream is validated and swept again on every call; a caller that
     reads many agents passes `stream_shares(all_agents)` instead.
     """
-    shares = stream_shares(all_agents)
-    if agent not in shares.stream:
-        raise UnknownAgent(agent.id)
+    shares, _ = _find(agent, all_agents)
     return [
         seg for seg in shares.segments
         if agent.t_arrive <= seg.start and seg.end <= agent.t_leave
@@ -602,15 +602,16 @@ def eps_segments(agent: AgentSpec, all_agents: Iterable[AgentSpec]) -> list[Segm
 
 def ex_ante_share(
     agent: AgentSpec,
-    present: Iterable[AgentSpec],
+    all_agents: Iterable[AgentSpec],
     params: GameParams = GameParams(),
 ) -> Fraction:
-    """Proportional share promised at arrival: sum of |seg|/n_seg plus c/u."""
-    total = sum(
-        (seg.length / len(seg.members) for seg in eas_segments(agent, present)),
-        Fraction(0),
-    )
-    return total + params.c / params.u
+    """Proportional share promised at arrival: |seg|/n_seg over the ex-ante
+    segments plus c/u.  `agent` must be in the stream, window and all (else
+    `UnknownAgent`).  A raw stream is validated and swept again on every
+    call; a caller that reads many agents passes `stream_shares(all_agents)`
+    instead."""
+    shares, _ = _find(agent, all_agents)
+    return shares.ex_ante[agent.id] + params.c / params.u
 
 
 def ex_post_share(
@@ -622,9 +623,7 @@ def ex_post_share(
     c/u.  `agent` must be in the stream, window and all (else `UnknownAgent`).
     A raw stream is validated and swept again on every call; a caller that
     reads many agents passes `stream_shares(all_agents)` instead."""
-    shares = stream_shares(all_agents)
-    if agent not in shares.stream:
-        raise UnknownAgent(agent.id)
+    shares, _ = _find(agent, all_agents)
     return shares.ex_post[agent.id] + params.c / params.u
 
 

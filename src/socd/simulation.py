@@ -107,10 +107,18 @@ def _require_configuration(configuration: str) -> None:
         raise ValueError("configuration must be 'uniform' or 'bimodal'")
 
 
+def _shown(value: numbers.Rational) -> str:
+    """`value` as printed, unless CPython refuses to print its 4300+ digits."""
+    try:
+        return str(value)
+    except ValueError:
+        return "a number of more than 4300 digits"
+
+
 def _require_seed(seed: int) -> None:
     # numpy would reject it later without naming the seed
     if seed < 0:
-        raise ValueError(f"seed must be non-negative, not {seed}")
+        raise ValueError(f"seed must be non-negative, not {_shown(seed)}")
 
 
 @dataclass(frozen=True)
@@ -195,7 +203,7 @@ class HighwayParams:
         if isinstance(cost, bool) or not isinstance(cost, numbers.Rational):
             raise ValueError(f"switch_cost must be an int or a Fraction, not {cost!r}")
         if cost < 0:
-            raise ValueError(f"switch_cost must be non-negative, not {cost}")
+            raise ValueError(f"switch_cost must be non-negative, not {_shown(cost)}")
         if cost >= _MAX_SWITCH_COST:
             raise ValueError("switch_cost must be below 10**100")
         # an int or a Fraction of ints stays as given; a numpy integer would overflow
@@ -306,13 +314,15 @@ def sample_stream(
     order), with each time as an exact `Fraction`; the highway itself
     keeps the times as integer ticks.  `configuration` is 'uniform' or
     'bimodal', `n_agents` a positive integer and `n_stations` an integer of
-    at least 2 (a ValueError otherwise, before anything is drawn).
+    at least 2, neither above 10**6 (a ValueError otherwise, before
+    anything is drawn).
     """
     sizes = {"n_agents": n_agents, "n_stations": n_stations}
     _require(sizes, numbers.Integral, "an integer", *sizes)
     _require_configuration(configuration)
     _require_stations(n_stations)
     _require_positive(sizes, "n_agents")
+    _require_at_most(sizes, *sizes)
     ids, arrive, leave = _sample_ticks(configuration, rng, n_agents, n_stations)
     return [AgentSpec(i, Fraction(t_arrive, _STATION_TICKS), t_leave // _STATION_TICKS)
             for i, t_arrive, t_leave in zip(ids, arrive, leave)]

@@ -24,7 +24,6 @@ from socd import (
     EmptyStream,
     EmptyWindow,
     GameParams,
-    InvalidPresentSet,
     MechanismKind,
     Schedule,
     Segment,
@@ -94,6 +93,17 @@ def test_game_params_and_switch_costs_reject_floats_and_bools(bad):
         with pytest.raises(TypeError, match="^exact values must be an int, str or "
                                             f"Fraction, not {type(bad).__name__}$"):
             make()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n_r", -1, "^n_r must be non-negative$"),
+    ("cost", -1, "^switch cost must be non-negative$"),
+    ("cost", "-1/2", "^switch cost must be non-negative$"),
+])
+def test_switch_events_reject_negative_sizes_and_costs(field, value, message):
+    fields = {"n_r": 2, "cost": F(1), field: value}
+    with pytest.raises(ValueError, match=message):
+        SwitchEvent(F(1), "a", "b", SwitchKind.ROTATION, **fields)
 
 
 @pytest.mark.parametrize("np_int", [np.int64, np.int32])
@@ -263,11 +273,24 @@ def test_eas_segments_cut_only_at_known_departures(s1):
 
 
 def test_eas_segments_reject_bad_present_set(s1):
+    # ex-ante readers take a stream and find the agent like the ex-post ones
     a1, a2, a3 = s1
-    with pytest.raises(InvalidPresentSet):
-        eas_segments(a2, [a1])  # the agent itself is missing
-    with pytest.raises(InvalidPresentSet):
-        eas_segments(a2, [a1, a2, a3])  # a3 has not arrived at t=4
+    a = AgentSpec("a", 0, 10)
+    for read in (eas_segments, ex_ante_share):
+        with pytest.raises(UnknownAgent, match="'a2'"):
+            read(a2, [a1])  # the agent itself is missing
+        # an IndexError, then 10: another agent named a with another window
+        for other in (AgentSpec("a", 0, 5), AgentSpec("a", 0, 15)):
+            with pytest.raises(UnknownAgent, match="'a'"):
+                read(a, [other])
+        # once 7: two agents named b
+        with pytest.raises(ValueError, match="^duplicate agent id 'b'$"):
+            read(a, [a, AgentSpec("b", -2, 4), AgentSpec("b", -1, 6)])
+    # a3 has not arrived at t=4, and b has left: a stream cuts by those present
+    assert eas_segments(a2, [a1, a2, a3]) == eas_segments(a2, [a1, a2])
+    x, gone, later = AgentSpec("x", 4, 10), AgentSpec("b", 0, 4), AgentSpec("c", 6, 8)
+    assert eas_segments(x, [gone, x, later]) == [seg(4, 10, {"x"})]
+    assert ex_ante_share(x, [gone, x, later]) == F(6)  # once refused: b had left
 
 
 def test_eps_segments_include_later_arrivals(s1):

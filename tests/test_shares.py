@@ -179,8 +179,10 @@ def test_public_readers_match_per_agent_rescans(stream, params):
         eas = oracle.eas_segments(a, present)
         eps = oracle.eps_segments(a, stream)
         assert eas_segments(a, present) == eas
+        assert eas_segments(a, stream) == eas
         assert eps_segments(a, stream) == eps
         assert ex_ante_share(a, present, params) == oracle.segment_sum(eas) + allowance
+        assert ex_ante_share(a, stream, params) == oracle.segment_sum(eas) + allowance
         assert ex_post_share(a, stream, params) == oracle.segment_sum(eps) + allowance
 
 

@@ -92,6 +92,11 @@ def test_params_counts_and_seeds_must_be_integers(params, field, value):
         ("1", "an int or a Fraction"),
         (-1, "non-negative"),
         (F(-1, 2), "non-negative"),
+        # these two printed no field: CPython refuses to print 5000 digits
+        pytest.param(-10**5000, "non-negative, not a number of more than 4300 digits$",
+                     id="-10**5000-non-negative"),
+        pytest.param(F(-10**5000, 3), "non-negative, not a number of more than 4300 "
+                     "digits$", id="-10**5000/3-non-negative"),
     ],
 )
 def test_highway_switch_cost_must_be_a_non_negative_rational(value, message):
@@ -133,9 +138,11 @@ def test_ring_float_fields_accept_ints_and_numpy_floats():
 
 
 @pytest.mark.parametrize("params", [HighwayParams, RingRoadParams])
-@pytest.mark.parametrize("seed", [-1, np.int64(-3)])
+@pytest.mark.parametrize("seed", [-1, np.int64(-3), pytest.param(-10**5000, id="-10**5000")])
 def test_params_reject_negative_seeds(params, seed):
-    with pytest.raises(ValueError, match=f"^seed must be non-negative, not {seed}$"):
+    # -10**5000 printed no field: CPython refuses to print 5000 digits
+    shown = seed if seed > -10**4300 else "a number of more than 4300 digits"
+    with pytest.raises(ValueError, match=f"^seed must be non-negative, not {shown}$"):
         params(seed=seed)
 
 
@@ -242,10 +249,15 @@ def test_sample_stream_refuses_an_unknown_configuration():
     ({"n_agents": -1}, "^n_agents must be positive$"),
     ({"n_agents": 2.5}, "^n_agents must be an integer, not 2.5$"),
     ({"n_stations": 2.5}, "^n_stations must be an integer, not 2.5$"),
+    ({"n_agents": 10**6 + 1}, "^n_agents must be at most 1000000$"),
+    ({"n_agents": 10**5000}, "^n_agents must be at most 1000000$"),
+    ({"n_stations": 10**6 + 1}, "^n_stations must be at most 1000000$"),
 ])
 def test_sample_stream_refuses_bad_sizes_before_drawing(sizes, message):
     # n_stations=1 redrew 1000 times, then raised a RuntimeError; n_agents
-    # 0 or -1 gave [], 2.5 a TypeError in `range`; n_stations=2.5 drew
+    # 0 or -1 gave [], 2.5 a TypeError in `range`; n_stations=2.5 drew;
+    # 10**6+1 agents drew them all before the station capacity refused
+    # them, 10**5000 drew until memory ran out
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match=message):

@@ -121,9 +121,14 @@ def test_a_run_walks_each_ex_ante_cut_once(monkeypatch, kind):
 
 
 def test_the_cut_count_sees_a_walk(monkeypatch):
-    # the guard above counts the walks that `eas_segments` makes too
+    # the guard above counts every sweep's walks: `eas_segments` sweeps a raw
+    # stream, one walk per arrival, and reads a sweep's recorded cut
     walked = _count_ante_cuts(monkeypatch)
     a, b = AgentSpec("a", 0, 4), AgentSpec("b", 1, 3)
     socd.model.eas_segments(a, [a])
     socd.model.eas_segments(b, [a, b])
-    assert walked["_ante_cut"] == 2
+    assert walked["_ante_cut"] == 3
+    sweep = stream_shares([a, b])
+    walked.clear()
+    socd.model.eas_segments(b, sweep)
+    assert walked["_ante_cut"] == 0
