@@ -24,7 +24,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -63,7 +63,7 @@ def _require(values: Mapping[str, object], kind: type, what: str, *names: str) -
     for name in names:
         value = values[name]
         if isinstance(value, bool) or not isinstance(value, kind):
-            raise ValueError(f"{name} must be {what}, not {value!r}")
+            raise ValueError(f"{name} must be {what}, not {_shown(value, repr)}")
 
 
 # Upper bound on an experiment's station, vehicle and convoy counts, on
@@ -107,10 +107,10 @@ def _require_configuration(configuration: str) -> None:
         raise ValueError("configuration must be 'uniform' or 'bimodal'")
 
 
-def _shown(value: numbers.Rational) -> str:
-    """`value` as printed, unless CPython refuses to print its 4300+ digits."""
+def _shown(value: object, form: Callable[[object], str] = str) -> str:
+    """`form(value)`, unless CPython refuses to print its 4300+ digits."""
     try:
-        return str(value)
+        return form(value)
     except ValueError:
         return "a number of more than 4300 digits"
 
@@ -147,14 +147,19 @@ class RingRoadParams:
                  "target_mean_participations", "curve_step")
         _require_seed(self.seed)
         _require_positive(vars(self), "n_stations", "n_vehicles")
+        # the loop reads floats, and a Fraction there made it 12x slower; the
+        # checks below read the floats the loop gets
+        for name in ("join_probability", "target_mean_participations", "curve_step"):
+            value = getattr(self, name)
+            try:
+                value = float(value)
+            except OverflowError:  # a real past the largest float
+                value = math.inf if value > 0 else -math.inf
+            object.__setattr__(self, name, value)
         if not 0.0 <= self.join_probability <= 1.0:
             raise ValueError("join_probability must lie in [0, 1]")
         for name in ("target_mean_participations", "curve_step"):
-            try:
-                finite = math.isfinite(getattr(self, name))
-            except OverflowError:  # an int past the largest float
-                finite = False
-            if not finite:
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.curve_step <= 0:
             raise ValueError("curve_step must be positive")
@@ -423,30 +428,33 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
 
     The loop is event-driven.  The convoy is one insertion-ordered dict
     from each rider, in join order, to its ride so far: [share sum at
-    join, section at join, sections led].  The leader is the last entry.
-    A joiner is also filed in the exit bucket of its destination station,
-    so a visit finds its exits without scanning the convoy and removes
-    only its own riders.  The leader is credited its run of led sections,
-    and 1/n is recomputed, only when the convoy changes (a join or an
-    exit).  The running share sum still gains 1/n once per section, in
-    section order: the shares are float differences of that sum, so adding
-    in bulk would round differently.
+    join, section at join, sections led]; the last entry leads.  A joiner
+    is also filed in the exit bucket of its destination station, so a
+    visit finds its exits without scanning the convoy.  A visit first
+    reads its join draws; one with exits or joiners then changes the
+    convoy in one step: it credits the leader its run of led sections,
+    pops the exits and writes their rows, crosses the curve's checkpoints
+    (stopping at the target), boards the joiners, sets the station's parked
+    vehicles and recomputes 1/n.  The running share sum still gains 1/n
+    once per section, in order: the shares are float differences of that
+    sum, so adding in bulk would round differently.
 
     Random draws come in the same order as a plain per-section loop makes
     them (one double per parked candidate, then a permutation of several
     same-visit joiners, then one trip double u per joiner, who rides
     int(u * n_stations) + 1 sections), so a seed gives the same records and
     curve.  The doubles are drawn ahead in blocks, with the ascending
-    indices of those below the join probability (the hits) beside them.  A
+    indices of those below the join probability (the hits) beside them; a
+    visit without a hit only moves the block position, and a join visit
+    reads its joiners at the hits and its trips from the next doubles.  A
     block stays a numpy array: the loop reads a double as a Python float
-    only for a trip, and a join draw only through the hits.  A visit whose
-    candidates' doubles hold no hit only moves the block position past
-    them; a join visit reads its joiners at the hits and its trips from the
-    next doubles.  When those run past the end of the block, and before a
-    permutation, which reads the generator itself, the generator
-    is put back at the block position (the state saved where the block
-    starts is restored and the consumed doubles drawn again) and a new
-    block is drawn from there.
+    only for a trip.  One rule refills a block: a visit with a hit (the
+    hits end in the block's length, so running past the block counts)
+    that finds no room for its join draws and a trip draw per candidate
+    rewinds the generator to the block position (`_rewind`) and draws a
+    new block there, which holds the same doubles.  A permutation reads
+    the generator itself, so the same rewind precedes it and a new block
+    follows.
 
     Each participation is kept as a row, a tuple of the
     `ParticipationRecord` fields; no record is built until
@@ -482,62 +490,25 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
         target_records = params.target_mean_participations * n_vehicles
         next_checkpoint = params.curve_step
 
-        # Join draws come from a block of the generator's doubles, drawn
-        # ahead from `snapshot` (the generator state where the block
-        # starts): buf[pos] is the next double the stream would give, and
-        # hits[h] is the first index >= pos whose double is below p.  The
-        # sentinel hits[-1] == len(buf) also sends a visit that runs past
-        # the block to the rewind below, which draws the next block.
+        # the block of doubles drawn from `snapshot`: buf[pos] is the next
+        # double the stream would give, and hits[h] the first index >= pos
+        # whose double is below p (or len(buf))
         snapshot, buf, hits = _draws(rng, p, 0)
         pos = h = 0
 
         lap = 0  # section number of the current lap's visit to station 0
         while total_records < target_records:
             for station in range(n_stations):
-                # exits first: a vehicle never rejoins on the visit it parks
-                out = exits[station]
-                if out:
-                    exits[station] = []
-                    section = lap + station
-                    next(reversed(convoy.values()))[2] += section - lead_start
-                    lead_start = section
-                    for vid in out:
-                        joined_cum, joined_section, led = convoy.pop(vid)
-                        actual = float(led)
-                        epps = cum_inv - joined_cum
-                        aboard = section - joined_section
-                        _check_record(vid, total_records, actual, epps)
-                        rows.append((vid, total_records, actual, epps, actual / epps,
-                                     rg, 0, float(aboard) - actual))
-                        cum_actual[vid] += actual
-                        cum_epps[vid] += epps
-                        total_records += 1
-                    inv = 1.0 / len(convoy) if convoy else 0.0
-                    while (
-                        next_checkpoint <= params.target_mean_participations
-                        and total_records / n_vehicles >= next_checkpoint
-                    ):
-                        ratios = (
-                            cum_actual[v] / cum_epps[v]
-                            for v in range(n_vehicles)
-                            if cum_epps[v]
-                        )
-                        points.append((next_checkpoint, unsatisfied_fraction(ratios)))
-                        next_checkpoint += params.curve_step
-                    if total_records >= target_records:
-                        break
-
                 # join draws from the vehicles parked before this visit: one
-                # double each, buf[pos:stop]; a visit without a hit there
-                # only moves pos
+                # double each, buf[pos:stop]
                 candidates = parked[station]
-                joiners = None
+                joiners = ()
                 if candidates:
                     stop = pos + len(candidates)
                     if hits[h] < stop:
-                        if stop > len(buf):
+                        if stop + len(candidates) > len(buf):  # no room: refill
                             _rewind(rng, snapshot, pos)
-                            snapshot, buf, hits = _draws(rng, p, len(candidates))
+                            snapshot, buf, hits = _draws(rng, p, 2 * len(candidates))
                             pos = h = 0
                             stop = len(candidates)
                         joiners = []
@@ -545,36 +516,58 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
                             joiners.append(candidates[i - pos])
                             h += 1
                     pos = stop
-                if joiners:
-                    # before the appends below: an empty `out` is still this
-                    # station's bucket, which a full-lap trip joins
-                    taken = set(joiners)
-                    parked[station] = [vid for vid in candidates if vid not in taken] + out
-                    if len(joiners) > 1 or pos + len(joiners) > len(buf):
-                        # the permutation reads the generator itself, and the
-                        # trip draws need a block that holds them: put the
-                        # generator back at pos and draw the next block
-                        # after the permutation
-                        _rewind(rng, snapshot, pos)
-                        if len(joiners) > 1:
-                            order = rng.permutation(len(joiners))
-                            joiners = [joiners[k] for k in order]
-                        snapshot, buf, hits = _draws(rng, p, len(joiners))
-                        pos = h = 0
+
+                # the convoy step; the exits park after the join draws, so a
+                # vehicle never rejoins on the visit it parks
+                out = exits[station]
+                if out or joiners:
+                    exits[station] = []  # a full-lap trip files here, not in `out`
                     section = lap + station
                     if convoy:
                         next(reversed(convoy.values()))[2] += section - lead_start
                     lead_start = section
-                    for vid in joiners:
-                        sections = int(buf.item(pos) * n_stations) + 1
-                        pos += 1
-                        exits[(station + sections) % n_stations].append(vid)
-                        convoy[vid] = [cum_inv, section, 0]
-                    while hits[h] < pos:  # trip draws below p are not hits
-                        h += 1
-                    inv = 1.0 / len(convoy)
-                elif out:
+                    if out:
+                        for vid in out:
+                            joined_cum, joined_section, led = convoy.pop(vid)
+                            actual = float(led)
+                            epps = cum_inv - joined_cum
+                            aboard = section - joined_section
+                            _check_record(vid, total_records, actual, epps)
+                            rows.append((vid, total_records, actual, epps, actual / epps,
+                                         rg, 0, float(aboard) - actual))
+                            cum_actual[vid] += actual
+                            cum_epps[vid] += epps
+                            total_records += 1
+                        while (
+                            next_checkpoint <= params.target_mean_participations
+                            and total_records / n_vehicles >= next_checkpoint
+                        ):
+                            ratios = (
+                                cum_actual[v] / cum_epps[v]
+                                for v in range(n_vehicles)
+                                if cum_epps[v]
+                            )
+                            points.append((next_checkpoint, unsatisfied_fraction(ratios)))
+                            next_checkpoint += params.curve_step
+                        if total_records >= target_records:
+                            break
+                    if joiners:
+                        if len(joiners) > 1:  # the permutation reads the generator
+                            _rewind(rng, snapshot, pos)
+                            joiners = [joiners[k] for k in rng.permutation(len(joiners))]
+                            snapshot, buf, hits = _draws(rng, p, len(joiners))
+                            pos = h = 0
+                        for vid in joiners:
+                            sections = int(buf.item(pos) * n_stations) + 1
+                            pos += 1
+                            exits[(station + sections) % n_stations].append(vid)
+                            convoy[vid] = [cum_inv, section, 0]
+                        while hits[h] < pos:  # trip draws below p are not hits
+                            h += 1
+                        taken = set(joiners)
+                        candidates = [vid for vid in candidates if vid not in taken]
                     parked[station] = candidates + out
+                    inv = 1.0 / len(convoy) if convoy else 0.0
 
                 cum_inv += inv
             lap += n_stations

@@ -66,7 +66,8 @@ def test_highway_params_validation():
         HighwayParams(n_stations=5, agents_per_convoy=5)
 
 
-@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3",
+                                   pytest.param(F(10**5000, 3), id="10**5000/3")])
 @pytest.mark.parametrize(
     "params, field",
     [
@@ -80,8 +81,11 @@ def test_highway_params_validation():
     ],
 )
 def test_params_counts_and_seeds_must_be_integers(params, field, value):
-    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+    with pytest.raises(ValueError) as refused:
         params(**{field: value})
+    # 10**5000/3 printed no field: CPython refuses to print 5000 digits
+    shown = "a number of more than 4300 digits" if isinstance(value, F) else repr(value)
+    assert str(refused.value) == f"{field} must be an integer, not {shown}"
 
 
 @pytest.mark.parametrize(
@@ -135,6 +139,27 @@ def test_ring_float_fields_accept_ints_and_numpy_floats():
                             target_mean_participations=np.float32(4), curve_step=2)
     assert (params.join_probability, params.curve_step) == (0.25, 2)
     assert (params.target_mean_participations, params.curve_step) == (4, 2)
+
+
+@pytest.mark.parametrize("given", [
+    {"join_probability": F(1, 10), "target_mean_participations": F(20),
+     "curve_step": F(5, 2)},
+    {"join_probability": np.float64(0.1), "target_mean_participations": np.float32(20),
+     "curve_step": np.float64(2.5)},
+], ids=["Fraction", "numpy"])
+def test_ring_float_fields_are_stored_as_floats(given):
+    # a Fraction join_probability made the loop compare Python objects, about
+    # 12x slower, and a Fraction curve_step put Fractions on the curve's x axis
+    floats = {"join_probability": 0.1, "target_mean_participations": 20.0,
+              "curve_step": 2.5}
+    params = RingRoadParams(n_stations=10, n_vehicles=8, seed=2, **given)
+    expected = RingRoadParams(n_stations=10, n_vehicles=8, seed=2, **floats)
+    assert params == expected
+    assert all(type(getattr(params, name)) is float for name in floats)
+    got, want = ring_road_experiment(params), ring_road_experiment(expected)
+    assert got.rows == want.rows != ()
+    assert got.curve == want.curve
+    assert all(type(x) is float for x, _ in got.curve.points)
 
 
 @pytest.mark.parametrize("params", [HighwayParams, RingRoadParams])
@@ -252,12 +277,14 @@ def test_sample_stream_refuses_an_unknown_configuration():
     ({"n_agents": 10**6 + 1}, "^n_agents must be at most 1000000$"),
     ({"n_agents": 10**5000}, "^n_agents must be at most 1000000$"),
     ({"n_stations": 10**6 + 1}, "^n_stations must be at most 1000000$"),
+    ({"n_agents": F(10**5000, 3)},
+     "^n_agents must be an integer, not a number of more than 4300 digits$"),
 ])
 def test_sample_stream_refuses_bad_sizes_before_drawing(sizes, message):
     # n_stations=1 redrew 1000 times, then raised a RuntimeError; n_agents
     # 0 or -1 gave [], 2.5 a TypeError in `range`; n_stations=2.5 drew;
     # 10**6+1 agents drew them all before the station capacity refused
-    # them, 10**5000 drew until memory ran out
+    # them, 10**5000 drew until memory ran out; 10**5000/3 printed no field
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match=message):
@@ -419,8 +446,8 @@ def test_ring_road_matches_per_section_oracle(params):
     assert ring_exact(params) == exact(*ring_oracle.ring_road_experiment(params))
 
 
-# Blocks of a few doubles put hits on block edges, refills between a visit's
-# candidates and its trip draws, and permutations right after a refill.
+# Blocks of a few doubles put hits on block edges, refills for want of room
+# for a visit's trip draws, and permutations right after a refill.
 @pytest.mark.parametrize("block", [1, 2, 3, 7])
 @settings(max_examples=75, deadline=None, derandomize=True, database=None)
 @given(RING_PARAMS)
@@ -433,6 +460,12 @@ def test_ring_road_matches_per_section_oracle(params):
 @example(RingRoadParams(n_stations=2, n_vehicles=2,
                         join_probability=1.0, target_mean_participations=6.0,
                         curve_step=0.25, seed=3))
+# a join visit's hit lies within its candidate count of the end of a block
+# of _BLOCK doubles (block 2, 3 and 7): the block has no room for a trip
+# draw per candidate, so the refill runs before the joiners are read
+@example(RingRoadParams(n_stations=3, n_vehicles=4,
+                        join_probability=0.5, target_mean_participations=4.0,
+                        curve_step=1.0, seed=1))
 def test_ring_road_buffer_edges_match_oracle(block, params):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulation, "_BLOCK", block)
