@@ -5,26 +5,25 @@ scenario files, impossible parameter combinations), 2 for I/O failures.
 Only experiments take a seed: --seed, else the scenario's `seed`, else the
 SOCD_SEED environment variable, else 0.  A game ignores SOCD_SEED.
 
-Each artifact is one table, a header and rows of raw values, written as a
-CSV file by `_csv` or as a list of objects in `result.json` by `_write`.
-Each CSV cell is `str` of a plain value (Fractions print as fraction
-strings, floats as their repr); row builders give enums by their value.
-`_write` is the one JSON writer.  Its bytes are those of
-`json.dumps(..., sort_keys=True, indent=2)` on the values socd writes:
-sorted keys, two-space indent, ASCII escapes, ints and floats by repr, and
-`NaN` and `Infinity` as `json` spells them.  It writes exact `str`, `int`,
-`float`, `bool`, `None` and `Fraction` values, `str`-keyed mappings, lists,
-tuples and the params dataclasses; any other type is a `TypeError`.  It
-writes each table row as one string and a game's document in one pass,
-after its last mechanism has run, and encodes a cell whose object is the
-one above it only once.  JSON records also carry `mechanism`, and only CSV
-share reports carry `rotations`.  A game's tables are the rows its
-outcomes keep (`MechanismOutcome._period_rows` and the like), written as
-they are, with no schedule, report or ledger object built: pt's ledger row
-per realized segment is expanded to one row per payer as it is written.
-A game's `efficiency` is the sum of its net utilities, one Fraction from
-their common-denominator numerators.  Experiment `params` are parsed by
-the fields of their dataclass.
+Each run is described once: its summary lines, one table per CSV file (a
+header and rows of raw values, bound when described and read once) and its
+`result.json` document, built from such tables.  `_render` writes each table
+by `_csv`, or the document by `_write`, a table as a list of objects.  Each
+CSV cell is `str` of a plain value (Fractions print as fraction strings,
+floats as their repr); row builders give enums by their value.  `_write`'s
+bytes are those of `json.dumps(..., sort_keys=True, indent=2)` on the
+values socd writes: ASCII escapes, ints and floats by repr, and `NaN` and
+`Infinity` as `json` spells them.  It writes exact `str`, `int`, `float`,
+`bool`, `None` and `Fraction` values, `str`-keyed mappings, lists, tuples
+and the params dataclasses; any other type is a `TypeError`.  It writes
+each table row as one string, and a cell whose object is the one above it
+is encoded once.  JSON records also carry `mechanism`, and only CSV share
+reports carry `rotations`.  A game's tables are the rows its outcomes keep
+(`MechanismOutcome._period_rows` and the like), with no schedule, report
+or ledger object built: pt's ledger row per realized segment becomes one
+row per payer as it is rendered.  A game's `efficiency` is the sum of its
+net utilities, one Fraction from their common-denominator numerators.
+Experiment `params` are parsed by the fields of their dataclass.
 """
 
 from __future__ import annotations
@@ -76,6 +75,8 @@ class _Table(NamedTuple):
     header: Sequence[str]
     rows: Iterable[tuple[Any, ...]]
 
+
+_Described = tuple[list[str], dict[str, _Table], Any]  # lines, CSV tables, document
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -231,6 +232,7 @@ def _number(value: Any, where: str) -> float:
 
 
 _CSV_METACHARACTERS = frozenset(",\"\r\n")  # refused in agent ids
+_SURROGATES = frozenset(map(chr, range(0xD800, 0xE000)))  # refused too
 
 
 def _parse_game_scenario(doc: Mapping[str, Any]) -> tuple[list[AgentSpec], GameParams]:
@@ -259,10 +261,14 @@ def _parse_game_scenario(doc: Mapping[str, Any]) -> tuple[list[AgentSpec], GameP
             if key not in entry:
                 raise CliError(f"{where}: missing field {key!r}")
         agent_id = entry["id"]
-        # CSV cells are written unquoted, and summary lines name agents by id
+        # CSV cells are written unquoted, summary lines name agents by id,
+        # and every artifact is UTF-8, which has no lone surrogate
         if isinstance(agent_id, str) and not _CSV_METACHARACTERS.isdisjoint(agent_id):
             raise CliError(f"{where}: agent id {agent_id!r} holds a comma, a double "
                            "quote, a CR or an LF")
+        if isinstance(agent_id, str) and not _SURROGATES.isdisjoint(agent_id):
+            raise CliError(f"{where}: agent id {agent_id!r} holds a lone surrogate, "
+                           "which UTF-8 cannot encode")
         try:
             agents.append(
                 AgentSpec(
@@ -333,8 +339,11 @@ _RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(ParticipationRecord))
 _pick_record_columns = itemgetter(*map(_RECORD_FIELDS.index, _RECORD_COLUMNS))
 
 
-def _record_csv(rows: Iterable[tuple]) -> str:
-    return _csv(_RECORD_COLUMNS, map(_pick_record_columns, rows))
+def _records(rows: Iterable[tuple], mechanism: str | None = None) -> _Table:
+    """A CSV record file: the record columns of the rows, of one mechanism's if given."""
+    if mechanism is not None:
+        rows = (row for row in rows if row[5] == mechanism)
+    return _Table(_RECORD_COLUMNS, map(_pick_record_columns, rows))
 
 
 def _result_json(doc: Any) -> str:
@@ -351,14 +360,10 @@ def _result_json(doc: Any) -> str:
 _RETIRED_GAME_PARAMS = {"ca": "0", "charge_all_switches": False}
 
 
-def _run_game(
-    agents: list[AgentSpec],
-    params: GameParams,
-    mechanisms: Sequence[MechanismKind],
-    fmt: str,
-) -> tuple[list[str], dict[str, str]]:
+def _run_game(agents: list[AgentSpec], params: GameParams,
+              mechanisms: Sequence[MechanismKind]) -> _Described:
     lines: list[str] = []
-    artifacts: dict[str, str] = {}
+    tables: dict[str, _Table] = {}
     documents: dict[str, Any] = {}
     sweep = stream_shares(agents)
     for kind in mechanisms:
@@ -372,7 +377,7 @@ def _run_game(
         shares = " ".join(f"{agent}={assigned}" for agent, assigned, _, _ in reports)
         lines.append(f"{kind.value}: shares {shares}; efficiency {eff}")
 
-        tables = {
+        game = {
             "schedule": _Table(("agent", "start", "stop"), outcome._period_rows),
             "switches": _Table(("time", "outgoing", "incoming", "kind", "n_r", "cost"),
                                outcome._switch_rows),
@@ -384,41 +389,31 @@ def _run_game(
             ),
         }
         if outcome._payment_rows is not None:
-            tables["ledger"] = _Table(
+            game["ledger"] = _Table(
                 ("segment_start", "segment_end", "payer", "payee", "amount"),
                 ((start, end, payer, payee, amount)
                  for start, end, payee, payers, amount in outcome._payment_rows
                  for payer in payers),
             )
-        if fmt == "csv":
-            for name, table in tables.items():
-                artifacts[f"{name}_{kind.value}.csv"] = _csv(*table)
-        else:
-            # JSON share reports have no "rotations" key although the CSV has
-            # that (last) column: adding it changes every games result.json,
-            # so it waits with the other byte-changing cleanups (ROADMAP
-            # item 2).  The writer cuts each row to the shortened header.
-            header, rows = tables["share_reports"]
-            tables["share_reports"] = _Table(header[:-1], rows)
-            documents[kind.value] = {"ledger": None, **tables, "efficiency": str(eff)}
-    if fmt == "json":
-        game_params = {"c": params.c, "u": params.u, **_RETIRED_GAME_PARAMS}
-        artifacts["result.json"] = _result_json(
-            {"scenario": "game", "params": game_params, "mechanisms": documents})
-    return lines, artifacts
+        tables.update((f"{name}_{kind.value}.csv", table) for name, table in game.items())
+        # JSON share reports have no "rotations" key, the CSV's last column:
+        # adding it changes every games result.json, so it waits with the
+        # other byte-changing cleanups (ROADMAP item 2).  The writer cuts
+        # each row to the shortened header.
+        header, rows = game["share_reports"]
+        documents[kind.value] = {"ledger": None, **game, "efficiency": str(eff),
+                                 "share_reports": _Table(header[:-1], rows)}
+    game_params = {"c": params.c, "u": params.u, **_RETIRED_GAME_PARAMS}
+    return lines, tables, {"scenario": "game", "params": game_params,
+                           "mechanisms": documents}
 
 
-def _run_highway(
-    params_base: HighwayParams,
-    seeds: Sequence[int],
-    mechanisms: Sequence[MechanismKind],
-    fmt: str,
-) -> tuple[list[str], dict[str, str]]:
+def _run_highway(params_base: HighwayParams, seeds: Sequence[int],
+                 mechanisms: Sequence[MechanismKind]) -> _Described:
     results = [highway_experiment(dataclasses.replace(params_base, seed=s), mechanisms)
                for s in seeds]
 
     lines: list[str] = []
-    artifacts: dict[str, str] = {}
     config = params_base.configuration
     means: dict[str, float] = {}
     gini_rows: list[Sequence[Any]] = []
@@ -433,32 +428,21 @@ def _run_highway(
         else:
             lines.append(f"gini {kind.value}/{config}: too few records")
 
-    if fmt == "csv":
-        artifacts["gini.csv"] = _csv(("mechanism", "configuration", "seed", "gini"),
-                                     gini_rows)
-        for res in results:
-            suffix = f"_seed{res.seed}" if len(results) > 1 else ""
-            for kind in mechanisms:
-                mechanism = kind.value
-                artifacts[f"records_{mechanism}{suffix}.csv"] = _record_csv(
-                    row for row in res.rows if row[5] == mechanism)
-    else:
-        artifacts["result.json"] = _result_json({
-            "experiment": "highway",
-            "params": params_base,
-            "seeds": list(seeds),
-            "gini": {
-                "per_seed": [{"seed": r.seed, "cells": r.gini_cells} for r in results],
-                "mean": means,
-            },
-            "records": {str(r.seed): _Table(_RECORD_FIELDS, r.rows) for r in results},
-        })
-    return lines, artifacts
+    tables = {"gini.csv": _Table(("mechanism", "configuration", "seed", "gini"),
+                                 gini_rows)}
+    for res in results:
+        suffix = f"_seed{res.seed}" if len(results) > 1 else ""
+        for kind in mechanisms:  # `_records` binds each table's mechanism
+            tables[f"records_{kind.value}{suffix}.csv"] = _records(res.rows, kind.value)
+    return lines, tables, {
+        "experiment": "highway", "params": params_base, "seeds": list(seeds),
+        "gini": {"per_seed": [{"seed": r.seed, "cells": r.gini_cells} for r in results],
+                 "mean": means},
+        "records": {str(r.seed): _Table(_RECORD_FIELDS, r.rows) for r in results},
+    }
 
 
-def _run_ring(
-    params_base: RingRoadParams, seeds: Sequence[int], fmt: str
-) -> tuple[list[str], dict[str, str]]:
+def _run_ring(params_base: RingRoadParams, seeds: Sequence[int]) -> _Described:
     results = [ring_road_experiment(dataclasses.replace(params_base, seed=s))
                for s in seeds]
 
@@ -481,24 +465,18 @@ def _run_ring(
     else:
         lines.append("no participations recorded")
 
-    artifacts: dict[str, str] = {}
-    if fmt == "csv":
-        artifacts["curve.csv"] = _csv(
-            ("mean_participations", "unsatisfied_fraction", "band_low", "band_high"),
-            ((x, y, lo, hi) for (x, y), (lo, hi) in zip(curve.points, curve.band)),
-        )
-        for res in results:
-            suffix = f"_seed{res.seed}" if len(results) > 1 else ""
-            artifacts[f"records{suffix}.csv"] = _record_csv(res.rows)
-    else:
-        artifacts["result.json"] = _result_json({
-            "experiment": "ring",
-            "params": params_base,
-            "seeds": list(seeds),
-            "curve": {"points": curve.points, "band": curve.band},
-            "records": {str(r.seed): _Table(_RECORD_FIELDS, r.rows) for r in results},
-        })
-    return lines, artifacts
+    tables = {"curve.csv": _Table(
+        ("mean_participations", "unsatisfied_fraction", "band_low", "band_high"),
+        ((x, y, lo, hi) for (x, y), (lo, hi) in zip(curve.points, curve.band)),
+    )}
+    for res in results:
+        suffix = f"_seed{res.seed}" if len(results) > 1 else ""
+        tables[f"records{suffix}.csv"] = _records(res.rows)
+    return lines, tables, {
+        "experiment": "ring", "params": params_base, "seeds": list(seeds),
+        "curve": {"points": curve.points, "band": curve.band},
+        "records": {str(r.seed): _Table(_RECORD_FIELDS, r.rows) for r in results},
+    }
 
 
 def emit(artifacts: Mapping[str, str], out_dir: str | os.PathLike) -> None:
@@ -558,6 +536,18 @@ def _parse_mechanisms(selection: str | None, default: Sequence[MechanismKind]
 
 def run(args: argparse.Namespace) -> tuple[list[str], dict[str, str]]:
     """Execute one CLI invocation; returns (summary lines, artifacts)."""
+    return _render(*_describe(args), args.format)
+
+
+def _render(lines: list[str], tables: dict[str, _Table], document: Any, fmt: str):
+    """Each table as its CSV file, or the document as `result.json`."""
+    if fmt == "csv":
+        return lines, {name: _csv(*table) for name, table in tables.items()}
+    return lines, {"result.json": _result_json(document)}
+
+
+def _describe(args: argparse.Namespace) -> _Described:
+    """Run one CLI invocation and describe it, in no format yet."""
     if (args.scenario is None) == (args.experiment is None):
         raise CliError("exactly one of --scenario or --experiment is required")
 
@@ -590,7 +580,7 @@ def run(args: argparse.Namespace) -> tuple[list[str], dict[str, str]]:
             raise CliError("--config only applies to the highway experiment")
         agents, params = _parse_game_scenario(doc)
         mechanisms = _parse_mechanisms(args.mechanism, ALL_MECHANISMS)
-        return _run_game(agents, params, mechanisms, args.format)
+        return _run_game(agents, params, mechanisms)
 
     raw_params = doc.get("params", {}) if doc else {}
     if not isinstance(raw_params, Mapping):
@@ -624,11 +614,11 @@ def run(args: argparse.Namespace) -> tuple[list[str], dict[str, str]]:
         if mechanisms != [MechanismKind.REPEATED_GAME]:
             raise CliError("the ring road experiment runs under rg only")
         params = _parse_params(RingRoadParams, raw_params, seed)
-        return _run_ring(params, seeds, args.format)
+        return _run_ring(params, seeds)
     # the highway, the only other experiment
     mechanisms = _parse_mechanisms(args.mechanism, HIGHWAY_MECHANISMS)
     params = _parse_params(HighwayParams, raw_params, seed, configuration=args.config)
-    return _run_highway(params, seeds, mechanisms, args.format)
+    return _run_highway(params, seeds, mechanisms)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

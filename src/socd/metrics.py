@@ -101,7 +101,9 @@ def gini(values: Iterable[float]) -> float:
     Mean-absolute-difference form, computed in O(n log n) via the sorted
     identity sum((2i - n - 1) * x_(i)) / (n^2 * mean).  0 means perfect
     equality; the supremum for n values is (n - 1) / n.  A NaN or an
-    infinite value raises a ValueError.
+    infinite value raises a ValueError.  Values whose sums could overflow
+    (max * n * n past the largest float) are first divided by their
+    maximum, which leaves the coefficient as it is.
     """
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
@@ -110,11 +112,14 @@ def gini(values: Iterable[float]) -> float:
         raise ValueError("gini requires finite values")
     if np.any(arr < 0):
         raise ValueError("gini requires non-negative values")
+    n = arr.size
+    top = float(arr.max())
+    if not math.isfinite(top * n * n):
+        arr = arr / top
     total = float(arr.sum())
     if total == 0.0:
         raise AllZeroSample("gini is undefined when all values are zero")
     srt = np.sort(arr)
-    n = arr.size
     weights = 2.0 * np.arange(1, n + 1) - n - 1
     return float(np.dot(weights, srt) / (n * total))
 

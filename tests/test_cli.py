@@ -33,7 +33,7 @@ from socd.cli import (
     CliError,
     _csv,
     _exact,
-    _record_csv,
+    _records,
     main,
 )
 
@@ -218,6 +218,21 @@ def test_validation_branches_exit_1_with_their_message(tmp_path, capsys, doc, fl
     code = main(argv)
     out, err = capsys.readouterr()
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+_LONE_SURROGATE_GAME = {"agents": [dict(_A, id="a\ud800"), dict(_A, id="b", arrive=1)]}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_lone_surrogate_id_exits_1_before_any_output(tmp_path, capsys, fmt):
+    # JSON's "\ud800" escape parses into a str that UTF-8 cannot encode; it
+    # failed only when the output was written, after a whole result.json
+    code = main(["--scenario", write_scenario(tmp_path, _LONE_SURROGATE_GAME),
+                 "--format", fmt, "--mechanism", "rg"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == ("error: agents[0]: agent id 'a\\ud800' holds a lone surrogate, "
+                   "which UTF-8 cannot encode\n")
 
 
 def test_highway_of_single_agent_convoys_has_too_few_records(tmp_path, capsys):
@@ -462,9 +477,9 @@ def test_seeds_are_bounded(tmp_path, capsys, monkeypatch, experiment, n_seeds, s
 def test_seeds_at_the_bound_are_accepted(monkeypatch):
     ran = []
 
-    def run_ring(params, seeds, fmt):
+    def run_ring(params, seeds):
         ran.append(seeds)
-        return [], {}
+        return [], {}, None
 
     monkeypatch.setattr("socd.cli._run_ring", run_ring)
     assert main(["--experiment", "ring", "--seed", "5", "--seeds", "1000000"]) == 0
@@ -784,8 +799,8 @@ def test_record_csv_matches_the_oracle():
         want = "".join(f"{line}\n" for line in [RECORD_HEADER, *(
             ",".join(str(getattr(r, column)) for column in RECORD_HEADER.split(","))
             for r in some)])
-        assert _record_csv(rows(some)) == want
-    lines = _record_csv(rows(records)).splitlines()
+        assert _csv(*_records(rows(some))) == want
+    lines = _csv(*_records(rows(records))).splitlines()
     assert lines[0] == RECORD_HEADER
     assert lines[2] == "0,7,3.0,1e-300,3e+300,2,-0.0"
     assert lines[3] == f"{3**40},1.5,0.0,inf,0.0,0,nan"
@@ -832,7 +847,8 @@ _numbers = st.one_of(st.integers(-2, 12), st.floats(0, 10), st.none(),
 # Ids by the scenario's rules, or odd: CSV metacharacters, bools, null, lists.
 _ids = st.text(alphabet="ab1 é", min_size=1, max_size=3) | st.integers(-2, 9)
 _odd_ids = st.one_of(st.text(alphabet=',"\r\nab', min_size=1, max_size=3),
-                     st.booleans(), st.none(), st.lists(st.integers(0, 2), max_size=2))
+                     st.booleans(), st.none(), st.lists(st.integers(0, 2), max_size=2),
+                     st.just("a\ud800"))
 
 
 @st.composite
@@ -859,6 +875,8 @@ def _game_docs(draw):
 @given(_game_docs(), st.sampled_from(["csv", "json"]))
 @example({"agents": [{"id": "a,b", "arrive": 0, "leave": 4},
                      {"id": 'c"d\ne', "arrive": 1, "leave": 3}]}, "csv")
+@example(_LONE_SURROGATE_GAME, "csv")
+@example(_LONE_SURROGATE_GAME, "json")
 def test_the_cli_contract_holds_on_fuzzed_games(doc, fmt):
     assert_cli_contract(doc, fmt)
 

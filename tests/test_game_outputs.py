@@ -31,7 +31,7 @@ from socd import (
     run_mechanism,
     stream_shares,
 )
-from socd.cli import _run_game
+from socd.cli import _render, _run_game
 from test_highway_core import _count_constructions
 from test_shares import HANDOVER, HOLE, LARGE_DENOMINATORS, SINGLE, streams
 
@@ -53,7 +53,7 @@ costed_params = st.builds(
 @example(LARGE_DENOMINATORS, GameParams(u=2, c=1))
 def test_cli_efficiency_is_the_schedule_efficiency(stream, params):
     kinds = list(MechanismKind)
-    lines, artifacts = _run_game(stream, params, kinds, "json")
+    lines, artifacts = _render(*_run_game(stream, params, kinds), "json")
     written = json.loads(artifacts["result.json"])["mechanisms"]
     sweep = stream_shares(stream)
     for kind, line in zip(kinds, lines):
@@ -139,8 +139,8 @@ ROTATING_PARAMS = GameParams(u=2, c=F(1, 3))
 def test_cli_tables_equal_the_tables_of_the_faces(stream, params):
     kinds = list(MechanismKind)
     lines, games = face_tables(stream, params, kinds)
-    assert _run_game(stream, params, kinds, "csv") == (lines, face_csv(games))
-    assert _run_game(stream, params, kinds, "json") == (
+    assert _render(*_run_game(stream, params, kinds), "csv") == (lines, face_csv(games))
+    assert _render(*_run_game(stream, params, kinds), "json") == (
         lines, {"result.json": face_json(params, games)})
 
 
@@ -157,7 +157,7 @@ def test_the_rotating_game_has_what_its_name_says():
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_cli_game_builds_no_face(monkeypatch, fmt):
     built = _count_constructions(monkeypatch)
-    _, artifacts = _run_game(ROTATING, ROTATING_PARAMS, list(MechanismKind), fmt)
+    _, artifacts = _render(*_run_game(ROTATING, ROTATING_PARAMS, list(MechanismKind)), fmt)
     assert artifacts
     faces = {"ActivePeriod", "SwitchEvent", "Schedule", "ShareReport", "Payment",
              "Ledger", "Segment"}

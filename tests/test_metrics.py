@@ -160,6 +160,17 @@ def test_gini_scale_invariance():
     assert abs(gini(values * 3.7) - base) <= 1e-12
 
 
+@pytest.mark.parametrize("huge, unit", [
+    ([0, 0, 1.5e308], [0, 0, 1.0]),
+    ([0.0] * 500 + [1e303] * 500, [0.0] * 500 + [1.0] * 500),
+], ids=["sum-overflows", "weighted-sum-overflows"])
+def test_gini_near_the_float_limit_is_the_gini_of_the_scaled_values(huge, unit):
+    # a float sum overflowed to inf and the coefficient read nan, with
+    # numpy's overflow warnings (errors under the suite's warning filter)
+    assert gini(huge) == gini(unit)
+    assert gini(unit) in (2 / 3, 1 / 2)
+
+
 # -------------------------------------------------------------------- ratios
 
 

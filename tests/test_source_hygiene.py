@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,23 @@ def _exported(tree: ast.Module) -> set[str]:
 def test_library_modules_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "cli.py", "model.py"}
     assert {p.name for p in ORACLES} >= {"share_oracle.py", "mechanism_oracle.py"}
+
+
+def _requires_python() -> tuple[int, int]:
+    """The oldest Python that `pyproject.toml`'s `requires-python` admits."""
+    text = (SRC.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"', text,
+                             re.MULTILINE).groups()
+    return int(major), int(minor)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_the_syntax_is_that_of_the_oldest_python_required(path):
+    """Best-effort: the parser checks syntax only (no `match` before 3.10,
+    no `except*` before 3.11 and the like), not whether each stdlib name
+    the module uses exists in that Python."""
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+              feature_version=_requires_python())
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
