@@ -2,6 +2,7 @@
 
 Exit codes: 0 on success, 1 for validation problems (bad flags, malformed
 scenario files, impossible parameter combinations), 2 for I/O failures.
+A scenario file may not give a key twice in one object (`_unique_keys`).
 Only experiments take a seed: --seed, else the scenario's `seed`, else the
 SOCD_SEED environment variable, else 0.  A game ignores SOCD_SEED.
 
@@ -261,8 +262,11 @@ def _parse_game_scenario(doc: Mapping[str, Any]) -> tuple[list[AgentSpec], GameP
             if key not in entry:
                 raise CliError(f"{where}: missing field {key!r}")
         agent_id = entry["id"]
-        # CSV cells are written unquoted, summary lines name agents by id,
-        # and every artifact is UTF-8, which has no lone surrogate
+        # CSV cells are written unquoted (an empty one reads as missing),
+        # summary lines name agents by id, and every artifact is UTF-8,
+        # which has no lone surrogate
+        if agent_id == "":
+            raise CliError(f"{where}: agent id is empty")
         if isinstance(agent_id, str) and not _CSV_METACHARACTERS.isdisjoint(agent_id):
             raise CliError(f"{where}: agent id {agent_id!r} holds a comma, a double "
                            "quote, a CR or an LF")
@@ -546,6 +550,17 @@ def _render(lines: list[str], tables: dict[str, _Table], document: Any, fmt: str
     return lines, {"result.json": _result_json(document)}
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's members as a dict, refusing a key given twice
+    (`json` would keep the last value given)."""
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise CliError(f"scenario: duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _describe(args: argparse.Namespace) -> _Described:
     """Run one CLI invocation and describe it, in no format yet."""
     if (args.scenario is None) == (args.experiment is None):
@@ -556,7 +571,7 @@ def _describe(args: argparse.Namespace) -> _Described:
     if args.scenario is not None:
         raw = Path(args.scenario).read_text(encoding="utf-8")
         try:
-            doc = json.loads(raw)
+            doc = json.loads(raw, object_pairs_hook=_unique_keys)
         except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise CliError(f"scenario is not valid JSON: {exc}") from None
         if not isinstance(doc, Mapping):

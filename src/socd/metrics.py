@@ -1,7 +1,8 @@
 """Fairness and convergence metrics over experiment records.
 
 Everything here works in floats: records arrive from the exact-arithmetic
-core, but inequality statistics are reporting-layer quantities.
+core, but inequality statistics are reporting-layer quantities.  `gini`
+imports numpy when it is first called; nothing else here needs it.
 """
 
 from __future__ import annotations
@@ -9,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable
-
-import numpy as np
 
 __all__ = [
     "ParticipationRecord",
@@ -101,15 +100,19 @@ def gini(values: Iterable[float]) -> float:
     Mean-absolute-difference form, computed in O(n log n) via the sorted
     identity sum((2i - n - 1) * x_(i)) / (n^2 * mean).  0 means perfect
     equality; the supremum for n values is (n - 1) / n.  A NaN or an
-    infinite value raises a ValueError.  Values whose sums could overflow
+    infinite value raises a ValueError and a non-number (a string, say) a
+    TypeError, as in `unsatisfied_fraction`.  Values whose sums could overflow
     (max * n * n past the largest float) are first divided by their
     maximum, which leaves the coefficient as it is.
     """
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
+    values = list(values)
+    if not values:
         raise EmptySample("gini of an empty population")
-    if not np.isfinite(arr).all():
+    if not all(map(math.isfinite, values)):
         raise ValueError("gini requires finite values")
+    import numpy as np
+
+    arr = np.asarray(values, dtype=float)
     if np.any(arr < 0):
         raise ValueError("gini requires non-negative values")
     n = arr.size

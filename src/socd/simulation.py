@@ -14,7 +14,9 @@ Two setups:
 Both are reproducible from the experiment seed.  The highway spawns one
 child generator per convoy, so its results are also insensitive to which
 mechanisms are evaluated; the ring road draws from one generator seeded
-with the experiment seed.
+with the experiment seed.  Both experiments and `aggregate_curves` import
+numpy when they are first called, so importing this module does not load
+it; `sample_stream` uses only the generator it is given.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .mechanisms import MechanismKind, _drive, _nets
 from .metrics import (
@@ -37,6 +37,9 @@ from .metrics import (
     unsatisfied_fraction,
 )
 from .model import AgentSpec, _sweep, as_time
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RingRoadParams",
@@ -357,6 +360,8 @@ def highway_experiment(
     `run_mechanism` and `net_utilities` give on the `sample_stream` stream,
     whatever the tick scale.
     """
+    import numpy as np
+
     kinds = [MechanismKind(m) for m in mechanisms]
     c = params.switch_cost  # u is 1
     children = np.random.SeedSequence(params.seed).spawn(params.n_convoys)
@@ -460,6 +465,8 @@ def ring_road_experiment(params: RingRoadParams) -> ExperimentResult:
     `ParticipationRecord` fields; no record is built until
     `ExperimentResult.records` is read.
     """
+    import numpy as np
+
     rng = np.random.default_rng(params.seed)
     n_stations, n_vehicles = params.n_stations, params.n_vehicles
     p = params.join_probability
@@ -586,6 +593,8 @@ def aggregate_curves(curves: Sequence[ConvergenceCurve]) -> ConvergenceCurve:
     for c in curves[1:]:
         if [x for x, _ in c.points] != xs:
             raise ValueError("curves must share the same checkpoint grid")
+    import numpy as np
+
     ys = np.array([[y for _, y in c.points] for c in curves])
     mean = ys.mean(axis=0)
     sd = ys.std(axis=0)

@@ -205,12 +205,14 @@ _CSV_REFUSAL = "holds a comma, a double quote, a CR or an LF"
          f"agents[1]: agent id 'c\"d\\ne' {_CSV_REFUSAL}"),
         ({"agents": [dict(_A, id="\r")]}, [],
          f"agents[0]: agent id '\\r' {_CSV_REFUSAL}"),
+        ({"agents": [_A, dict(_A, id="", arrive=1)]}, [],
+         "agents[1]: agent id is empty"),
     ],
     ids=["no-agents", "agent-not-object", "missing-leave", "empty-window",
          "game-params-list", "experiment-params-list", "experiment-null",
          "scenario-list",
          "ring-config", "unknown-flag", "ring-road-length", "id-comma",
-         "id-quote-lf", "id-cr"],
+         "id-quote-lf", "id-cr", "id-empty"],
 )
 def test_validation_branches_exit_1_with_their_message(tmp_path, capsys, doc, flags,
                                                         message):
@@ -218,6 +220,29 @@ def test_validation_branches_exit_1_with_their_message(tmp_path, capsys, doc, fl
     code = main(argv)
     out, err = capsys.readouterr()
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+_AGENT = '{"id": "a", "arrive": 0, "leave": 5}'
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (f'{{"agents": [{_AGENT}], "agents": []}}', "agents"),
+        (f'{{"agents": [], "agents": [{_AGENT}]}}', "agents"),
+        ('{"agents": [{"id": "a", "arrive": 0, "leave": 5, "leave": 9}]}', "leave"),
+        (f'{{"agents": [{_AGENT}], "params": {{"u": 1, "c": 0, "u": 2}}}}', "u"),
+    ],
+    ids=["agents-then-empty", "empty-then-agents", "agent-leave", "params-u"],
+)
+def test_a_duplicate_scenario_key_exits_1_with_no_artifact(tmp_path, capsys, text, key):
+    # json keeps the last value given for a key, so one of the two was ignored
+    scenario, out_dir = tmp_path / "scenario.json", tmp_path / "out"
+    scenario.write_text(text)
+    code = main(["--scenario", str(scenario), "--out", str(out_dir)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", f"error: scenario: duplicate key {key!r}\n")
+    assert not out_dir.exists()
 
 
 _LONE_SURROGATE_GAME = {"agents": [dict(_A, id="a\ud800"), dict(_A, id="b", arrive=1)]}
@@ -844,11 +869,12 @@ def test_game_reruns_are_byte_identical(tmp_path, capsys):
 
 _numbers = st.one_of(st.integers(-2, 12), st.floats(0, 10), st.none(),
                      st.sampled_from(["1/2", "5/7", "x", "1e2", ""]))
-# Ids by the scenario's rules, or odd: CSV metacharacters, bools, null, lists.
+# Ids by the scenario's rules, or odd: CSV metacharacters, bools, null, lists,
+# a lone surrogate, the empty id.
 _ids = st.text(alphabet="ab1 é", min_size=1, max_size=3) | st.integers(-2, 9)
 _odd_ids = st.one_of(st.text(alphabet=',"\r\nab', min_size=1, max_size=3),
                      st.booleans(), st.none(), st.lists(st.integers(0, 2), max_size=2),
-                     st.just("a\ud800"))
+                     st.just("a\ud800"), st.just(""))
 
 
 @st.composite
@@ -877,6 +903,7 @@ def _game_docs(draw):
                      {"id": 'c"d\ne', "arrive": 1, "leave": 3}]}, "csv")
 @example(_LONE_SURROGATE_GAME, "csv")
 @example(_LONE_SURROGATE_GAME, "json")
+@example({"agents": [dict(_A, id="")]}, "csv")
 def test_the_cli_contract_holds_on_fuzzed_games(doc, fmt):
     assert_cli_contract(doc, fmt)
 
@@ -884,7 +911,8 @@ def test_the_cli_contract_holds_on_fuzzed_games(doc, fmt):
 def assert_cli_contract(doc, fmt):
     """Exit 0 or 1, never a raise; exit 1 writes one `error:` line and no
     artifact; exit 0 writes CSVs whose rows all have the header's width and
-    JSON that loads."""
+    no empty cell (which a CSV reader takes as a missing value), and JSON
+    that loads."""
     with tempfile.TemporaryDirectory() as tmp:
         scenario, out = Path(tmp, "scenario.json"), Path(tmp, "out")
         scenario.write_text(json.dumps(doc))
@@ -903,6 +931,7 @@ def assert_cli_contract(doc, fmt):
             if path.suffix == ".csv":
                 rows = list(csv.reader(io.StringIO(text, newline="")))
                 assert {len(row) for row in rows} == {len(rows[0])}, path.name
+                assert all(all(row) for row in rows), path.name
             else:
                 json.loads(text)
 

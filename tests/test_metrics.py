@@ -129,6 +129,13 @@ def test_gini_refuses_a_non_finite_value(bad):
             gini(values)
 
 
+@pytest.mark.parametrize("values", [["1", "2"], [1.0, "2"], [b"1"], [None, 1.0]])
+def test_gini_refuses_a_value_that_is_not_a_number(values):
+    # numpy would parse a numeric string; `unsatisfied_fraction` refuses it too
+    with pytest.raises(TypeError):
+        gini(values)
+
+
 def test_gini_matches_brute_force():
     rng = np.random.default_rng(11)
     for _ in range(300):
